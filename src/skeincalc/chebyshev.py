@@ -10,13 +10,16 @@ normalizes internally.
 Polynomials are returned as dense integer coefficient tuples, constant term
 first, which plug directly into :func:`skeincalc.coeffs.substitute_w`.
 S-basis combinations are dicts mapping a nonnegative S-index to its integer
-coefficient.
+coefficient; :func:`monomial_to_S` and :func:`s_to_monomial` convert single
+basis elements both ways.
 """
 
 from __future__ import annotations
 
 import functools
 from typing import Mapping
+
+from .coeffs import add_into
 
 
 def normalize_s_index(n: int) -> tuple[int, int] | None:
@@ -111,10 +114,20 @@ def monomial_to_S(m: int) -> dict[int, int]:
         return {0: 1}
     out: dict[int, int] = {}
     for j, c in monomial_to_S(m - 1).items():
-        out[j + 1] = out.get(j + 1, 0) + c
+        add_into(out, j + 1, c)
         if j >= 1:
-            out[j - 1] = out.get(j - 1, 0) + c
-    return {j: c for j, c in out.items() if c}
+            add_into(out, j - 1, c)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def s_to_monomial(n: int) -> dict[int, int]:
+    """Expand S_n, n >= 0, in monomials: S_n = sum_j c_j xi^j, zeros dropped.
+
+    >>> s_to_monomial(3)
+    {1: -2, 3: 1}
+    """
+    return {j: c for j, c in enumerate(cheb_S(n)) if c}
 
 
 def s_combo_to_monomial(combo: Mapping[int, int]) -> tuple[int, ...]:
@@ -126,6 +139,16 @@ def s_combo_to_monomial(combo: Mapping[int, int]) -> tuple[int, ...]:
     return out
 
 
+def _fold(signed_indices) -> dict[int, int]:
+    """Sum of sign * S_idx over (idx, sign) pairs, indices normalized."""
+    out: dict[int, int] = {}
+    for idx, sgn in signed_indices:
+        norm = normalize_s_index(idx)
+        if norm is not None:
+            add_into(out, norm[1], sgn * norm[0])
+    return out
+
+
 def t_in_s(n: int) -> dict[int, int]:
     """T_n written in the S basis: T_n = S_n - S_{n-2}, indices normalized.
 
@@ -134,18 +157,7 @@ def t_in_s(n: int) -> dict[int, int]:
     >>> t_in_s(4)
     {4: 1, 2: -1}
     """
-    out: dict[int, int] = {}
-    for idx, sgn in ((abs(n), 1), (abs(n) - 2, -1)):
-        norm = normalize_s_index(idx)
-        if norm is None:
-            continue
-        s2, i2 = norm
-        c = out.get(i2, 0) + sgn * s2
-        if c:
-            out[i2] = c
-        else:
-            out.pop(i2, None)
-    return out
+    return _fold(((abs(n), 1), (abs(n) - 2, -1)))
 
 
 def s_times_t(k: int, n: int) -> dict[int, int]:
@@ -158,18 +170,7 @@ def s_times_t(k: int, n: int) -> dict[int, int]:
     >>> s_times_t(0, 1)
     {1: 1}
     """
-    out: dict[int, int] = {}
-    for idx in (k + abs(n), k - abs(n)):
-        norm = normalize_s_index(idx)
-        if norm is None:
-            continue
-        sgn, i = norm
-        c = out.get(i, 0) + sgn
-        if c:
-            out[i] = c
-        else:
-            out.pop(i, None)
-    return out
+    return _fold(((k + abs(n), 1), (k - abs(n), 1)))
 
 
 def s_product(a: int, b: int) -> dict[int, int]:

@@ -1,35 +1,238 @@
-"""Exact coefficient arithmetic over the ring Z[t, t^-1].
+"""Exact coefficient arithmetic over the ring Z[t, t^-1], and the sparse kernel.
 
 Everything downstream (Chebyshev bases, handlebody skeins, torus-knot
 reductions, quantum-torus operators) is linear over Laurent polynomials in a
-single variable t with arbitrary-precision integer coefficients.  Three sparse
-types live here:
+single variable t with arbitrary-precision integer coefficients.
 
-* :class:`LaurentPoly`   -- Z[t, t^-1], the ground ring.
-* :class:`XZPoly`        -- polynomials in two commuting variables x, z over
-                            the ground ring (also used z-free as the
-                            coefficient ring of the quantum torus).
-* :class:`WLaurent`      -- Laurent polynomials in an auxiliary variable w
-                            over the ground ring, used for the substitution
-                            identities that certify the Chebyshev tables.
+Every element type of the package is a :class:`Sparse` combination: a dict
+from key to nonzero coefficient.  The kernel implements, once, accumulation
+with pruning (:func:`add_into`), addition, negation, subtraction, scaling,
+equality and the JSON term rows.  Each type adds only its key validation, the
+context two operands must share, and its product rule.  Two types live here:
+
+* :class:`LaurentPoly` -- Z[t, t^-1], the ground ring (int coefficients).
+* :class:`AuxLaurent`  -- Laurent polynomials in one auxiliary variable over
+                          the ground ring: the x-coefficients of quantum-torus
+                          operators, and the variable w of the substitution
+                          identities that certify the Chebyshev tables.
 
 All types are canonical (zero coefficients are pruned eagerly), immutable by
 convention, and compare by structural equality.  Python integers never
-overflow, so coefficient growth is exact by construction.
+overflow, so coefficient growth is exact by construction.  Inputs are checked,
+never coerced: a non-int exponent or integer coefficient raises TypeError, and
+:func:`as_laurent` is the one place an int becomes a LaurentPoly.
 
 JSON forms use decimal strings for integer coefficients and sorted term lists,
 giving deterministic, arbitrary-precision round trips:
 
-    LaurentPoly  {"t":  [[exp, "coeff"], ...]}            ascending exp
-    XZPoly       {"xz": [[xdeg, zdeg, {laurent}], ...]}   lex (xdeg, zdeg)
+    LaurentPoly  {"t": [[exp, "coeff"], ...]}   ascending exp
+    AuxLaurent   [[exp, {laurent}], ...]        ascending exp
+
+Malformed JSON raises ValueError.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Mapping
 
 
-class LaurentPoly:
+def add_into(out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    s = out.get(key)
+    if s is None:
+        if c:
+            out[key] = c
+    else:
+        s = s + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+
+
+def check_int(v) -> int:
+    """v itself when it is an int (bool counts as one); TypeError otherwise."""
+    if not isinstance(v, int):
+        raise TypeError(f"expected an int, got {v!r}")
+    return int(v)
+
+
+def check_key(key, width: int) -> tuple[int, ...]:
+    """key when it is a tuple of `width` ints; TypeError otherwise."""
+    if not isinstance(key, tuple) or len(key) != width:
+        raise TypeError(f"expected a key of {width} ints, got {key!r}")
+    return tuple(check_int(i) for i in key)
+
+
+def _json_reader(parse):
+    """Classmethod decorator for from_json: any malformed input raises ValueError."""
+    @functools.wraps(parse)
+    def from_json(cls, data):
+        try:
+            return parse(cls, data)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed {cls.__name__} JSON: {exc}") from exc
+    return classmethod(from_json)
+
+
+def _rows_to_terms(rows, decode) -> dict:
+    """Inverse of :meth:`Sparse._json_rows`: {key: decode(coeff)} from [*key, coeff] rows."""
+    terms = {}
+    for *key, c in rows:
+        terms[key[0] if len(key) == 1 else tuple(key)] = decode(c)
+    return terms
+
+
+def decode_int(s) -> int:
+    """An integer coefficient from its JSON form, a decimal string."""
+    if not isinstance(s, str):
+        raise TypeError(f"expected a decimal string coefficient, got {s!r}")
+    return int(s)
+
+
+def _laurent_product(a: Sparse, b: Sparse) -> Sparse:
+    """The product rule of LaurentPoly and AuxLaurent: exponents add."""
+    out: dict = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            add_into(out, e1 + e2, c1 * c2)
+    return a._like(out)
+
+
+class Sparse:
+    """A finite combination of keys with nonzero coefficients.
+
+    Subclasses validate keys in ``_key``, check or coerce coefficients in
+    ``_coeff`` (by default through :func:`as_laurent`), print a key's
+    monomial in ``_monomial``, and supply their product rule.  A type whose
+    operands must agree on more than the key space (a basis, a knot) names
+    those fields in ``_CONTEXT``, takes them first in its constructor, and
+    stores their values as the tuple ``_ctx`` in a slot of its own.
+    """
+
+    __slots__ = ("terms",)
+    _CONTEXT: tuple[str, ...] = ()
+
+    def __init__(self, terms: Mapping | None = None):
+        clean = {}
+        for key, c in (terms or {}).items():
+            key = self._key(key)
+            c = self._coeff(c)
+            if c:
+                clean[key] = c
+        self.terms = clean
+
+    @staticmethod
+    def _coeff(c):
+        return as_laurent(c)
+
+    @staticmethod
+    def _coeff_from_json(data):
+        return LaurentPoly.from_json(data)
+
+    def _like(self, terms: dict) -> Sparse:
+        """An element of self's type and context holding the canonical terms."""
+        res = object.__new__(self.__class__)
+        res.terms = terms
+        if self._CONTEXT:
+            res._ctx = self._ctx
+        return res
+
+    def _peer(self, other) -> Sparse | None:
+        """other as an operand of self's kind, or None; ValueError if contexts differ."""
+        if other.__class__ is not self.__class__:
+            return None
+        if self._CONTEXT and self._ctx != other._ctx:
+            raise ValueError(f"cannot combine {self.__class__.__name__} elements with "
+                             f"different {'/'.join(self._CONTEXT)}: {self._ctx} vs {other._ctx}")
+        return other
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            other = self._peer(other)
+            if other is None:
+                return NotImplemented
+        return self.terms == other.terms and (not self._CONTEXT or self._ctx == other._ctx)
+
+    def __add__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        # add_into's loop, inlined: Laurent addition is the package's hottest
+        # operation, and calling add_into per term made it a quarter slower
+        out = dict(self.terms)
+        get = out.get
+        for k, c in other.terms.items():
+            s = get(k)
+            if s is None:
+                out[k] = c
+            else:
+                s = s + c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def scale(self, s):
+        """Every coefficient times the scalar s.
+
+        All coefficient rings here are integral domains, so a product of
+        nonzero factors is nonzero and only s = 0 needs pruning.
+        """
+        if not s:
+            return self._like({})
+        return self._like({k: c * s for k, c in self.terms.items()})
+
+    def _json_rows(self) -> list:
+        """The terms as rows [*key, coeff] in key order, coefficients as JSON."""
+        return [[*(k if isinstance(k, tuple) else (k,)),
+                 str(c) if isinstance(c, int) else c.to_json()]
+                for k, c in sorted(self.terms.items())]
+
+    def to_json(self) -> dict:
+        return {"terms": self._json_rows()}
+
+    @_json_reader
+    def from_json(cls, data: dict) -> Sparse:
+        """Inverse of to_json: the context fields, then the "terms" rows."""
+        terms = _rows_to_terms(data["terms"], cls._coeff_from_json)
+        return cls(*(data[name] for name in cls._CONTEXT), terms)
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({c}){self._monomial(k)}" for k, c in sorted(self.terms.items()))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}('{self}')"
+
+
+class LaurentPoly(Sparse):
     """A Laurent polynomial in t with integer coefficients.
 
     Terms are held as a dict mapping exponent to nonzero coefficient.
@@ -41,15 +244,9 @@ class LaurentPoly:
     '9*t^-4 - 6*t^2 + t^8'
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    clean[int(e)] = int(c)
-        self.terms = clean
+    _key = _coeff = staticmethod(check_int)
 
     @staticmethod
     def zero() -> LaurentPoly:
@@ -59,89 +256,29 @@ class LaurentPoly:
     def one() -> LaurentPoly:
         return LaurentPoly({0: 1})
 
-    @staticmethod
-    def t_power(exp: int, coeff: int = 1) -> LaurentPoly:
-        """The monomial coeff * t^exp."""
-        return LaurentPoly({exp: coeff})
-
-    @staticmethod
-    def from_int(n: int) -> LaurentPoly:
-        return LaurentPoly({0: n})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
+    def _peer(self, other) -> LaurentPoly | None:
+        if other.__class__ is LaurentPoly:
+            return other
+        return LaurentPoly({0: other}) if isinstance(other, int) else None
 
     def __hash__(self):
+        # equal to an int when constant, so hash like that int (zero as 0)
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self) -> LaurentPoly:
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> LaurentPoly:
-        return LaurentPoly.from_int(other) - self
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
-            res = LaurentPoly.__new__(LaurentPoly)
-            res.terms = {e: c * other for e, c in self.terms.items()} if other else {}
-            return res
-        if not isinstance(other, LaurentPoly):
+            return self.scale(other)
+        if other.__class__ is not LaurentPoly:
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return _laurent_product(self, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
-            raise ValueError("negative powers are only defined for monomials; use t_power")
+            raise ValueError("negative powers are only defined for monomials; use t(exp)")
         result = LaurentPoly.one()
         base = self
         while n:
@@ -153,20 +290,18 @@ class LaurentPoly:
 
     def bar(self) -> LaurentPoly:
         """The mirror involution t -> t^-1."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {-e: c for e, c in self.terms.items()}
-        return res
+        return self._like({-e: c for e, c in self.terms.items()})
 
     def substitute_one(self) -> int:
         """Evaluate at t = 1."""
         return sum(self.terms.values())
 
     def to_json(self) -> dict:
-        return {"t": [[e, str(c)] for e, c in sorted(self.terms.items())]}
+        return {"t": self._json_rows()}
 
-    @classmethod
+    @_json_reader
     def from_json(cls, data: dict) -> LaurentPoly:
-        return cls({int(e): int(c) for e, c in data["t"]})
+        return cls(_rows_to_terms(data["t"], decode_int))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -184,264 +319,59 @@ class LaurentPoly:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"LaurentPoly('{self}')"
-
 
 ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
+
+
+def as_laurent(c: LaurentPoly | int) -> LaurentPoly:
+    """c as a ground-ring coefficient: an int becomes a constant, others raise TypeError."""
+    return c if c.__class__ is LaurentPoly else LaurentPoly({0: c})
 
 
 def t(exp: int, coeff: int = 1) -> LaurentPoly:
     """Shorthand for the monomial coeff * t^exp."""
-    return LaurentPoly.t_power(exp, coeff)
+    return LaurentPoly({exp: coeff})
 
 
-def bar(p: LaurentPoly) -> LaurentPoly:
-    """Module-level alias for :meth:`LaurentPoly.bar`."""
-    return p.bar()
+class AuxLaurent(Sparse):
+    """A Laurent polynomial in one auxiliary variable over Z[t, t^-1].
 
-
-class XZPoly:
-    """A polynomial in commuting variables x, z over Z[t, t^-1].
-
-    Keys are (x-degree, z-degree) pairs with degrees >= 0; values are nonzero
-    LaurentPoly coefficients.
+    Keys are integer exponents; values are nonzero LaurentPoly coefficients.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple[int, int], LaurentPoly] | None = None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                xd, zd = key
-                if xd < 0 or zd < 0:
-                    raise ValueError(f"negative degree in {key}")
-                if c:
-                    clean[(int(xd), int(zd))] = c
-        self.terms = clean
+    _key = staticmethod(check_int)
 
-    @staticmethod
-    def zero() -> XZPoly:
-        return XZPoly()
-
-    @staticmethod
-    def one() -> XZPoly:
-        return XZPoly({(0, 0): ONE})
-
-    @staticmethod
-    def monomial(xdeg: int, zdeg: int, coeff: LaurentPoly | int = 1) -> XZPoly:
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
-        return XZPoly({(xdeg, zdeg): coeff})
-
-    @staticmethod
-    def from_laurent(c: LaurentPoly) -> XZPoly:
-        return XZPoly({(0, 0): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, XZPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: XZPoly) -> XZPoly:
-        if not isinstance(other, XZPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = XZPoly.__new__(XZPoly)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> XZPoly:
-        res = XZPoly.__new__(XZPoly)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: XZPoly) -> XZPoly:
-        return self + (-other)
-
-    def __mul__(self, other: XZPoly | LaurentPoly | int) -> XZPoly:
+    def __mul__(self, other: AuxLaurent | LaurentPoly | int) -> AuxLaurent:
         if isinstance(other, (LaurentPoly, int)):
-            out = {}
-            for k, c in self.terms.items():
-                s = c * other
-                if s:
-                    out[k] = s
-            res = XZPoly.__new__(XZPoly)
-            res.terms = out
-            return res
-        if not isinstance(other, XZPoly):
+            return self.scale(other)
+        if other.__class__ is not AuxLaurent:
             return NotImplemented
-        out: dict[tuple[int, int], LaurentPoly] = {}
-        for (x1, z1), c1 in self.terms.items():
-            for (x2, z2), c2 in other.terms.items():
-                k = (x1 + x2, z1 + z2)
-                s = out.get(k, ZERO) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        res = XZPoly.__new__(XZPoly)
-        res.terms = out
-        return res
+        return _laurent_product(self, other)
 
     __rmul__ = __mul__
 
-    def bar(self) -> XZPoly:
-        res = XZPoly.__new__(XZPoly)
-        res.terms = {k: c.bar() for k, c in self.terms.items()}
-        return res
+    def to_json(self) -> list:
+        return self._json_rows()
 
-    def to_json(self) -> dict:
-        return {
-            "xz": [[xd, zd, self.terms[(xd, zd)].to_json()]
-                   for xd, zd in sorted(self.terms)]
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> XZPoly:
-        return cls({(int(xd), int(zd)): LaurentPoly.from_json(c)
-                    for xd, zd, c in data["xz"]})
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for xd, zd in sorted(self.terms):
-            c = self.terms[(xd, zd)]
-            mono = "".join(
-                [f"x^{xd}" if xd > 1 else "x" if xd == 1 else "",
-                 f"z^{zd}" if zd > 1 else "z" if zd == 1 else ""])
-            parts.append(f"({c}){'*' + mono if mono else ''}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"XZPoly('{self}')"
-
-
-class WLaurent:
-    """A Laurent polynomial in w over Z[t, t^-1]."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, LaurentPoly] | None = None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    clean[int(e)] = c
-        self.terms = clean
+    @_json_reader
+    def from_json(cls, data: list) -> AuxLaurent:
+        return cls(_rows_to_terms(data, LaurentPoly.from_json))
 
     @staticmethod
-    def zero() -> WLaurent:
-        return WLaurent()
-
-    @staticmethod
-    def one() -> WLaurent:
-        return WLaurent({0: ONE})
-
-    @staticmethod
-    def w_power(exp: int, coeff: LaurentPoly | int = 1) -> WLaurent:
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
-        return WLaurent({exp: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WLaurent):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: WLaurent) -> WLaurent:
-        if not isinstance(other, WLaurent):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = WLaurent.__new__(WLaurent)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> WLaurent:
-        res = WLaurent.__new__(WLaurent)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: WLaurent) -> WLaurent:
-        return self + (-other)
-
-    def __mul__(self, other: WLaurent | LaurentPoly | int) -> WLaurent:
-        if isinstance(other, (LaurentPoly, int)):
-            out = {}
-            for e, c in self.terms.items():
-                s = c * other
-                if s:
-                    out[e] = s
-            res = WLaurent.__new__(WLaurent)
-            res.terms = out
-            return res
-        if not isinstance(other, WLaurent):
-            return NotImplemented
-        out: dict[int, LaurentPoly] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        res = WLaurent.__new__(WLaurent)
-        res.terms = out
-        return res
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({self.terms[e]})*w^{e}" for e in sorted(self.terms))
-
-    def __repr__(self) -> str:
-        return f"WLaurent('{self}')"
+    def _monomial(e: int) -> str:
+        return f"*x^{e}" if e else ""
 
 
-def substitute_w(coeffs: Iterable[int | LaurentPoly], value: WLaurent) -> WLaurent:
-    """Evaluate a univariate polynomial at a WLaurent argument.
+def substitute_w(coeffs: Iterable[int | LaurentPoly], value: AuxLaurent) -> AuxLaurent:
+    """Evaluate a univariate polynomial at an AuxLaurent argument.
 
     `coeffs` lists the polynomial's coefficients from the constant term up
     (the convention used by the Chebyshev tables in :mod:`skeincalc.chebyshev`).
     Evaluation is Horner's scheme in the exact coefficient ring.
     """
-    result = WLaurent.zero()
+    result = AuxLaurent()
     for c in reversed(list(coeffs)):
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        result = result * value + WLaurent({0: c})
+        result = result * value + AuxLaurent({0: c})
     return result

@@ -21,7 +21,8 @@ X_i satisfies
 Reindexing the pair by T_n (so X1*T_n(y) = sum_j c_j X1*y^j for
 T_n = sum_j c_j xi^j) admits the closed forms implemented here, as does X_i.
 The sigma family is the combination sigma_n = t X1*T_n(y) + t^-1 x z T_n(y),
-again with its own closed form.
+again with its own closed form.  Each closed form has a ``*_residual``
+function, the closed form minus its oracle, which is zero where it holds.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import functools
 from dataclasses import dataclass
 
 from .chebyshev import cheb_T, normalize_s_index
-from .coeffs import LaurentPoly, t
-from .handlebody import CHEBYSHEV, MONOMIAL, HbElement, Key
+from .coeffs import LaurentPoly, add_into, t
+from .handlebody import CHEBYSHEV, MONOMIAL, HbElement, Key, hb_mul
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,7 @@ class _SBuilder:
         if norm is None or not coeff:
             return
         sign, jj = norm
-        key = (m, jj, k)
-        s = self.terms.get(key, LaurentPoly.zero()) + coeff * sign
-        if s:
-            self.terms[key] = s
-        else:
-            self.terms.pop(key, None)
+        add_into(self.terms, (m, jj, k), coeff * sign)
 
     def add_xz(self, j: int, coeff: LaurentPoly) -> None:
         self.add(1, j, 1, coeff)
@@ -217,8 +213,32 @@ def sigma(n: int) -> HbElement:
 
 
 def sigma_defining(n: int) -> HbElement:
-    """sigma_n assembled from its definition, for cross-checking the closed form."""
+    """sigma_n assembled from its definition, in the monomial basis.
+
+    X1*T_n(y) comes from the recursion oracle, so the result is independent
+    of every closed form and cross-checks :func:`sigma`.
+    """
     if n < 1:
         raise ValueError("sigma is defined for n >= 1")
-    xz_t = HbElement.cheb({(1, 0, 1): t(-1)}) * HbElement.cheb_t_y(n)
-    return x1_T_closed(n) * t(1) + xz_t
+    xz_t = hb_mul(HbElement.mono({(1, 0, 1): t(-1)}), HbElement.cheb_t_y(n))
+    return x1_T_recursive(n) * t(1) + xz_t
+
+
+def x1_T_residual(n: int) -> HbElement:
+    """x1_T_closed(n) minus the oracle x1_T_recursive(n), monomial basis."""
+    return x1_T_closed(n).to_basis(MONOMIAL) - x1_T_recursive(n)
+
+
+def y1_T_residual(n: int) -> HbElement:
+    """y1_T_closed(n) minus the oracle y1_T_recursive(n), monomial basis."""
+    return y1_T_closed(n).to_basis(MONOMIAL) - y1_T_recursive(n)
+
+
+def sigma_residual(n: int) -> HbElement:
+    """sigma(n) minus its definition sigma_defining(n), monomial basis."""
+    return sigma(n).to_basis(MONOMIAL) - sigma_defining(n)
+
+
+def big_x_residual(i: int) -> HbElement:
+    """big_x_closed(i) minus the recursion big_x(i), monomial basis."""
+    return big_x_closed(i).to_basis(MONOMIAL) - big_x(i)

@@ -16,33 +16,40 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .chebyshev import cheb_S, monomial_to_S, normalize_s_index, t_in_s
-from .coeffs import ONE, ZERO, LaurentPoly
+from .chebyshev import monomial_to_S, normalize_s_index, s_to_monomial, t_in_s
+from .coeffs import ZERO, LaurentPoly, Sparse, add_into, as_laurent, check_key
 
 MONOMIAL = "monomial"
 CHEBYSHEV = "chebyshev"
 
 Key = tuple[int, int, int]
 
+# Per-axis change of basis, one index at a time: xi^m in S_j, or S_n in xi^j.
+_AXIS_TABLE = {CHEBYSHEV: monomial_to_S, MONOMIAL: s_to_monomial}
 
-class HbElement:
+
+class HbElement(Sparse):
     """An element of the genus-two handlebody skein module."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ("_ctx",)
+    _CONTEXT = ("basis",)
 
-    def __init__(self, basis: str, terms: Mapping[Key, LaurentPoly] | None = None):
+    def __init__(self, basis: str, terms: Mapping[Key, LaurentPoly | int] | None = None):
         if basis not in (MONOMIAL, CHEBYSHEV):
             raise ValueError(f"unknown basis {basis!r}")
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                m, n, k = key
-                if m < 0 or n < 0 or k < 0:
-                    raise ValueError(f"negative index in basis key {key}")
-                if c:
-                    clean[(int(m), int(n), int(k))] = c
-        self.basis = basis
-        self.terms = clean
+        self._ctx = (basis,)
+        super().__init__(terms)
+
+    @property
+    def basis(self) -> str:
+        return self._ctx[0]
+
+    @staticmethod
+    def _key(key) -> Key:
+        key = check_key(key, 3)
+        if min(key) < 0:
+            raise ValueError(f"negative index in basis key {key}")
+        return key
 
     @staticmethod
     def zero(basis: str = MONOMIAL) -> HbElement:
@@ -50,15 +57,15 @@ class HbElement:
 
     @staticmethod
     def one(basis: str = MONOMIAL) -> HbElement:
-        return HbElement(basis, {(0, 0, 0): ONE})
+        return HbElement(basis, {(0, 0, 0): 1})
 
     @staticmethod
     def mono(terms: Mapping[Key, LaurentPoly | int]) -> HbElement:
-        return HbElement(MONOMIAL, _coerce(terms))
+        return HbElement(MONOMIAL, terms)
 
     @staticmethod
     def cheb(terms: Mapping[Key, LaurentPoly | int]) -> HbElement:
-        return HbElement(CHEBYSHEV, _coerce(terms))
+        return HbElement(CHEBYSHEV, terms)
 
     @staticmethod
     def cheb_term(m: int, n: int, k: int, coeff: LaurentPoly | int = 1) -> HbElement:
@@ -67,8 +74,7 @@ class HbElement:
         Negative indices are folded by S_{-1} = 0 and S_{-j} = -S_{j-2}, so
         closed-form expressions can be written down verbatim.
         """
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
+        coeff = as_laurent(coeff)
         sign = 1
         idx = []
         for raw in (m, n, k):
@@ -83,67 +89,21 @@ class HbElement:
     @staticmethod
     def cheb_t_y(n: int, coeff: LaurentPoly | int = 1) -> HbElement:
         """T_n(y) as a Chebyshev-basis element."""
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
+        coeff = as_laurent(coeff)
         return HbElement(CHEBYSHEV,
                          {(0, j, 0): coeff * c for j, c in t_in_s(n).items()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HbElement):
-            return NotImplemented
-        return self.basis == other.basis and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: HbElement) -> HbElement:
-        if not isinstance(other, HbElement):
-            return NotImplemented
-        if self.basis != other.basis:
-            raise ValueError("cannot add elements in different bases")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _raw(self.basis, out)
-
-    def __neg__(self) -> HbElement:
-        return _raw(self.basis, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: HbElement) -> HbElement:
-        return self + (-other)
-
     def __mul__(self, other: HbElement | LaurentPoly | int) -> HbElement:
         if isinstance(other, (LaurentPoly, int)):
-            out = {}
-            for k, c in self.terms.items():
-                s = c * other
-                if s:
-                    out[k] = s
-            return _raw(self.basis, out)
-        if not isinstance(other, HbElement):
+            return self.scale(other)
+        if self._peer(other) is None:
             return NotImplemented
-        if self.basis != other.basis:
-            raise ValueError("cannot multiply elements in different bases")
         if self.basis == MONOMIAL:
             out: dict[Key, LaurentPoly] = {}
             for (m1, n1, k1), c1 in self.terms.items():
                 for (m2, n2, k2), c2 in other.terms.items():
-                    key = (m1 + m2, n1 + n2, k1 + k2)
-                    s = out.get(key, ZERO) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            return _raw(MONOMIAL, out)
+                    add_into(out, (m1 + m2, n1 + n2, k1 + k2), c1 * c2)
+            return self._like(out)
         prod = self.to_basis(MONOMIAL) * other.to_basis(MONOMIAL)
         return prod.to_basis(CHEBYSHEV)
 
@@ -155,96 +115,33 @@ class HbElement:
             raise ValueError(f"unknown basis {basis!r}")
         if basis == self.basis:
             return self
+        table = _AXIS_TABLE[basis]
         out: dict[Key, LaurentPoly] = {}
-        if self.basis == MONOMIAL:
-            for (m, n, k), c in self.terms.items():
-                for jm, cm in monomial_to_S(m).items():
-                    for jn, cn in monomial_to_S(n).items():
-                        w = cm * cn
-                        for jk, ck in monomial_to_S(k).items():
-                            key = (jm, jn, jk)
-                            s = out.get(key, ZERO) + c * (w * ck)
-                            if s:
-                                out[key] = s
-                            else:
-                                out.pop(key, None)
-            return _raw(CHEBYSHEV, out)
         for (m, n, k), c in self.terms.items():
-            xs = cheb_S(m)
-            ys = cheb_S(n)
-            zs = cheb_S(k)
-            for im, cm in enumerate(xs):
-                if not cm:
-                    continue
-                for jn, cn in enumerate(ys):
-                    if not cn:
-                        continue
+            ys, zs = table(n), table(k)
+            for jm, cm in table(m).items():
+                for jn, cn in ys.items():
                     w = cm * cn
-                    for jk, ck in enumerate(zs):
-                        if not ck:
-                            continue
-                        key = (im, jn, jk)
-                        s = out.get(key, ZERO) + c * (w * ck)
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
-        return _raw(MONOMIAL, out)
+                    for jk, ck in zs.items():
+                        add_into(out, (jm, jn, jk), c * (w * ck))
+        return HbElement(basis)._like(out)
 
     def mirror(self) -> HbElement:
         """Apply the bar involution t -> t^-1 to every coefficient."""
-        return _raw(self.basis, {k: c.bar() for k, c in self.terms.items()})
+        return self._like({k: c.bar() for k, c in self.terms.items()})
 
     def coefficient(self, m: int, n: int, k: int) -> LaurentPoly:
         return self.terms.get((m, n, k), ZERO)
 
     def to_json(self) -> dict:
-        return {
-            "basis": self.basis,
-            "terms": [[m, n, k, self.terms[(m, n, k)].to_json()]
-                      for m, n, k in sorted(self.terms)],
-        }
+        return {"basis": self.basis, "terms": self._json_rows()}
 
-    @classmethod
-    def from_json(cls, data: dict) -> HbElement:
-        return cls(data["basis"],
-                   {(int(m), int(n), int(k)): LaurentPoly.from_json(c)
-                    for m, n, k, c in data["terms"]})
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = ("x", "y", "z")
-        parts = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            if self.basis == MONOMIAL:
-                mono = "*".join(
-                    f"{v}^{d}" if d > 1 else v
-                    for v, d in zip(names, key) if d)
-            else:
-                mono = "*".join(f"S_{d}({v})" for v, d in zip(names, key) if d)
-            parts.append(f"({c})" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"HbElement[{self.basis}]('{self}')"
-
-
-def _coerce(terms: Mapping[Key, LaurentPoly | int]) -> dict[Key, LaurentPoly]:
-    out = {}
-    for k, c in terms.items():
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        out[k] = c
-    return out
-
-
-def _raw(basis: str, terms: dict[Key, LaurentPoly]) -> HbElement:
-    el = HbElement.__new__(HbElement)
-    el.basis = basis
-    el.terms = terms
-    return el
+    def _monomial(self, key: Key) -> str:
+        if self.basis == MONOMIAL:
+            factors = [f"{v}^{d}" if d > 1 else v for v, d in zip("xyz", key) if d]
+        else:
+            factors = [f"S_{d}({v})" for v, d in zip("xyz", key) if d]
+        return "".join("*" + f for f in factors)
 
 
 X = HbElement.mono({(1, 0, 0): 1})
@@ -257,11 +154,3 @@ def hb_mul(a: HbElement, b: HbElement) -> HbElement:
     if a.basis != b.basis:
         return a.to_basis(MONOMIAL) * b.to_basis(MONOMIAL)
     return a * b
-
-
-def hb_convert(a: HbElement, basis: str) -> HbElement:
-    return a.to_basis(basis)
-
-
-def hb_mirror(a: HbElement) -> HbElement:
-    return a.mirror()

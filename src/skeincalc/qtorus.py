@@ -21,136 +21,62 @@ t^{2p+5} L^{p+2} M, which normal-orders to t^{4p+9} M L^{p+2}.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
 
 from .chebyshev import monomial_to_S
-from .coeffs import LaurentPoly, XZPoly, t
-from .torusknot import JonesSequence, TkElement
+from .coeffs import (AuxLaurent, LaurentPoly, Sparse, add_into, check_int,
+                     check_key, decode_int, t)
+from .torusknot import Convention, JonesSequence, TkElement
 
 QtKey = tuple[int, int]
 
 # x^2 - 2 as a coefficient, the trace of the squared holonomy
-X2_MINUS_2 = XZPoly({(2, 0): LaurentPoly.one(), (0, 0): LaurentPoly.from_int(-2)})
+X2_MINUS_2 = AuxLaurent({2: 1, 0: -2})
 
 
-def _coerce_coeff(c: XZPoly | LaurentPoly | int) -> XZPoly:
-    if isinstance(c, int):
-        c = LaurentPoly.from_int(c)
-    if isinstance(c, LaurentPoly):
-        c = XZPoly.from_laurent(c)
-    return c
+class QtElement(Sparse):
+    """Normal-form element of the quantum torus.
 
+    Coefficients are polynomials in x over the ground ring: AuxLaurent
+    elements with nonnegative x-degrees.
+    """
 
-class QtElement:
-    """Normal-form element of the quantum torus."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[QtKey, XZPoly | LaurentPoly | int] | None = None):
-        clean: dict[QtKey, XZPoly] = {}
-        for (a, b), coeff in (terms or {}).items():
-            coeff = _coerce_coeff(coeff)
-            for (_, zdeg) in coeff.terms:
-                if zdeg:
-                    raise ValueError("quantum-torus coefficients must be z-free")
-            if coeff:
-                clean[(a, b)] = coeff
-        self.terms = clean
+    __slots__ = ()
+    _coeff_from_json = AuxLaurent.from_json
 
     @staticmethod
-    def zero() -> QtElement:
-        return QtElement()
+    def _key(key) -> QtKey:
+        return check_key(key, 2)
+
+    @staticmethod
+    def _coeff(c: AuxLaurent | LaurentPoly | int) -> AuxLaurent:
+        if c.__class__ is not AuxLaurent:
+            c = AuxLaurent({0: c})
+        if any(xd < 0 for xd in c.terms):
+            raise ValueError("quantum-torus coefficients must have nonnegative x-degrees")
+        return c
 
     @staticmethod
     def one() -> QtElement:
         return QtElement({(0, 0): 1})
 
     @staticmethod
-    def monomial(a: int, b: int, coeff: XZPoly | LaurentPoly | int = 1) -> QtElement:
+    def monomial(a: int, b: int, coeff: AuxLaurent | LaurentPoly | int = 1) -> QtElement:
         """The element coeff * M^a L^b."""
         return QtElement({(a, b): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QtElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: QtElement) -> QtElement:
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            s = out.get(key, XZPoly.zero()) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw(out)
-
-    def __neg__(self) -> QtElement:
-        return _raw({key: -coeff for key, coeff in self.terms.items()})
-
-    def __sub__(self, other: QtElement) -> QtElement:
-        return self + (-other)
-
-    def __mul__(self, other: QtElement | XZPoly | LaurentPoly | int) -> QtElement:
+    def __mul__(self, other: QtElement | AuxLaurent | LaurentPoly | int) -> QtElement:
         if isinstance(other, QtElement):
             return qt_mul(self, other)
-        scalar = _coerce_coeff(other)
-        out = {}
-        for key, coeff in self.terms.items():
-            s = coeff * scalar
-            if s:
-                out[key] = s
-        return _raw(out)
+        if isinstance(other, (AuxLaurent, LaurentPoly, int)):
+            return self.scale(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                [a, b, [[xd, lp.to_json()]
-                        for (xd, _), lp in sorted(coeff.terms.items())]]
-                for (a, b), coeff in sorted(self.terms.items())
-            ]
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> QtElement:
-        terms = {}
-        for a, b, coeff in data["terms"]:
-            terms[(a, b)] = XZPoly(
-                {(xd, 0): LaurentPoly.from_json(lp) for xd, lp in coeff})
-        return cls(terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b), coeff in sorted(self.terms.items()):
-            factors = []
-            if a:
-                factors.append(f"M^{a}" if a != 1 else "M")
-            if b:
-                factors.append(f"L^{b}" if b != 1 else "L")
-            head = " ".join(factors) if factors else "1"
-            parts.append(f"({coeff}) {head}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"QtElement({self.terms!r})"
-
-
-def _raw(terms: dict[QtKey, XZPoly]) -> QtElement:
-    elem = QtElement.__new__(QtElement)
-    elem.terms = terms
-    return elem
+    @staticmethod
+    def _monomial(key: QtKey) -> str:
+        factors = [f"{v}^{d}" if d != 1 else v for v, d in zip("ML", key) if d]
+        return " " + (" ".join(factors) or "1")
 
 
 L = QtElement.monomial(0, 1)
@@ -161,17 +87,11 @@ M_INV = QtElement.monomial(-1, 0)
 
 def qt_mul(a: QtElement, b: QtElement) -> QtElement:
     """Product, normal-ordered: (M^a L^b)(M^c L^d) = t^{2bc} M^{a+c} L^{b+d}."""
-    out: dict[QtKey, XZPoly] = {}
+    out: dict[QtKey, AuxLaurent] = {}
     for (a1, b1), c1 in a.terms.items():
         for (a2, b2), c2 in b.terms.items():
-            key = (a1 + a2, b1 + b2)
-            contrib = c1 * c2 * t(2 * b1 * a2)
-            s = out.get(key, XZPoly.zero()) + contrib
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return _raw(out)
+            add_into(out, (a1 + a2, b1 + b2), c1 * c2 * t(2 * b1 * a2))
+    return a._like(out)
 
 
 def qt_apply(P: QtElement, f: JonesSequence, n: int) -> TkElement:
@@ -184,7 +104,7 @@ def qt_apply(P: QtElement, f: JonesSequence, n: int) -> TkElement:
     for (a, b), coeff in P.terms.items():
         shifted = f(n + b)
         weight = t(2 * a * n)
-        for (xd, _), lp in coeff.terms.items():
+        for xd, lp in coeff.terms.items():
             scale = lp * weight
             for sj, cnt in monomial_to_S(xd).items():
                 out = out + shifted.times_sx(sj) * (scale * cnt)
@@ -226,10 +146,10 @@ def base_relation_op(p: int) -> QtElement:
     return QtElement({(-1, p): t(-1), (1, -p - 1): t(1)})
 
 
-def homogenization_check(p: int) -> bool:
-    """Operator identity (L + L^{-1} - (x^2-2)) * base_relation_op(p) = inhomog_recurrence(p)."""
+def homogenization_residual(p: int) -> QtElement:
+    """(L + L^{-1} - (x^2-2)) * base_relation_op(p) - inhomog_recurrence(p), zero by the identity."""
     shift_combo = L + L_INV - QtElement.monomial(0, 0, X2_MINUS_2)
-    return qt_mul(shift_combo, base_relation_op(p)) == inhomog_recurrence(p)
+    return qt_mul(shift_combo, base_relation_op(p)) - inhomog_recurrence(p)
 
 
 def product_multiplier(p: int) -> QtElement:
@@ -269,83 +189,63 @@ def recurrence_poly(p: int) -> QtElement:
     return explicit
 
 
-def product_identity_check(p: int) -> bool:
-    """Whether the multiplier times the mixed operator equals the explicit polynomial."""
-    return qt_mul(product_multiplier(p), inhomog_recurrence(p)) == recurrence_poly(p)
+def product_identity_residual(p: int) -> QtElement:
+    """The multiplier times the mixed operator, minus the explicit recurrence polynomial."""
+    return qt_mul(product_multiplier(p), inhomog_recurrence(p)) - recurrence_poly(p)
 
 
-class CommutativePoly:
+def mixed_operator_residual(p: int, n: int) -> TkElement:
+    """inhomog_recurrence(p) applied to the rt-reduced sequence at n; zero when it annihilates."""
+    return qt_apply(inhomog_recurrence(p), JonesSequence(p, Convention.RT), n)
+
+
+def recurrence_poly_residual(p: int, n: int) -> TkElement:
+    """recurrence_poly(p) applied to the rt-reduced sequence at n; zero when it annihilates."""
+    return qt_apply(recurrence_poly(p), JonesSequence(p, Convention.RT), n)
+
+
+class CommutativePoly(Sparse):
     """Commutative polynomial in x, L, M with integer coefficients (the t = 1 world).
 
-    Kept as a separate type so specialized and unspecialized elements cannot be
-    mixed by accident.
+    Keys are (x-degree, L-power, M-power).  Kept as a separate type so
+    specialized and unspecialized elements cannot be mixed by accident.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _coeff = staticmethod(check_int)
+    _coeff_from_json = staticmethod(decode_int)
 
-    def __init__(self, terms: Mapping[tuple[int, int, int], int] | None = None):
-        self.terms = {key: c for key, c in (terms or {}).items() if c}
+    @staticmethod
+    def _key(key) -> tuple[int, int, int]:
+        return check_key(key, 3)
 
     @classmethod
     def from_qt(cls, elem: QtElement) -> CommutativePoly:
         """Specialize t = 1: every Laurent coefficient becomes its integer value."""
         out: dict[tuple[int, int, int], int] = {}
         for (a, b), coeff in elem.terms.items():
-            for (xd, _), lp in coeff.terms.items():
-                key = (xd, b, a)
-                c = out.get(key, 0) + lp.substitute_one()
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
+            for xd, lp in coeff.terms.items():
+                add_into(out, (xd, b, a), lp.substitute_one())
         return cls(out)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CommutativePoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: CommutativePoly) -> CommutativePoly:
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return CommutativePoly(out)
-
-    def __neg__(self) -> CommutativePoly:
-        return CommutativePoly({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other: CommutativePoly) -> CommutativePoly:
-        return self + (-other)
-
     def __mul__(self, other: CommutativePoly) -> CommutativePoly:
+        if other.__class__ is not CommutativePoly:
+            return NotImplemented
         out: dict[tuple[int, int, int], int] = {}
         for (x1, l1, m1), c1 in self.terms.items():
             for (x2, l2, m2), c2 in other.terms.items():
-                key = (x1 + x2, l1 + l2, m1 + m2)
-                s = out.get(key, 0) + c1 * c2
-                if not s:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return CommutativePoly(out)
+                add_into(out, (x1 + x2, l1 + l2, m1 + m2), c1 * c2)
+        return self._like(out)
 
-    def __repr__(self) -> str:
-        return f"CommutativePoly({self.terms!r})"
+    @staticmethod
+    def _monomial(key: tuple[int, int, int]) -> str:
+        return "".join(f"*{v}^{d}" if d != 1 else f"*{v}" for v, d in zip("xLM", key) if d)
 
 
-def t1_factor_check(p: int) -> bool:
-    """At t = 1 the recurrence polynomial factors as (L^2-(x^2-2)L+1)(L^{2p+1}+M^2)."""
+def t1_factor_residual(p: int) -> CommutativePoly:
+    """At t = 1 the recurrence polynomial minus (L^2-(x^2-2)L+1)(L^{2p+1}+M^2), zero by the factorization."""
     specialized = CommutativePoly.from_qt(recurrence_poly(p))
     quadratic = CommutativePoly({(0, 2, 0): 1, (2, 1, 0): -1, (0, 1, 0): 2,
                                  (0, 0, 0): 1})
     binomial = CommutativePoly({(0, 2 * p + 1, 0): 1, (0, 0, 2): 1})
-    return specialized == quadratic * binomial
+    return specialized - quadratic * binomial

@@ -27,7 +27,7 @@ import functools
 from collections.abc import Iterable, Mapping
 
 from .chebyshev import normalize_s_index, s_product
-from .coeffs import LaurentPoly, t
+from .coeffs import LaurentPoly, Sparse, add_into, check_int, check_key, t
 from .handlebody import CHEBYSHEV, HbElement, hb_mul
 
 TkKey = tuple[int, int]
@@ -102,34 +102,38 @@ def _reduce_items(N: int, p: int, c: Convention,
     }
     tail_coeff = t(4 * n + 2, rule.tail_sign)
     for key, c0 in _reduce_items(p - n - 1, p, c, rule):
-        s = acc.get(key, LaurentPoly.zero()) + c0 * tail_coeff
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
+        add_into(acc, key, c0 * tail_coeff)
     return tuple(sorted(acc.items(), key=lambda kv: kv[0]))
 
 
-class TkElement:
+class TkElement(Sparse):
     """Finite combination of S_m(x) S_n(y) with 0 <= n <= p."""
 
-    __slots__ = ("p", "convention", "terms")
+    __slots__ = ("_ctx",)
+    _CONTEXT = ("p", "convention")
 
-    def __init__(self, p: int, convention: Convention,
+    def __init__(self, p: int, convention: Convention | str,
                  terms: Mapping[TkKey, LaurentPoly | int] | None = None):
-        if p < 1:
+        if check_int(p) < 1:
             raise ValueError("knot parameter p must be >= 1")
-        clean: dict[TkKey, LaurentPoly] = {}
-        for (m, n), coeff in (terms or {}).items():
-            if m < 0 or not 0 <= n <= p:
-                raise ValueError(f"key ({m}, {n}) outside the basis for p={p}")
-            if isinstance(coeff, int):
-                coeff = LaurentPoly.from_int(coeff)
-            if coeff:
-                clean[(m, n)] = coeff
-        self.p = p
-        self.convention = convention
-        self.terms = clean
+        if convention.__class__ is not Convention:
+            convention = Convention(convention)
+        self._ctx = (p, convention)
+        super().__init__(terms)
+
+    @property
+    def p(self) -> int:
+        return self._ctx[0]
+
+    @property
+    def convention(self) -> Convention:
+        return self._ctx[1]
+
+    def _key(self, key) -> TkKey:
+        m, n = check_key(key, 2)
+        if m < 0 or not 0 <= n <= self.p:
+            raise ValueError(f"key ({m}, {n}) outside the basis for p={self.p}")
+        return (m, n)
 
     @staticmethod
     def zero(p: int, convention: Convention) -> TkElement:
@@ -139,57 +143,12 @@ class TkElement:
     def one(p: int, convention: Convention) -> TkElement:
         return TkElement(p, convention, {(0, 0): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def _check_compatible(self, other: TkElement) -> None:
-        if self.p != other.p:
-            raise ValueError("elements with different p cannot be combined")
-        if self.convention is not other.convention:
-            raise ValueError("elements with different conventions cannot be combined")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TkElement):
-            return NotImplemented
-        return (self.p == other.p and self.convention is other.convention
-                and self.terms == other.terms)
-
-    __hash__ = None
-
-    def __add__(self, other: TkElement) -> TkElement:
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            s = out.get(key, LaurentPoly.zero()) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _raw(self.p, self.convention, out)
-
-    def __neg__(self) -> TkElement:
-        return _raw(self.p, self.convention,
-                    {key: -coeff for key, coeff in self.terms.items()})
-
-    def __sub__(self, other: TkElement) -> TkElement:
-        return self + (-other)
-
     def __mul__(self, other: TkElement | LaurentPoly | int) -> TkElement:
         if isinstance(other, TkElement):
             return tk_mul(self, other)
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = {}
-        for key, coeff in self.terms.items():
-            s = coeff * other
-            if s:
-                out[key] = s
-        return _raw(self.p, self.convention, out)
+        if isinstance(other, (LaurentPoly, int)):
+            return self.scale(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -197,66 +156,33 @@ class TkElement:
         """Multiply by S_j(x); j may be any integer, folded by S_{-j} = -S_{j-2}."""
         norm = normalize_s_index(j)
         if norm is None:
-            return TkElement.zero(self.p, self.convention)
+            return self._like({})
         sign, jj = norm
         out: dict[TkKey, LaurentPoly] = {}
         for (m, n), coeff in self.terms.items():
             c = coeff * sign
             for mf in s_product(jj, m):
-                s = out.get((mf, n), LaurentPoly.zero()) + c
-                if s:
-                    out[(mf, n)] = s
-                else:
-                    out.pop((mf, n), None)
-        return _raw(self.p, self.convention, out)
-
-    def coefficient(self, m: int, n: int) -> LaurentPoly:
-        return self.terms.get((m, n), LaurentPoly.zero())
+                add_into(out, (mf, n), c)
+        return self._like(out)
 
     def to_json(self) -> dict:
         return {
             "p": self.p,
             "convention": self.convention.value,
-            "terms": [[m, n, coeff.to_json()]
-                      for (m, n), coeff in sorted(self.terms.items())],
+            "terms": self._json_rows(),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> TkElement:
-        terms = {(m, n): LaurentPoly.from_json(c) for m, n, c in data["terms"]}
-        return cls(data["p"], Convention(data["convention"]), terms)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (m, n), coeff in sorted(self.terms.items()):
-            factors = []
-            if m:
-                factors.append(f"S{m}(x)")
-            if n:
-                factors.append(f"S{n}(y)")
-            head = "*".join(factors) if factors else "1"
-            parts.append(f"({coeff})*{head}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"TkElement(p={self.p}, {self.convention.value}, {self.terms!r})"
-
-
-def _raw(p: int, convention: Convention, terms: dict[TkKey, LaurentPoly]) -> TkElement:
-    elem = TkElement.__new__(TkElement)
-    elem.p = p
-    elem.convention = convention
-    elem.terms = terms
-    return elem
+    @staticmethod
+    def _monomial(key: TkKey) -> str:
+        factors = [f"S{d}({v})" for v, d in zip("xy", key) if d]
+        return "*" + ("*".join(factors) or "1")
 
 
 def reduce_sy(N: int, p: int, c: Convention,
               rule: ReductionRule | None = None) -> TkElement:
     """Express S_N(y) in the bounded basis under the given convention."""
     items = _reduce_items(N, p, c, _resolve(c, rule))
-    return _raw(p, c, dict(items))
+    return TkElement.zero(p, c)._like(dict(items))
 
 
 def _emit(out: dict[TkKey, LaurentPoly], xs: Iterable[int],
@@ -272,11 +198,7 @@ def _emit(out: dict[TkKey, LaurentPoly], xs: Iterable[int],
             else:
                 keys = tuple((mf, nr) for mf in s_product(mx, mr))
             for key in keys:
-                s = out.get(key, LaurentPoly.zero()) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                add_into(out, key, c)
 
 
 def tk_mul(a: TkElement, b: TkElement, rule: ReductionRule | None = None) -> TkElement:
@@ -290,7 +212,7 @@ def tk_mul(a: TkElement, b: TkElement, rule: ReductionRule | None = None) -> TkE
     matters. Products that must be canonical should be carried out before
     reduction (see embed) or restricted to x-only factors (times_sx).
     """
-    a._check_compatible(b)
+    a._peer(b)
     r = _resolve(a.convention, rule)
     out: dict[TkKey, LaurentPoly] = {}
     for (m1, n1), c1 in a.terms.items():
@@ -299,7 +221,7 @@ def tk_mul(a: TkElement, b: TkElement, rule: ReductionRule | None = None) -> TkE
             xs = s_product(m1, m2)
             for ny in s_product(n1, n2):
                 _emit(out, xs, _reduce_items(ny, a.p, a.convention, r), c)
-    return _raw(a.p, a.convention, out)
+    return a._like(out)
 
 
 def embed(h: HbElement, p: int, c: Convention,
@@ -309,7 +231,7 @@ def embed(h: HbElement, p: int, c: Convention,
     out: dict[TkKey, LaurentPoly] = {}
     for (m, n, k), coeff in h.to_basis(CHEBYSHEV).terms.items():
         _emit(out, s_product(m, k), _reduce_items(n, p, c, r), coeff)
-    return _raw(p, c, out)
+    return TkElement.zero(p, c)._like(out)
 
 
 class JonesSequence:
@@ -362,11 +284,6 @@ def relation_residual(p: int, n: int, c: Convention,
     return lhs - rhs
 
 
-def relation_check(p: int, n: int, c: Convention,
-                   rule: ReductionRule | None = None) -> bool:
-    return relation_residual(p, n, c, rule).is_zero()
-
-
 def handle_slide_residual(p: int, n: int,
                           rule: ReductionRule | None = None) -> TkElement:
     """Difference of the two sides of the handle-slide identity.
@@ -381,10 +298,6 @@ def handle_slide_residual(p: int, n: int,
     prod = hb_mul(HbElement.cheb_t_y(n), big_x(2 * p).mirror())
     rhs = embed(prod, p, Convention.KBSM, rule)
     return lhs - rhs
-
-
-def handle_slide_check(p: int, n: int, rule: ReductionRule | None = None) -> bool:
-    return handle_slide_residual(p, n, rule).is_zero()
 
 
 def a_element(p: int, n: int, c: Convention = Convention.KBSM,
@@ -419,14 +332,6 @@ def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
     return lhs - rhs
 
 
-def a_n_telescope_check(p: int, n_range: Iterable[int] | int,
-                        c: Convention = Convention.KBSM,
-                        rule: ReductionRule | None = None) -> bool:
-    if isinstance(n_range, int):
-        n_range = (n_range,)
-    return all(telescope_residual(p, n, c, rule).is_zero() for n in n_range)
-
-
 def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
                        rule: ReductionRule | None = None) -> TkElement:
     """Residual of (S_{2p+2n-2}(x) + S_{2p+2n-4}(x)) Y = (-1)^{p+n} t^{2p-2n-1} x^2 A_n."""
@@ -436,11 +341,6 @@ def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
     a = a_element(p, n, c, r)
     rhs = (a.times_sx(2) + a) * t(2 * p - 2 * n - 1, _parity_sign(p + n))
     return lhs - rhs
-
-
-def induction_identity_check(p: int, n: int, c: Convention = Convention.KBSM,
-                             rule: ReductionRule | None = None) -> bool:
-    return induction_residual(p, n, c, rule).is_zero()
 
 
 def rt_recursion_residual(p: int, n: int,
@@ -466,7 +366,3 @@ def rt_recursion_residual(p: int, n: int,
             - t2x(f(n - p - 1)) * t(2 * n + 1)
             + f(n + p - 1) * t(-2 * n + 1)
             + f(n - p - 2) * t(2 * n - 1))
-
-
-def rt_recursion_check(p: int, n: int, rule: ReductionRule | None = None) -> bool:
-    return rt_recursion_residual(p, n, rule).is_zero()

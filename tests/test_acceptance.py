@@ -11,17 +11,17 @@ import time
 
 from skeincalc.chebyshev import (cheb_S, cheb_T, monomial_to_S,
                                  s_combo_to_monomial, s_times_t)
-from skeincalc.coeffs import LaurentPoly, WLaurent, bar, substitute_w, t
+from skeincalc.coeffs import AuxLaurent, LaurentPoly, substitute_w, t
 from skeincalc.families import (big_x, big_x_closed, sigma, sigma_defining,
                                 x1_T_closed, x1_T_recursive, x1y1_recursive,
                                 y1_T_closed, y1_T_recursive)
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement
 from skeincalc.qtorus import (QtElement, inhomog_recurrence,
-                              product_identity_check, qt_apply, qt_mul,
-                              recurrence_poly, t1_factor_check)
+                              product_identity_residual, qt_apply, qt_mul,
+                              recurrence_poly, t1_factor_residual)
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule,
-                                 handle_slide_check, induction_identity_check,
-                                 rt_recursion_check, telescope_residual)
+                                 handle_slide_residual, induction_residual,
+                                 rt_recursion_residual, telescope_residual)
 
 
 def _finish(num, start, failures):
@@ -47,7 +47,7 @@ def test_criterion_02_sigma_closed_form():
     failures = []
     xz = HbElement.mono({(1, 0, 1): t(-1)})
     for n in range(1, 13):
-        if sigma(n) != sigma_defining(n):
+        if sigma(n).to_basis(MONOMIAL) != sigma_defining(n):
             failures.append(("defining", n))
         via_recursion = (x1_T_recursive(n) * t(1)
                          + xz * HbElement.cheb_t_y(n).to_basis(MONOMIAL))
@@ -68,7 +68,7 @@ def test_criterion_04_handle_slide():
     failures = [(p, n)
                 for p in range(1, 5)
                 for n in range(1, 2 * p + 5)
-                if not handle_slide_check(p, n)]
+                if not handle_slide_residual(p, n).is_zero()]
     _finish(4, start, failures)
 
 
@@ -79,7 +79,7 @@ def test_criterion_05_telescope_and_induction():
         for n in range(0, 2 * p + 5):
             if not telescope_residual(p, n).is_zero():
                 failures.append(("telescope", p, n))
-            if not induction_identity_check(p, n):
+            if not induction_residual(p, n).is_zero():
                 failures.append(("induction", p, n))
     _finish(5, start, failures)
 
@@ -89,7 +89,7 @@ def test_criterion_06_recursion_for_reduced_powers():
     failures = [(p, n)
                 for p in range(1, 5)
                 for n in range(-(p + 2), 2 * p + 4)
-                if not rt_recursion_check(p, n)]
+                if not rt_recursion_residual(p, n).is_zero()]
     _finish(6, start, failures)
 
 
@@ -106,14 +106,14 @@ def test_criterion_07_operators_annihilate():
             if not qt_apply(G, f, n).is_zero():
                 failures.append(("pure", p, n))
     for p in range(1, 7):
-        if not product_identity_check(p):
+        if not product_identity_residual(p).is_zero():
             failures.append(("product", p))
     _finish(7, start, failures)
 
 
 def test_criterion_08_specialized_factorization():
     start = time.perf_counter()
-    failures = [p for p in range(1, 7) if not t1_factor_check(p)]
+    failures = [p for p in range(1, 7) if not t1_factor_residual(p).is_zero()]
     _finish(8, start, failures)
 
 
@@ -151,13 +151,13 @@ def test_criterion_09_structural_properties():
 
     # evaluation at a two-term unit: both families collapse to powers
     for n in range(-30, 31):
-        xi = WLaurent.w_power(1) + WLaurent.w_power(-1)
+        xi = AuxLaurent({1: 1}) + AuxLaurent({-1: 1})
         tn = substitute_w(cheb_T(n), xi)
-        if tn != WLaurent.w_power(n) + WLaurent.w_power(-n):
+        if tn != AuxLaurent({n: 1}) + AuxLaurent({-n: 1}):
             failures.append(("w_T", n))
         sn = substitute_w(cheb_S(n), xi)
-        diff = WLaurent.w_power(1) - WLaurent.w_power(-1)
-        if sn * diff != WLaurent.w_power(n + 1) - WLaurent.w_power(-n - 1):
+        diff = AuxLaurent({1: 1}) - AuxLaurent({-1: 1})
+        if sn * diff != AuxLaurent({n + 1: 1}) - AuxLaurent({-n - 1: 1}):
             failures.append(("w_S", n))
 
     # basis conversions invert each other
@@ -181,7 +181,7 @@ def test_criterion_09_structural_properties():
 
     for trial in range(60):
         a, b = rand_laurent(), rand_laurent()
-        if bar(a * b) != bar(a) * bar(b) or bar(bar(a)) != a:
+        if (a * b).bar() != a.bar() * b.bar() or a.bar().bar() != a:
             failures.append(("bar", trial))
         h1, h2, h3 = rand_hb(), rand_hb(), rand_hb()
         if h1 * h2 != h2 * h1:
@@ -208,7 +208,7 @@ def test_criterion_10_sign_mutations_are_detected():
     base = ReductionRule.for_convention(Convention.KBSM)
     failures = []
     for mutant in base.single_sign_mutations():
-        broken = any(not handle_slide_check(p, n, rule=mutant)
+        broken = any(not handle_slide_residual(p, n, rule=mutant).is_zero()
                      for p in (1, 2) for n in range(1, 5))
         if not broken:
             failures.append(mutant)

@@ -4,7 +4,7 @@ import pytest
 
 from skeincalc.chebyshev import (cheb_S, cheb_T, monomial_to_S, normalize_s_index,
                                  s_combo_to_monomial, s_product, s_times_t, t_in_s)
-from skeincalc.coeffs import WLaurent, substitute_w, t
+from skeincalc.coeffs import AuxLaurent, substitute_w, t
 
 
 def _pmul(a, b):
@@ -133,21 +133,21 @@ class TestProducts:
 
 class TestWIdentities:
     def test_one_variable(self):
-        w = WLaurent.w_power(1) + WLaurent.w_power(-1)
-        wm = WLaurent.w_power(1) - WLaurent.w_power(-1)
+        w = AuxLaurent({1: 1}) + AuxLaurent({-1: 1})
+        wm = AuxLaurent({1: 1}) - AuxLaurent({-1: 1})
         for n in range(-30, 31):
             tn = substitute_w(cheb_T(n), w)
-            expected_t = WLaurent({n: t(0), -n: t(0)}) if n else WLaurent({0: t(0, 2)})
+            expected_t = AuxLaurent({n: t(0), -n: t(0)}) if n else AuxLaurent({0: t(0, 2)})
             assert tn == expected_t, n
             sn = substitute_w(cheb_S(n), w) * wm
-            assert sn == WLaurent.w_power(n + 1) - WLaurent.w_power(-n - 1), n
+            assert sn == AuxLaurent({n + 1: 1}) - AuxLaurent({-n - 1: 1}), n
 
     def test_two_variable(self):
         # T_n(tw + t^-1 w^-1) = t^n w^n + t^-n w^-n
-        val = WLaurent.w_power(1, t(1)) + WLaurent.w_power(-1, t(-1))
+        val = AuxLaurent({1: t(1)}) + AuxLaurent({-1: t(-1)})
         for n in range(-30, 31):
             got = substitute_w(cheb_T(n), val)
             if n == 0:
-                assert got == WLaurent({0: t(0, 2)})
+                assert got == AuxLaurent({0: t(0, 2)})
             else:
-                assert got == WLaurent({n: t(n), -n: t(-n)}), n
+                assert got == AuxLaurent({n: t(n), -n: t(-n)}), n

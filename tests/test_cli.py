@@ -6,8 +6,10 @@ import subprocess
 
 import pytest
 
+from skeincalc import cli
 from skeincalc.cli import SUITES, main
 from skeincalc.families import big_x
+from skeincalc.qtorus import CommutativePoly
 
 
 def run(capsys, argv):
@@ -68,6 +70,16 @@ class TestVerify:
         p1.pop("elapsed_ms")
         p2.pop("elapsed_ms")
         assert p1 == p2
+
+    def test_failing_check_reports_its_residual(self, capsys, monkeypatch):
+        nonzero = CommutativePoly({(0, 1, 0): 1})
+        monkeypatch.setitem(cli._CHECKS, "t1_factorization", lambda p, n: nonzero)
+        code, out, _ = run(capsys, ["verify", "--suite", "t1-factor",
+                                    "--p-max", "1", "--json", "-"])
+        assert code == 1
+        row = json.loads(out[out.index("{\n"):])["checks"][0]
+        assert row["pass"] is False
+        assert row["residual"] == {"terms": [[0, 1, 0, "1"]]}
 
     def test_rejects_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,13 @@
-"""Ground-ring arithmetic: Laurent polynomials, xz-extensions, w-substitution."""
+"""Ground-ring arithmetic: Laurent polynomials, the auxiliary-variable ring,
+w-substitution, and the sparse kernel's input contract."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from skeincalc.coeffs import (LaurentPoly, WLaurent, XZPoly, bar, substitute_w, t)
+from skeincalc.coeffs import AuxLaurent, LaurentPoly, substitute_w, t
+from skeincalc.handlebody import HbElement
+from skeincalc.qtorus import QtElement
+from skeincalc.torusknot import Convention, TkElement
 
 
 laurents = st.builds(
@@ -11,10 +15,9 @@ laurents = st.builds(
     st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5),
 )
 
-xz_polys = st.builds(
-    XZPoly,
-    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                    laurents, max_size=4),
+aux_polys = st.builds(
+    AuxLaurent,
+    st.dictionaries(st.integers(-4, 4), laurents, max_size=4),
 )
 
 
@@ -63,8 +66,8 @@ class TestLaurentPoly:
         assert (a + b).bar() == a.bar() + b.bar()
 
     def test_bar_examples(self):
-        assert bar(t(4, -1)) == t(-4, -1)
-        assert bar(t(2) + t(-2)) == t(2) + t(-2)
+        assert t(4, -1).bar() == t(-4, -1)
+        assert (t(2) + t(-2)).bar() == t(2) + t(-2)
 
     @given(laurents)
     def test_json_round_trip(self, a):
@@ -79,59 +82,99 @@ class TestLaurentPoly:
         assert str(LaurentPoly.zero()) == "0"
 
 
-class TestXZPoly:
-    def test_commutative_product(self):
-        x = XZPoly.monomial(1, 0)
-        z = XZPoly.monomial(0, 1)
-        assert x * z == z * x == XZPoly.monomial(1, 1)
-
+class TestAuxLaurent:
     def test_scalar_laurent_mul(self):
-        p = XZPoly.monomial(2, 0, t(4)) + XZPoly.monomial(0, 0, 1)
-        assert p * t(-4) == XZPoly.monomial(2, 0) + XZPoly.monomial(0, 0, t(-4))
+        p = AuxLaurent({2: t(4)}) + AuxLaurent({0: 1})
+        assert p * t(-4) == AuxLaurent({2: 1}) + AuxLaurent({0: t(-4)})
 
-    @given(xz_polys, xz_polys, xz_polys)
+    @given(aux_polys, aux_polys, aux_polys)
     def test_ring_axioms(self, a, b, c):
         assert a + b == b + a
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
 
-    @given(xz_polys, xz_polys)
-    def test_bar_involution(self, a, b):
-        assert a.bar().bar() == a
-        assert (a * b).bar() == a.bar() * b.bar()
-
-    def test_bar_fixes_xz_degrees(self):
-        # coefficient view of -t^4 y - t^2 xz, with xz as the variable pair
-        p = XZPoly.monomial(1, 1, t(2, -1)) + XZPoly.monomial(0, 0, t(4, -1))
-        q = p.bar()
-        assert q == XZPoly.monomial(1, 1, t(-2, -1)) + XZPoly.monomial(0, 0, t(-4, -1))
-
-    @given(xz_polys)
+    @given(aux_polys)
     def test_json_round_trip(self, a):
-        assert XZPoly.from_json(a.to_json()) == a
-
-    def test_rejects_negative_degrees(self):
-        with pytest.raises(ValueError):
-            XZPoly({(-1, 0): LaurentPoly.one()})
+        assert AuxLaurent.from_json(a.to_json()) == a
 
 
 class TestWSubstitution:
     def test_square(self):
-        w = WLaurent.w_power(1) + WLaurent.w_power(-1)
+        w = AuxLaurent({1: 1}) + AuxLaurent({-1: 1})
         got = substitute_w([0, 0, 1], w)  # xi^2
-        assert got == WLaurent({2: t(0), 0: t(0, 2), -2: t(0)})
+        assert got == AuxLaurent({2: t(0), 0: t(0, 2), -2: t(0)})
 
     def test_t2_substitution(self):
-        w = WLaurent.w_power(1) + WLaurent.w_power(-1)
+        w = AuxLaurent({1: 1}) + AuxLaurent({-1: 1})
         got = substitute_w([-2, 0, 1], w)  # T_2 = xi^2 - 2
-        assert got == WLaurent({2: t(0), -2: t(0)})
+        assert got == AuxLaurent({2: t(0), -2: t(0)})
 
     def test_s2_substitution(self):
-        w = WLaurent.w_power(1) + WLaurent.w_power(-1)
+        w = AuxLaurent({1: 1}) + AuxLaurent({-1: 1})
         got = substitute_w([-1, 0, 1], w)  # S_2 = xi^2 - 1
-        assert got == WLaurent({2: t(0), 0: t(0), -2: t(0)})
+        assert got == AuxLaurent({2: t(0), 0: t(0), -2: t(0)})
 
     def test_laurent_coefficients(self):
-        w = WLaurent.w_power(1, t(1)) + WLaurent.w_power(-1, t(-1))
+        w = AuxLaurent({1: t(1)}) + AuxLaurent({-1: t(-1)})
         got = substitute_w([LaurentPoly.zero(), LaurentPoly.one()], w)
-        assert got == WLaurent({1: t(1), -1: t(-1)})
+        assert got == AuxLaurent({1: t(1), -1: t(-1)})
+
+
+class TestKernelContract:
+    def test_constant_hashes_like_its_int(self):
+        assert LaurentPoly({0: 5}) == 5
+        assert len({LaurentPoly({0: 5}), 5}) == 1
+        assert LaurentPoly() == 0
+        assert hash(LaurentPoly()) == hash(0)
+        assert len({LaurentPoly(), 0}) == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: LaurentPoly({0.9: 2}),
+        lambda: LaurentPoly({0: 2.7}),
+        lambda: LaurentPoly({"1": 2}),
+        lambda: t(1) + 0.5,
+        lambda: HbElement.mono({(0, 0, 0): 1.5}),
+        lambda: HbElement.mono({(0, 0.0, 0): 1}),
+        lambda: HbElement.cheb_term(0, 1, 0, 2.0),
+        lambda: TkElement(1, Convention.KBSM, {(0, 0): 1.5}),
+        lambda: TkElement(1.0, Convention.KBSM),
+        lambda: QtElement({(0, 0): 0.5}),
+        lambda: QtElement({(0.0, 0): 1}),
+        lambda: AuxLaurent({1: 2.5}),
+    ])
+    def test_rejects_non_int_input(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_bool_counts_as_int(self):
+        assert LaurentPoly({0: True}) == 1
+        assert HbElement.mono({(0, 0, 0): True}) == HbElement.one()
+
+    @pytest.mark.parametrize("cls, data", [
+        (LaurentPoly, {"x": 1}),
+        (LaurentPoly, {"t": [[1]]}),
+        (LaurentPoly, {"t": [[1, "2", "3"]]}),
+        (LaurentPoly, {"t": [[1.5, "2"]]}),
+        (LaurentPoly, {"t": [[1, 2.7]]}),
+        (LaurentPoly, {"t": [[1, "two"]]}),
+        (LaurentPoly, [[1, "2"]]),
+        (LaurentPoly, None),
+        (HbElement, {"terms": []}),
+        (HbElement, {"basis": "monomial"}),
+        (HbElement, {"basis": "cubic", "terms": []}),
+        (HbElement, {"basis": "monomial", "terms": [[0, 0, {"t": []}]]}),
+        (HbElement, {"basis": "monomial", "terms": [[0, 0, 0, {"x": []}]]}),
+        (HbElement, {"basis": "monomial", "terms": 5}),
+        (TkElement, {"p": 1, "terms": []}),
+        (TkElement, {"p": 1, "convention": "kbsm"}),
+        (TkElement, {"p": "1", "convention": "kbsm", "terms": []}),
+        (TkElement, {"p": 1, "convention": "jones", "terms": []}),
+        (TkElement, {"p": 1, "convention": "kbsm", "terms": [[0, 5, {"t": [[0, "1"]]}]]}),
+        (QtElement, {}),
+        (QtElement, {"terms": [[0, 0, {"t": [[0, "1"]]}]]}),
+        (QtElement, {"terms": [[0, 0, [[-1, {"t": [[0, "1"]]}]]]]}),
+        (QtElement, {"terms": [[0, [[0, {"t": [[0, "1"]]}]]]]}),
+    ])
+    def test_from_json_rejects_malformed(self, cls, data):
+        with pytest.raises(ValueError):
+            cls.from_json(data)

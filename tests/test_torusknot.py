@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from skeincalc.coeffs import LaurentPoly, t
 from skeincalc.handlebody import HbElement
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule,
-                                 TkElement, a_element, a_n_telescope_check,
-                                 embed, handle_slide_check, induction_identity_check,
-                                 induction_residual, reduce_sy, relation_check,
-                                 rt_recursion_check, tk_mul, y_shorthand)
+                                 TkElement, a_element, embed, handle_slide_residual,
+                                 induction_residual, reduce_sy, relation_residual,
+                                 rt_recursion_residual, telescope_residual, tk_mul,
+                                 y_shorthand)
 
 KBSM = Convention.KBSM
 RT = Convention.RT
@@ -160,7 +160,7 @@ class TestEmbed:
 
     def test_x_sq_plus_z_sq(self):
         h = HbElement.mono({(2, 0, 0): 1, (0, 0, 2): 1})
-        two = LaurentPoly.from_int(2)
+        two = t(0, 2)
         assert embed(h, 1, KBSM).terms == {(2, 0): two, (0, 0): two}
 
     def test_unit(self):
@@ -185,14 +185,14 @@ class TestRelation:
         for c in (KBSM, RT):
             for p in range(1, 5):
                 for n in range(-(2 * p + 3), 2 * p + 4):
-                    assert relation_check(p, n, c), (c, p, n)
+                    assert relation_residual(p, n, c).is_zero(), (c, p, n)
 
 
 class TestHandleSlide:
     def test_sample_points(self):
-        assert handle_slide_check(1, 1)
-        assert handle_slide_check(1, 5)
-        assert handle_slide_check(2, 3)
+        assert handle_slide_residual(1, 1).is_zero()
+        assert handle_slide_residual(1, 5).is_zero()
+        assert handle_slide_residual(2, 3).is_zero()
 
     def test_mutations_differ_in_one_slot(self):
         base = ReductionRule.for_convention(KBSM)
@@ -212,16 +212,17 @@ class TestTelescope:
         assert a_element(1, 1).terms == {(0, 1): LaurentPoly.one(), (0, 0): t(2)}
 
     def test_range_form(self):
-        assert a_n_telescope_check(1, range(0, 6))
-        assert a_n_telescope_check(2, range(0, 8))
+        for p, n_max in ((1, 6), (2, 8)):
+            for n in range(n_max):
+                assert telescope_residual(p, n).is_zero(), (p, n)
 
     def test_int_form(self):
-        assert a_n_telescope_check(2, 3)
+        assert telescope_residual(2, 3).is_zero()
 
     def test_induction_identity_samples(self):
-        assert induction_identity_check(1, 2)
-        assert induction_identity_check(2, 1)
-        assert induction_identity_check(3, 4)
+        assert induction_residual(1, 2).is_zero()
+        assert induction_residual(2, 1).is_zero()
+        assert induction_residual(3, 4).is_zero()
 
     def test_induction_identity_is_convention_specific(self):
         grid = [(p, n) for p in (1, 2) for n in range(0, 5)]
@@ -231,6 +232,6 @@ class TestTelescope:
 class TestRtRecursion:
     def test_sample_points(self):
         for n in range(-3, 6):
-            assert rt_recursion_check(1, n), n
-        assert rt_recursion_check(2, 0)
-        assert rt_recursion_check(3, -5)
+            assert rt_recursion_residual(1, n).is_zero(), n
+        assert rt_recursion_residual(2, 0).is_zero()
+        assert rt_recursion_residual(3, -5).is_zero()
