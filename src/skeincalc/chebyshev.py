@@ -11,7 +11,11 @@ Polynomials are returned as dense integer coefficient tuples, constant term
 first, which plug directly into :func:`skeincalc.coeffs.substitute_w`.
 S-basis combinations are dicts mapping a nonnegative S-index to its integer
 coefficient; :func:`monomial_to_S` and :func:`s_to_monomial` convert single
-basis elements both ways.
+basis elements both ways, and :func:`s_product` and :func:`s_times_t` multiply
+basis elements without leaving the S basis.
+
+The memoised tables are filled in ascending order (:func:`ascending_memo`),
+so no index, however large, deepens the stack.
 """
 
 from __future__ import annotations
@@ -41,6 +45,28 @@ def normalize_s_index(n: int) -> tuple[int, int] | None:
     return (-1, -n - 2)
 
 
+def ascending_memo(fn):
+    """An unbounded lru_cache for a recursion on n >= 0 that only looks below n.
+
+    On a miss at n, every index from the lowest one not yet filled up to n - 1
+    is evaluated first, in ascending order.  Each evaluation then finds its
+    predecessors cached, so the stack depth does not grow with n.
+    """
+    filled = 0  # the memo holds every index below this one
+
+    @functools.wraps(fn)
+    def ascending(n):
+        nonlocal filled
+        filled = min(filled, memo.cache_info().currsize)  # 0 after a cache_clear()
+        while filled < n:
+            memo(filled)
+            filled += 1
+        return fn(n)
+
+    memo = functools.lru_cache(maxsize=None)(ascending)
+    return memo
+
+
 def _padd(a: tuple[int, ...], b: tuple[int, ...], bsign: int = 1) -> tuple[int, ...]:
     m = max(len(a), len(b))
     out = [0] * m
@@ -53,7 +79,7 @@ def _padd(a: tuple[int, ...], b: tuple[int, ...], bsign: int = 1) -> tuple[int, 
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@ascending_memo
 def _cheb_s_nonneg(n: int) -> tuple[int, ...]:
     if n == 0:
         return (1,)
@@ -63,7 +89,7 @@ def _cheb_s_nonneg(n: int) -> tuple[int, ...]:
     return _padd(shifted, _cheb_s_nonneg(n - 2), -1)
 
 
-@functools.lru_cache(maxsize=None)
+@ascending_memo
 def _cheb_t_nonneg(n: int) -> tuple[int, ...]:
     if n == 0:
         return (2,)
@@ -98,7 +124,7 @@ def cheb_T(n: int) -> tuple[int, ...]:
     return _cheb_t_nonneg(abs(n))
 
 
-@functools.lru_cache(maxsize=None)
+@ascending_memo
 def monomial_to_S(m: int) -> dict[int, int]:
     """Expand xi^m in the S basis: xi^m = sum_j c_j S_j.
 

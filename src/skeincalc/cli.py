@@ -6,16 +6,20 @@ Two subcommands:
            print a per-check report, exit 0 exactly when every check passed
   expand   print a named family member or a reduced basis expression as JSON
 
-Grid points are independent, so --jobs N runs them in a process pool; results
-are merged in task order, so output is deterministic regardless of job count.
+Grid points are independent, so --jobs N runs them in a process pool of at
+most N workers, no more than there are tasks or cores; results are merged in
+task order, so output is deterministic regardless of job count.  A check that
+raises is reported as a failed check with its error, and the run goes on.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import families, qtorus, torusknot
@@ -47,7 +51,12 @@ _CHECKS = {
 
 def _run_check(task):
     name, p, n = task
-    resid = _CHECKS[name](p, n)
+    try:
+        resid = _CHECKS[name](p, n)
+    except Exception as exc:  # one check's failure; the rest of the run goes on
+        traceback.print_exc()
+        return {"check": name, "p": p, "n": n, "pass": False,
+                "error": f"{type(exc).__name__}: {exc}", "residual": None}
     ok = resid.is_zero()
     return {"check": name, "p": p, "n": n, "pass": ok,
             "residual": None if ok else resid.to_json()}
@@ -110,9 +119,15 @@ _SUITE_BUILDERS = {
 }
 
 
+def _clamp_jobs(jobs: int, ntasks: int, cpus: int) -> int:
+    """Worker processes to start: no more than asked for, tasks to run, or cores."""
+    return min(jobs, ntasks, cpus)
+
+
 def run_suite(suite: str, p_max: int, n_max: int, jobs: int = 1) -> dict:
     """One suite's JSON report: its grid, a row per check, and the elapsed time."""
     tasks = _SUITE_BUILDERS[suite](p_max, n_max)
+    jobs = _clamp_jobs(jobs, len(tasks), os.cpu_count() or 1)
     start = time.perf_counter()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -142,7 +157,10 @@ def cmd_verify(args) -> int:
                 loc = " ".join(f"{k}={check[k]}" for k in ("p", "n")
                                if check[k] is not None)
                 print(f"     FAIL {check['check']} {loc}")
-                print(f"          residual: {json.dumps(check['residual'])}")
+                if "error" in check:
+                    print(f"          error: {check['error']}")
+                else:
+                    print(f"          residual: {json.dumps(check['residual'])}")
     if args.json:
         text = json.dumps(reports[0] if len(reports) == 1 else reports, indent=2)
         if args.json == "-":

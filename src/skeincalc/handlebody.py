@@ -7,16 +7,22 @@ space of triples (m, n, k):
 * ``monomial``:   x^m y^n z^k
 * ``chebyshev``:  S_m(x) S_n(y) S_k(z)
 
-Multiplication always happens in the monomial basis; Chebyshev products are
-computed convert / multiply / convert.  The mirror map conjugates every
-coefficient by t -> t^-1 and fixes the basis curves.
+Products stay in their operands' basis.  Exponents add in the monomial basis;
+in the Chebyshev basis each axis multiplies by the product-to-sum rule
+S_a S_b = sum_j S_{a+b-2j} (:func:`skeincalc.chebyshev.s_product`), and
+:meth:`HbElement.times_t_y` multiplies by T_n(y) through
+S_j T_n = S_{j+n} + S_{j-n}, two terms out per term in.  No product converts
+between bases: monomial coefficients of Chebyshev-basis elements grow
+exponentially with the index.  The mirror map conjugates every coefficient by
+t -> t^-1 and fixes the basis curves.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .chebyshev import monomial_to_S, normalize_s_index, s_to_monomial, t_in_s
+from .chebyshev import (monomial_to_S, normalize_s_index, s_product, s_times_t,
+                        s_to_monomial, t_in_s)
 from .coeffs import ZERO, LaurentPoly, Sparse, add_into, as_laurent, check_key
 
 MONOMIAL = "monomial"
@@ -26,6 +32,10 @@ Key = tuple[int, int, int]
 
 # Per-axis change of basis, one index at a time: xi^m in S_j, or S_n in xi^j.
 _AXIS_TABLE = {CHEBYSHEV: monomial_to_S, MONOMIAL: s_to_monomial}
+
+# Per-axis product of two basis indices: the indices of the product's terms,
+# each with coefficient 1.
+_AXIS_PRODUCT = {MONOMIAL: lambda a, b: (a + b,), CHEBYSHEV: s_product}
 
 
 class HbElement(Sparse):
@@ -98,16 +108,33 @@ class HbElement(Sparse):
             return self.scale(other)
         if self._peer(other) is None:
             return NotImplemented
-        if self.basis == MONOMIAL:
-            out: dict[Key, LaurentPoly] = {}
-            for (m1, n1, k1), c1 in self.terms.items():
-                for (m2, n2, k2), c2 in other.terms.items():
-                    add_into(out, (m1 + m2, n1 + n2, k1 + k2), c1 * c2)
-            return self._like(out)
-        prod = self.to_basis(MONOMIAL) * other.to_basis(MONOMIAL)
-        return prod.to_basis(CHEBYSHEV)
+        axis = _AXIS_PRODUCT[self.basis]
+        out: dict[Key, LaurentPoly] = {}
+        for (m1, n1, k1), c1 in self.terms.items():
+            for (m2, n2, k2), c2 in other.terms.items():
+                c = c1 * c2
+                ys, zs = axis(n1, n2), axis(k1, k2)
+                for jm in axis(m1, m2):
+                    for jn in ys:
+                        for jk in zs:
+                            add_into(out, (jm, jn, jk), c)
+        return self._like(out)
 
     __rmul__ = __mul__
+
+    def times_t_y(self, n: int) -> HbElement:
+        """T_n(y) times this Chebyshev-basis element, any integer n.
+
+        Uses S_j T_n = S_{j+n} + S_{j-n} on the y axis, so each term gives at
+        most two; T_0 = 2 and T_{-n} = T_n.
+        """
+        if self.basis != CHEBYSHEV:
+            raise ValueError("times_t_y needs a Chebyshev-basis element")
+        out: dict[Key, LaurentPoly] = {}
+        for (m, j, k), c in self.terms.items():
+            for jj, s in s_times_t(j, n).items():
+                add_into(out, (m, jj, k), c * s)
+        return self._like(out)
 
     def to_basis(self, basis: str) -> HbElement:
         """Convert to the requested basis (identity when already there)."""
@@ -147,10 +174,3 @@ class HbElement(Sparse):
 X = HbElement.mono({(1, 0, 0): 1})
 Y = HbElement.mono({(0, 1, 0): 1})
 Z = HbElement.mono({(0, 0, 1): 1})
-
-
-def hb_mul(a: HbElement, b: HbElement) -> HbElement:
-    """Product of two elements; mixed bases are multiplied in the monomial basis."""
-    if a.basis != b.basis:
-        return a.to_basis(MONOMIAL) * b.to_basis(MONOMIAL)
-    return a * b

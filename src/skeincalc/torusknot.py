@@ -28,7 +28,7 @@ from collections.abc import Iterable, Mapping
 
 from .chebyshev import normalize_s_index, s_product
 from .coeffs import LaurentPoly, Sparse, add_into, check_int, check_key, t
-from .handlebody import CHEBYSHEV, HbElement, hb_mul
+from .handlebody import CHEBYSHEV, HbElement
 
 TkKey = tuple[int, int]
 
@@ -289,14 +289,14 @@ def handle_slide_residual(p: int, n: int,
     """Difference of the two sides of the handle-slide identity.
 
     Both mirror(X1*T_n(y)) and T_n(y) * mirror(X_{2p}) are formed in the
-    handlebody, pushed through the embedding, and fully reduced under the kbsm
-    convention; the identity asserts the difference vanishes.
+    handlebody's Chebyshev basis, pushed through the embedding, and fully
+    reduced under the kbsm convention; the identity asserts the difference
+    vanishes.
     """
     from .families import big_x, x1_T_closed
 
     lhs = embed(x1_T_closed(n).mirror(), p, Convention.KBSM, rule)
-    prod = hb_mul(HbElement.cheb_t_y(n), big_x(2 * p).mirror())
-    rhs = embed(prod, p, Convention.KBSM, rule)
+    rhs = embed(big_x(2 * p).mirror().times_t_y(n), p, Convention.KBSM, rule)
     return lhs - rhs
 
 

@@ -81,6 +81,54 @@ class TestVerify:
         assert row["pass"] is False
         assert row["residual"] == {"terms": [[0, 1, 0, "1"]]}
 
+    def test_raising_check_is_recorded(self, capsys, monkeypatch):
+        def boom(p, n):
+            if p == 2:
+                raise ZeroDivisionError("no inverse")
+            return CommutativePoly()
+        monkeypatch.setitem(cli._CHECKS, "t1_factorization", boom)
+        code, out, err = run(capsys, ["verify", "--suite", "t1-factor",
+                                      "--p-max", "3", "--json", "-"])
+        assert code == 1
+        assert "ZeroDivisionError" in err
+        rows = json.loads(out[out.index("{\n"):])["checks"]
+        assert [row["pass"] for row in rows] == [True, False, True]
+        assert rows[1] == {"check": "t1_factorization", "p": 2, "n": None,
+                           "pass": False, "error": "ZeroDivisionError: no inverse",
+                           "residual": None}
+        assert "error: ZeroDivisionError: no inverse" in out
+
+    def test_jobs_clamp(self, monkeypatch):
+        assert cli._clamp_jobs(10**6, 9, 2) == 2
+        assert cli._clamp_jobs(10**6, 1, 64) == 1
+        assert cli._clamp_jobs(3, 100, 8) == 3
+        assert cli._clamp_jobs(4, 0, 8) == 0
+
+        # run_suite applies the clamp; a stand-in pool records its size, so
+        # no worker process is ever started here
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        cli.run_suite("t1-factor", 1, 1, jobs=10**6)
+        assert started == []
+        report = cli.run_suite("families", 1, 2, jobs=10**6)
+        assert started == [2]
+        assert all(row["pass"] for row in report["checks"])
+
     def test_rejects_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
@@ -121,7 +169,7 @@ class TestExpand:
         code, out, _ = run(capsys, ["expand", "bigx", "-i", "2",
                                     "--basis", "monomial"])
         assert code == 0
-        assert json.loads(out) == big_x(2).to_json()
+        assert json.loads(out) == big_x(2).to_basis("monomial").to_json()
 
     def test_domain_error_exits_2(self, capsys):
         code, out, err = run(capsys, ["expand", "sigma", "-i", "0"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeincalc.coeffs import LaurentPoly, t
-from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement, X, Y, Z, hb_mul
+from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement, X, Y, Z
 
 small_laurents = st.builds(
     LaurentPoly,
@@ -13,16 +13,15 @@ small_laurents = st.builds(
 
 keys = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 
-mono_elems = st.builds(
-    HbElement.mono,
-    st.dictionaries(keys, small_laurents, max_size=4),
-)
+terms = st.dictionaries(keys, small_laurents, max_size=4)
+mono_elems = st.builds(HbElement.mono, terms)
+cheb_elems = st.builds(HbElement.cheb, terms)
 
 
 class TestBasics:
     def test_generators_multiply(self):
         assert X * Z == HbElement.mono({(1, 0, 1): 1})
-        assert hb_mul(X, Z) == HbElement.mono({(1, 0, 1): 1})
+        assert X.to_basis(CHEBYSHEV) * Z.to_basis(CHEBYSHEV) == HbElement.cheb({(1, 0, 1): 1})
 
     def test_y_squared_in_chebyshev(self):
         got = (Y * Y).to_basis(CHEBYSHEV)
@@ -101,6 +100,41 @@ class TestProperties:
     @given(mono_elems)
     def test_json_round_trip(self, a):
         assert HbElement.from_json(a.to_json()) == a
+
+
+class TestChebyshevProduct:
+    @given(cheb_elems, cheb_elems)
+    @settings(max_examples=40)
+    def test_matches_monomial_route(self, a, b):
+        via_monomials = (a.to_basis(MONOMIAL) * b.to_basis(MONOMIAL)).to_basis(CHEBYSHEV)
+        assert a * b == via_monomials
+
+    @given(cheb_elems, cheb_elems)
+    @settings(max_examples=40)
+    def test_commutative(self, a, b):
+        assert a * b == b * a
+
+    @given(cheb_elems, cheb_elems, cheb_elems)
+    @settings(max_examples=25)
+    def test_associative(self, a, b, c):
+        assert (a * b) * c == a * (b * c)
+
+    @given(cheb_elems, st.integers(-3, 6))
+    @settings(max_examples=60)
+    def test_times_t_y_is_product_with_t_n(self, h, n):
+        assert h.times_t_y(n) == HbElement.cheb_t_y(n) * h
+
+    def test_times_t_y_conventions(self):
+        h = HbElement.cheb({(1, 0, 0): t(1), (0, 1, 2): 3})
+        assert h.times_t_y(0) == h * 2  # T_0 = 2
+        assert h.times_t_y(-3) == h.times_t_y(3)  # T_{-n} = T_n
+        # S_0 T_1 = S_1, S_1 T_1 = S_2 + S_0
+        assert h.times_t_y(1) == HbElement.cheb(
+            {(1, 1, 0): t(1), (0, 2, 2): 3, (0, 0, 2): 3})
+
+    def test_times_t_y_needs_chebyshev_basis(self):
+        with pytest.raises(ValueError):
+            Y.times_t_y(1)
 
 
 class TestMirror:
