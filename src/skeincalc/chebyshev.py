@@ -11,8 +11,8 @@ Polynomials are returned as dense integer coefficient tuples, constant term
 first, which plug directly into :func:`skeincalc.coeffs.substitute_w`.
 S-basis combinations are dicts mapping a nonnegative S-index to its integer
 coefficient; :func:`monomial_to_S` and :func:`s_to_monomial` convert single
-basis elements both ways, and :func:`s_product` and :func:`s_times_t` multiply
-basis elements without leaving the S basis.
+basis elements both ways, and :func:`s_times_t` and :func:`s_product` (a range
+of S-indices, each with coefficient 1) multiply without leaving the S basis.
 
 The memoised tables are filled in ascending order (:func:`ascending_memo`),
 so no index, however large, deepens the stack.
@@ -199,9 +199,12 @@ def s_times_t(k: int, n: int) -> dict[int, int]:
     return _fold(((k + abs(n), 1), (k - abs(n), 1)))
 
 
-def s_product(a: int, b: int) -> dict[int, int]:
-    """S_a * S_b = sum_{j=0}^{min(a,b)} S_{a+b-2j} for nonnegative a, b."""
+def s_product(a: int, b: int) -> range:
+    """S_a * S_b = sum_{j=0}^{min(a,b)} S_{a+b-2j}, a, b >= 0, as the range of its S-indices.
+
+    >>> list(s_product(2, 3))
+    [1, 3, 5]
+    """
     if a < 0 or b < 0:
         raise ValueError("s_product expects normalized (nonnegative) indices")
-    lo, hi = min(a, b), max(a, b)
-    return {hi - lo + 2 * j: 1 for j in range(lo + 1)}
+    return range(abs(a - b), a + b + 1, 2)

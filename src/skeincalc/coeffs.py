@@ -17,10 +17,11 @@ context two operands must share, and its product rule.  Two types live here:
                           identities that certify the Chebyshev tables.
 
 All types are canonical (zero coefficients are pruned eagerly), immutable by
-convention, and compare by structural equality.  Python integers never
-overflow, so coefficient growth is exact by construction.  Inputs are checked,
-never coerced: a non-int exponent or integer coefficient raises TypeError, and
-:func:`as_laurent` is the one place an int becomes a LaurentPoly.
+convention, and compare by structural equality; comparing, like combining,
+elements of different contexts raises ValueError.  Python integers never
+overflow.  Inputs are checked, never coerced: a non-int exponent or integer
+coefficient raises TypeError, and :func:`as_laurent` is the one place an int
+becomes a LaurentPoly.
 
 JSON forms use decimal strings for integer coefficients and sorted term lists,
 giving deterministic, arbitrary-precision round trips:
@@ -155,11 +156,10 @@ class Sparse:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            other = self._peer(other)
-            if other is None:
-                return NotImplemented
-        return self.terms == other.terms and (not self._CONTEXT or self._ctx == other._ctx)
+        other = self._peer(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
 
     def __add__(self, other):
         other = self._peer(other)

@@ -100,7 +100,7 @@ def qt_apply(P: QtElement, f: JonesSequence, n: int) -> TkElement:
     Each term c(x) M^a L^b contributes t^{2an} c(x) f(n+b), with powers of x
     expanded into S_j(x) before multiplying into the module element.
     """
-    out = TkElement.zero(f.p, f.convention)
+    out = TkElement(f.p, f.convention)
     for (a, b), coeff in P.terms.items():
         shifted = f(n + b)
         weight = t(2 * a * n)

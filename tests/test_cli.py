@@ -165,6 +165,13 @@ class TestExpand:
         assert code == 0
         assert out.strip() == "(-t^4)*S2(x) + (-t^2)*S2(x)*S1(y)"
 
+    def test_reduce_deep_index_json(self, capsys):
+        code, out, _ = run(capsys, ["expand", "reduce", "-i", "1000", "--p", "1"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["p"] == 1 and payload["convention"] == "kbsm"
+        assert payload["terms"]
+
     def test_bigx_json_round_trips(self, capsys):
         code, out, _ = run(capsys, ["expand", "bigx", "-i", "2",
                                     "--basis", "monomial"])

@@ -146,6 +146,19 @@ class TestKernelContract:
         with pytest.raises(TypeError):
             build()
 
+    @pytest.mark.parametrize("a, b", [
+        (HbElement.mono({(1, 0, 0): 1}), HbElement.cheb({(1, 0, 0): 1})),
+        (TkElement(1, Convention.KBSM), TkElement(2, Convention.KBSM)),
+        (TkElement(1, Convention.KBSM, {(0, 1): 1}),
+         TkElement(1, Convention.RT, {(0, 1): 1})),
+    ])
+    def test_equality_across_contexts_raises(self, a, b):
+        # like +, - and *: comparing across bases, knots or conventions is an error
+        with pytest.raises(ValueError):
+            a == b
+        with pytest.raises(ValueError):
+            a != b
+
     def test_bool_counts_as_int(self):
         assert LaurentPoly({0: True}) == 1
         assert HbElement.mono({(0, 0, 0): True}) == HbElement.one()

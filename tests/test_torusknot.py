@@ -194,6 +194,18 @@ class TestHandleSlide:
         assert handle_slide_residual(1, 5).is_zero()
         assert handle_slide_residual(2, 3).is_zero()
 
+    def test_embed_is_linear_under_every_rule(self):
+        # handle_slide_residual embeds the difference of its two sides, which
+        # equals the difference of the embedded sides only if embed is linear,
+        # for the mutant rules too
+        a = HbElement.cheb({(1, 3, 2): t(2), (0, 4, 1): -1, (2, 0, 0): t(-1, 3)})
+        b = HbElement.cheb({(1, 3, 2): t(2), (3, 5, 0): t(1), (0, 2, 2): 2})
+        base = ReductionRule.for_convention(KBSM)
+        for r in (base, *base.single_sign_mutations()):
+            for p in (1, 2):
+                got = embed(a - b, p, KBSM, r)
+                assert got == embed(a, p, KBSM, r) - embed(b, p, KBSM, r), (r, p)
+
     def test_mutations_differ_in_one_slot(self):
         base = ReductionRule.for_convention(KBSM)
         muts = base.single_sign_mutations()
