@@ -21,8 +21,9 @@ X_i satisfies
 Reindexing the pair by T_n (so X1*T_n(y) = sum_j c_j X1*y^j for
 T_n = sum_j c_j xi^j) admits the closed forms implemented here, as does X_i.
 The sigma family is the combination sigma_n = t X1*T_n(y) + t^-1 x z T_n(y),
-again with its own closed form.  Each closed form has a ``*_residual``
-function, the closed form minus its oracle, which is zero where it holds.
+again with its own closed form.  Each closed form is a list of S-terms, a
+fixed head plus a k-sum, summed by :meth:`HbElement.cheb_sum`.  Each has a
+``*_residual`` function, the closed form minus its oracle, zero where it holds.
 
 Bases.  The closed forms, the oracles they are checked against and the
 residuals' arithmetic are all in the Chebyshev basis S_m(x) S_n(y) S_k(z):
@@ -44,9 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chebyshev import ascending_memo, normalize_s_index
-from .coeffs import LaurentPoly, add_into, t
-from .handlebody import CHEBYSHEV, MONOMIAL, HbElement, Key
+from .chebyshev import ascending_memo
+from .coeffs import LaurentPoly, t
+from .handlebody import CHEBYSHEV, MONOMIAL, HbElement
 
 
 @dataclass(frozen=True)
@@ -127,30 +128,9 @@ def y1_T_recursive(n: int) -> HbElement:
     return x1y1_T_recursive(n).ypart
 
 
-class _SBuilder:
-    """Accumulates Chebyshev-basis terms, folding negative y-indices."""
-
-    def __init__(self):
-        self.terms: dict[Key, LaurentPoly] = {}
-
-    def add(self, m: int, j: int, k: int, coeff: LaurentPoly) -> None:
-        norm = normalize_s_index(j)
-        if norm is None or not coeff:
-            return
-        sign, jj = norm
-        add_into(self.terms, (m, jj, k), coeff * sign)
-
-    def add_xz(self, j: int, coeff: LaurentPoly) -> None:
-        self.add(1, j, 1, coeff)
-
-    def add_xsq_zsq(self, j: int, coeff: LaurentPoly) -> None:
-        # x^2 + z^2 = S_2(x) + S_2(z) + 2 in the Chebyshev basis
-        self.add(2, j, 0, coeff)
-        self.add(0, j, 2, coeff)
-        self.add(0, j, 0, coeff * 2)
-
-    def element(self) -> HbElement:
-        return HbElement(CHEBYSHEV, self.terms)
+def _xsq_zsq(j: int, c: LaurentPoly) -> list[tuple[int, int, int, LaurentPoly]]:
+    """(x^2 + z^2) S_j(y) c as cheb_sum terms: x^2 + z^2 = S_2(x) + S_2(z) + 2."""
+    return [(2, j, 0, c), (0, j, 2, c), (0, j, 0, c * 2)]
 
 
 def x1_T_closed(n: int) -> HbElement:
@@ -164,18 +144,14 @@ def x1_T_closed(n: int) -> HbElement:
         raise ValueError("index must be nonnegative")
     if n == 0:
         return _X0 * 2
-    b = _SBuilder()
-    b.add(0, n + 1, 0, t(4 * n + 4, -1))
-    b.add(0, n - 1, 0, t(-4 * n, -1))
-    b.add(0, n - 1, 0, t(4 * n))
-    b.add(0, n - 3, 0, t(-4 * n + 4))
-    b.add_xz(n, t(4 * n + 2, -1))
-    b.add_xz(n - 2, t(-4 * n + 2))
-    hom = LaurentPoly.one() - t(4 * n)
+    hom = 1 - t(4 * n)
+    terms = [(0, n + 1, 0, t(4 * n + 4, -1)), (0, n - 1, 0, t(-4 * n, -1)),
+             (0, n - 1, 0, t(4 * n)), (0, n - 3, 0, t(-4 * n + 4)),
+             (1, n, 1, t(4 * n + 2, -1)), (1, n - 2, 1, t(-4 * n + 2))]
     for k in range(n):
-        b.add_xsq_zsq(n - 2 * k - 1, hom * t(-4 * k))
-        b.add_xz(n - 2 * k - 2, hom * t(-4 * k - 2, 2))
-    return b.element()
+        terms += _xsq_zsq(n - 2 * k - 1, hom * t(-4 * k))
+        terms.append((1, n - 2 * k - 2, 1, hom * t(-4 * k - 2, 2)))
+    return HbElement.cheb_sum(terms)
 
 
 def y1_T_closed(n: int) -> HbElement:
@@ -188,15 +164,14 @@ def y1_T_closed(n: int) -> HbElement:
         raise ValueError("index must be nonnegative")
     if n == 0:
         return _Y0 * 2
-    b = _SBuilder()
-    b.add(0, n, 0, -(t(4 * n + 2) + t(-4 * n - 2)))
-    b.add_xz(n - 1, t(-4 * n) - t(4 * n))
-    b.add(0, n - 2, 0, t(4 * n - 2) + t(-4 * n + 2))
-    hom = LaurentPoly.one() - t(4 * n)
+    hom = 1 - t(4 * n)
+    terms = [(0, n, 0, -(t(4 * n + 2) + t(-4 * n - 2))),
+             (1, n - 1, 1, t(-4 * n) - t(4 * n)),
+             (0, n - 2, 0, t(4 * n - 2) + t(-4 * n + 2))]
     for k in range(n):
-        b.add_xsq_zsq(n - 2 * k - 2, hom * t(-4 * k - 2))
-        b.add_xz(n - 2 * k - 3, hom * t(-4 * k - 4, 2))
-    return b.element()
+        terms += _xsq_zsq(n - 2 * k - 2, hom * t(-4 * k - 2))
+        terms.append((1, n - 2 * k - 3, 1, hom * t(-4 * k - 4, 2)))
+    return HbElement.cheb_sum(terms)
 
 
 @ascending_memo
@@ -223,33 +198,24 @@ def big_x_closed(i: int) -> HbElement:
     """
     if i < 0:
         raise ValueError("index must be nonnegative")
-    b = _SBuilder()
-    b.add(0, i, 0, t(2 * i + 2, -1))
-    b.add_xz(i - 1, t(2 * i, -1))
-    b.add(0, i - 2, 0, t(2 * i - 2))
-    for k in range(i - 1):
-        b.add_xz(i - k - 2, t(2 * i - 2 - 2 * k, -2))
-    return b.element()
+    return HbElement.cheb_sum(
+        [(0, i, 0, t(2 * i + 2, -1)), (1, i - 1, 1, t(2 * i, -1)), (0, i - 2, 0, t(2 * i - 2))]
+        + [(1, i - k - 2, 1, t(2 * i - 2 - 2 * k, -2)) for k in range(i - 1)])
 
 
 def sigma(n: int) -> HbElement:
     """Closed form for sigma_n = t X1*T_n(y) + t^-1 x z T_n(y), n >= 1."""
     if n < 1:
         raise ValueError("sigma is defined for n >= 1")
-    b = _SBuilder()
-    b.add(0, n + 1, 0, t(4 * n + 5, -1))
-    b.add(0, n - 1, 0, t(-4 * n + 1, -1))
-    b.add(0, n - 1, 0, t(4 * n + 1))
-    b.add(0, n - 3, 0, t(-4 * n + 5))
-    b.add_xz(n, t(4 * n + 3, -1))
-    b.add_xz(n - 2, t(-4 * n + 3))
-    b.add_xz(n, t(-1))
-    b.add_xz(n - 2, t(-1, -1))
-    hom = LaurentPoly.one() - t(4 * n)
+    hom = 1 - t(4 * n)
+    terms = [(0, n + 1, 0, t(4 * n + 5, -1)), (0, n - 1, 0, t(-4 * n + 1, -1)),
+             (0, n - 1, 0, t(4 * n + 1)), (0, n - 3, 0, t(-4 * n + 5)),
+             (1, n, 1, t(4 * n + 3, -1)), (1, n - 2, 1, t(-4 * n + 3)),
+             (1, n, 1, t(-1)), (1, n - 2, 1, t(-1, -1))]
     for k in range(n):
-        b.add_xsq_zsq(n - 2 * k - 1, hom * t(-4 * k + 1))
-        b.add_xz(n - 2 * k - 2, hom * t(-4 * k - 1, 2))
-    return b.element()
+        terms += _xsq_zsq(n - 2 * k - 1, hom * t(-4 * k + 1))
+        terms.append((1, n - 2 * k - 2, 1, hom * t(-4 * k - 1, 2)))
+    return HbElement.cheb_sum(terms)
 
 
 def sigma_defining(n: int) -> HbElement:

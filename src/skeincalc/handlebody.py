@@ -13,16 +13,17 @@ S_a S_b = sum_j S_{a+b-2j} (:func:`skeincalc.chebyshev.s_product`), and
 :meth:`HbElement.times_t_y` multiplies by T_n(y) through
 S_j T_n = S_{j+n} + S_{j-n}, two terms out per term in.  No product converts
 between bases: monomial coefficients of Chebyshev-basis elements grow
-exponentially with the index.  The mirror map conjugates every coefficient by
-t -> t^-1 and fixes the basis curves.
+exponentially with the index.  :meth:`HbElement.cheb_sum` is the one way
+a list of S-terms with arbitrary integer indices becomes an element.  The
+mirror map conjugates every coefficient by t -> t^-1 and fixes the basis curves.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .chebyshev import (monomial_to_S, normalize_s_index, s_product, s_times_t,
-                        s_to_monomial, t_in_s)
+                        s_to_monomial)
 from .coeffs import ZERO, LaurentPoly, Sparse, add_into, as_laurent, check_key
 
 MONOMIAL = "monomial"
@@ -78,30 +79,36 @@ class HbElement(Sparse):
         return HbElement(CHEBYSHEV, terms)
 
     @staticmethod
-    def cheb_term(m: int, n: int, k: int, coeff: LaurentPoly | int = 1) -> HbElement:
-        """S_m(x) S_n(y) S_k(z) with arbitrary integer indices.
+    def cheb_sum(terms: Iterable[tuple[int, int, int, LaurentPoly | int]]) -> HbElement:
+        """The sum of c S_m(x) S_n(y) S_k(z) over (m, n, k, c) terms, any integer indices.
 
         Negative indices are folded by S_{-1} = 0 and S_{-j} = -S_{j-2}, so
         closed-form expressions can be written down verbatim.
+
+        >>> str(HbElement.cheb_sum([(1, 2, 0, 3), (0, -1, 5, 1), (-3, 2, 0, 1)]))
+        '(2)*S_1(x)*S_2(y)'
         """
-        coeff = as_laurent(coeff)
-        sign = 1
-        idx = []
-        for raw in (m, n, k):
-            norm = normalize_s_index(raw)
-            if norm is None:
-                return HbElement(CHEBYSHEV)
-            s, i = norm
-            sign *= s
-            idx.append(i)
-        return HbElement(CHEBYSHEV, {tuple(idx): coeff * sign})
+        out: dict[Key, LaurentPoly] = {}
+        for *idx, c in terms:
+            c, key = as_laurent(c), []
+            for norm in map(normalize_s_index, idx):
+                if norm is None:
+                    break
+                c = c if norm[0] > 0 else -c
+                key.append(norm[1])
+            else:
+                add_into(out, tuple(key), c)
+        return HbElement(CHEBYSHEV, out)
+
+    @staticmethod
+    def cheb_term(m: int, n: int, k: int, coeff: LaurentPoly | int = 1) -> HbElement:
+        """S_m(x) S_n(y) S_k(z), any integer indices: a one-term :meth:`cheb_sum`."""
+        return HbElement.cheb_sum([(m, n, k, coeff)])
 
     @staticmethod
     def cheb_t_y(n: int, coeff: LaurentPoly | int = 1) -> HbElement:
-        """T_n(y) as a Chebyshev-basis element."""
-        coeff = as_laurent(coeff)
-        return HbElement(CHEBYSHEV,
-                         {(0, j, 0): coeff * c for j, c in t_in_s(n).items()})
+        """T_n(y) = S_n(y) - S_{n-2}(y) as a Chebyshev-basis element; T_{-n} = T_n."""
+        return HbElement.cheb_sum([(0, abs(n), 0, coeff), (0, abs(n) - 2, 0, -coeff)])
 
     def __mul__(self, other: HbElement | LaurentPoly | int) -> HbElement:
         if isinstance(other, (LaurentPoly, int)):

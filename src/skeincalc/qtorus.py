@@ -98,17 +98,12 @@ def qt_apply(P: QtElement, f: JonesSequence, n: int) -> TkElement:
     """Apply an operator to a sequence at the point n.
 
     Each term c(x) M^a L^b contributes t^{2an} c(x) f(n+b), with powers of x
-    expanded into S_j(x) before multiplying into the module element.
+    expanded into S_j(x): one JonesSequence.sum over all the terms.
     """
-    out = TkElement(f.p, f.convention)
-    for (a, b), coeff in P.terms.items():
-        shifted = f(n + b)
-        weight = t(2 * a * n)
-        for xd, lp in coeff.terms.items():
-            scale = lp * weight
-            for sj, cnt in monomial_to_S(xd).items():
-                out = out + shifted.times_sx(sj) * (scale * cnt)
-    return out
+    return f.sum((lp * t(2 * a * n, cnt), sj, n + b)
+                 for (a, b), coeff in P.terms.items()
+                 for xd, lp in coeff.terms.items()
+                 for sj, cnt in monomial_to_S(xd).items())
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,9 +10,9 @@ reduction rule; two rule conventions are supported and never mixed:
                         + t^{4n+2} S_{p-n-1}(y)
 
 for n >= 1, with negative indices folded by S_{-n} = -S_{n-2} first.  Each
-application strictly lowers the offending y-index, so reduction terminates.
-The memo fills that chain of indices in ascending order, so no index deepens
-the stack, and _emit is the one loop that accumulates module elements.
+application strictly lowers the offending y-index, so reduction is one loop
+down the chain N -> p-n-1.  _emit is the one loop that accumulates module
+elements, and JonesSequence.sum the one way sums of reduced powers use it.
 
 The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity, homogeneous recursion) each return a residual element;
@@ -64,9 +64,8 @@ class ReductionRule:
 
     @staticmethod
     def for_convention(c: Convention) -> ReductionRule:
-        if c is Convention.KBSM:
-            return ReductionRule(1, True, 1, 1, -1)
-        return ReductionRule(1, False, -1, 1, 1)
+        """The convention's rule, one shared instance per convention."""
+        return _BASE_RULES[Convention(c)]
 
     def single_sign_mutations(self) -> tuple[ReductionRule, ...]:
         """All rules obtained by flipping exactly one of the four sign slots."""
@@ -74,6 +73,10 @@ class ReductionRule:
         for field in ("lead_sign", "s_pm1_sign", "s_p_sign", "tail_sign"):
             out.append(dataclasses.replace(self, **{field: -getattr(self, field)}))
         return tuple(out)
+
+
+_BASE_RULES = {Convention.KBSM: ReductionRule(1, True, 1, 1, -1),
+               Convention.RT: ReductionRule(1, False, -1, 1, 1)}
 
 
 def _parity_sign(n: int) -> int:
@@ -85,33 +88,32 @@ def _resolve(c: Convention, rule: ReductionRule | None) -> ReductionRule:
 
 
 @functools.lru_cache(maxsize=None)
+def _tk_key(m: int, n: int) -> TkKey:
+    """(m, n) as one shared tuple, so the reduce memo's entries share their keys."""
+    return (m, n)
+
+
+@functools.lru_cache(maxsize=None)
 def _reduce_items(N: int, p: int, c: Convention,
                   rule: ReductionRule) -> tuple[tuple[TkKey, LaurentPoly], ...]:
-    """S_N(y) reduced, as (key, coeff) items in key order."""
+    """S_N(y) reduced, as (key, coeff) items in key order, by one loop down the
+    chain N -> p-n-1 that folds negative indices as it goes; no key repeats."""
     if p < 1:
         raise ValueError("knot parameter p must be >= 1")
-    if 0 <= N <= p:
-        return (((0, N), LaurentPoly.one()),)
-    if N < 0:
-        norm = normalize_s_index(N)
-        if norm is None:
-            return ()
-        sign, j = norm
-        return tuple((key, c0 * sign) for key, c0 in _reduce_items(j, p, c, rule))
-    # the tail of S_N folds to S_{N-(2p+1)}: fill that chain below N in
-    # ascending order first, so the stack depth does not grow with N
-    for j in range(N % (2 * p + 1), N, 2 * p + 1):
-        _reduce_items(j, p, c, rule)
-    n = N - p
-    alt = rule.lead_sign * (_parity_sign(n) if rule.alternating else 1)
-    acc: dict[TkKey, LaurentPoly] = {
-        (2 * n, p - 1): t(2 * n + 2, alt * rule.s_pm1_sign),
-        (2 * n, p): t(2 * n, alt * rule.s_p_sign),
-    }
-    tail_coeff = t(4 * n + 2, rule.tail_sign)
-    for key, c0 in _reduce_items(p - n - 1, p, c, rule):
-        add_into(acc, key, c0 * tail_coeff)
-    return tuple(sorted(acc.items(), key=lambda kv: kv[0]))
+    items: list[tuple[TkKey, LaurentPoly]] = []
+    sign, texp = 1, 0
+    while N > p or N < -1:
+        if N < 0:
+            sign, N = -sign, -N - 2
+            continue
+        n = N - p
+        s = sign * rule.lead_sign * (_parity_sign(n) if rule.alternating else 1)
+        items += ((_tk_key(2 * n, p - 1), t(texp + 2 * n + 2, s * rule.s_pm1_sign)),
+                  (_tk_key(2 * n, p), t(texp + 2 * n, s * rule.s_p_sign)))
+        sign, texp, N = sign * rule.tail_sign, texp + 4 * n + 2, p - n - 1
+    if N >= 0:
+        items.append((_tk_key(0, N), t(texp, sign)))
+    return tuple(sorted(items, key=lambda kv: kv[0]))
 
 
 class TkElement(Sparse):
@@ -182,15 +184,14 @@ class TkElement(Sparse):
 def reduce_sy(N: int, p: int, c: Convention,
               rule: ReductionRule | None = None) -> TkElement:
     """Express S_N(y) in the bounded basis under the given convention."""
-    items = _reduce_items(N, p, c, _resolve(c, rule))
-    return TkElement(p, c)._like(dict(items))
+    return TkElement(p, c)._like(dict(_reduce_items(N, p, c, _resolve(c, rule))))
 
 
 def _emit(out: dict[TkKey, LaurentPoly], xs: Sequence[int],
           items: Iterable[tuple[TkKey, LaurentPoly]], scalar: LaurentPoly | int) -> None:
     """out += scalar * S_mx(x) * element for each mx in xs, the element given by its items.
 
-    The layer's one accumulation loop: times_sx, tk_mul, embed and a_element use it.
+    The layer's one accumulation loop: times_sx, tk_mul, embed and JonesSequence.sum use it.
     """
     for (mr, nr), cr in items:
         c = cr * scalar
@@ -252,6 +253,21 @@ class JonesSequence:
     def __call__(self, n: int) -> TkElement:
         return reduce_sy(n, self.p, self.convention, self.rule)
 
+    def sum(self, terms: Iterable[tuple[LaurentPoly | int, int, int]]) -> TkElement:
+        """The sum of c S_i(x) f(N) over the (c, i, N) terms, i and N any integers.
+
+        >>> f = JonesSequence(1, Convention.KBSM)
+        >>> str(f.sum([(1, 0, 2), (1, -3, 0)]))
+        '(-1)*S1(x) + (-t^4)*S2(x) + (-t^2)*S2(x)*S1(y)'
+        """
+        out: dict[TkKey, LaurentPoly] = {}
+        for c, i, N in terms:
+            norm = normalize_s_index(i)
+            if norm is not None:
+                _emit(out, (norm[1],), _reduce_items(N, self.p, self.convention, self.rule),
+                      c if norm[0] > 0 else -c)
+        return TkElement(self.p, self.convention)._like(out)
+
 
 def y_shorthand(p: int, c: Convention, rule: ReductionRule | None = None) -> TkElement:
     """The bracket the reduction multiplies S_{2n}(x) by, as a module element.
@@ -304,13 +320,9 @@ def a_element(p: int, n: int, c: Convention = Convention.KBSM,
     The first sum starts at k = 0: with a k = 1 start the telescoping identity
     below fails already at p = 1, n = 1, and the test suite pins this down.
     """
-    r = _resolve(c, rule)
-    out: dict[TkKey, LaurentPoly] = {}
-    for k in range(2 * n):
-        _emit(out, (0,), _reduce_items(n - k, p, c, r), t(2 * k))
-    for k in range(1, 2 * p - 1):
-        _emit(out, (0,), _reduce_items(n + k, p, c, r), t(-2 * k))
-    return TkElement(p, c)._like(out)
+    return JonesSequence(p, c, rule).sum(
+        [(t(2 * k), 0, n - k) for k in range(2 * n)]
+        + [(t(-2 * k), 0, n + k) for k in range(1, 2 * p - 1)])
 
 
 def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
@@ -345,20 +357,10 @@ def rt_recursion_residual(p: int, n: int,
 
     t^{-2n-3} S_{n+p+1} + t^{2n+3} S_{n-p} - t^{-2n-1} (x^2-2) S_{n+p}
       - t^{2n+1} (x^2-2) S_{n-p-1} + t^{-2n+1} S_{n+p-1} + t^{2n-1} S_{n-p-2} = 0
-    with every S taken from the rt-reduced sequence.  Note x^2 - 2 = S_2(x) - 1.
+    with every S taken from the rt-reduced sequence, and x^2 - 2 = S_2(x) - S_0(x).
     """
-    c = Convention.RT
-    r = _resolve(c, rule)
-
-    def f(j: int) -> TkElement:
-        return reduce_sy(j, p, c, r)
-
-    def t2x(e: TkElement) -> TkElement:
-        return e.times_sx(2) - e
-
-    return (f(n + p + 1) * t(-2 * n - 3)
-            + f(n - p) * t(2 * n + 3)
-            - t2x(f(n + p)) * t(-2 * n - 1)
-            - t2x(f(n - p - 1)) * t(2 * n + 1)
-            + f(n + p - 1) * t(-2 * n + 1)
-            + f(n - p - 2) * t(2 * n - 1))
+    return JonesSequence(p, Convention.RT, rule).sum([
+        (t(-2 * n - 3), 0, n + p + 1), (t(2 * n + 3), 0, n - p),
+        (t(-2 * n - 1, -1), 2, n + p), (t(-2 * n - 1), 0, n + p),
+        (t(2 * n + 1, -1), 2, n - p - 1), (t(2 * n + 1), 0, n - p - 1),
+        (t(-2 * n + 1), 0, n + p - 1), (t(2 * n - 1), 0, n - p - 2)])

@@ -136,6 +136,9 @@ class TestKernelContract:
         lambda: HbElement.mono({(0, 0, 0): 1.5}),
         lambda: HbElement.mono({(0, 0.0, 0): 1}),
         lambda: HbElement.cheb_term(0, 1, 0, 2.0),
+        lambda: HbElement.cheb_sum([(0, 1, 0, 1), (0, 2, 0, 2.0)]),
+        lambda: HbElement.cheb_sum([(0, -1, 0, 2.0)]),
+        lambda: HbElement.cheb_sum([(0, 1.0, 0, 1)]),
         lambda: TkElement(1, Convention.KBSM, {(0, 0): 1.5}),
         lambda: TkElement(1.0, Convention.KBSM),
         lambda: QtElement({(0, 0): 0.5}),

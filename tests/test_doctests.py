@@ -11,7 +11,8 @@ import skeincalc
 MODULES = sorted(m.name for m in pkgutil.iter_modules(skeincalc.__path__, "skeincalc."))
 
 # Modules whose docstrings carry examples; each must run at least one.
-WITH_EXAMPLES = {"skeincalc.coeffs", "skeincalc.chebyshev"}
+WITH_EXAMPLES = {"skeincalc.coeffs", "skeincalc.chebyshev", "skeincalc.handlebody",
+                 "skeincalc.torusknot"}
 
 
 @pytest.mark.parametrize("name", MODULES)

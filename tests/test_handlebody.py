@@ -58,6 +58,24 @@ class TestChebTermConstruction:
         assert HbElement.cheb_term(0, -1, 0).is_zero()
         assert HbElement.cheb_term(1, -3, -2) == HbElement.cheb({(1, 1, 0): 1})
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_sum_folds_each_axis(self, axis):
+        def key(i):
+            return tuple(i if a == axis else 1 for a in range(3))
+
+        # S_{-1} drops its term; S_{-j} = -S_{j-2} for j >= 2
+        assert HbElement.cheb_sum([(*key(-1), t(2))]).is_zero()
+        assert HbElement.cheb_sum([(*key(-4), t(2))]) == HbElement.cheb({key(2): t(2, -1)})
+        assert (HbElement.cheb_sum([(*key(-1), 5), (*key(-3), t(1)), (*key(0), 3)])
+                == HbElement.cheb({key(1): t(1, -1), key(0): 3}))
+        # a term and its folded negative cancel, leaving no key behind
+        got = HbElement.cheb_sum([(*key(3), t(1)), (*key(-5), t(1)), (*key(0), 1)])
+        assert got.terms == {key(0): LaurentPoly.one()}
+
+    def test_sum_of_no_terms_is_zero(self):
+        got = HbElement.cheb_sum([])
+        assert got.is_zero() and got.basis == CHEBYSHEV
+
     def test_t_y_builder(self):
         assert HbElement.cheb_t_y(0) == HbElement.cheb({(0, 0, 0): 2})
         assert HbElement.cheb_t_y(2) == HbElement.cheb({(0, 2, 0): 1, (0, 0, 0): -1})

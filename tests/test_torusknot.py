@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from skeincalc.coeffs import LaurentPoly, t
 from skeincalc.handlebody import HbElement
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule,
-                                 TkElement, a_element, embed, handle_slide_residual,
-                                 induction_residual, reduce_sy, relation_residual,
-                                 rt_recursion_residual, telescope_residual, tk_mul,
-                                 y_shorthand)
+                                 TkElement, _reduce_items, a_element, embed,
+                                 handle_slide_residual, induction_residual, reduce_sy,
+                                 relation_residual, rt_recursion_residual,
+                                 telescope_residual, tk_mul, y_shorthand)
 
 KBSM = Convention.KBSM
 RT = Convention.RT
@@ -46,6 +46,14 @@ class TestReduce:
     def test_first_overflow_rt(self):
         got = reduce_sy(2, 1, RT)
         assert got.terms == {(2, 0): t(4, -1), (2, 1): t(2)}
+
+    def test_cold_memo_holds_only_the_requested_index(self):
+        # the reduction walks its chain in one loop, so a cold call leaves
+        # one memo entry, not one per index on the chain
+        for N, p, c in ((300, 1, KBSM), (-300, 2, RT)):
+            _reduce_items.cache_clear()
+            reduce_sy(N, p, c)
+            assert _reduce_items.cache_info().currsize == 1, (N, p, c)
 
     def test_overflow_stays_in_window(self):
         for p in (1, 2, 3):
@@ -152,6 +160,32 @@ class TestProductProperties:
         assert tk_mul(a, b + c) == tk_mul(a, b) + tk_mul(a, c)
 
 
+jones_terms = st.lists(st.tuples(small_laurents | st.integers(-3, 3),
+                                st.integers(-4, 6), st.integers(-12, 12)), max_size=5)
+
+
+def base_and_one_mutant(c):
+    base = ReductionRule.for_convention(c)
+    return [(c, base), (c, base.single_sign_mutations()[0])]
+
+
+class TestJonesSum:
+    @pytest.mark.parametrize("c, rule", base_and_one_mutant(KBSM) + base_and_one_mutant(RT))
+    @settings(max_examples=40, deadline=None)
+    @given(terms=jones_terms, p=st.integers(1, 3))
+    def test_matches_element_arithmetic(self, c, rule, terms, p):
+        f = JonesSequence(p, c, rule)
+        expected = TkElement(p, c)
+        for coeff, i, N in terms:
+            expected = expected + f(N).times_sx(i) * coeff
+        assert f.sum(terms) == expected
+
+    def test_no_terms_give_zero_in_context(self):
+        got = JonesSequence(2, RT).sum([])
+        assert got.is_zero() and (got.p, got.convention) == (2, RT)
+        assert got == TkElement(2, RT)
+
+
 class TestEmbed:
     def test_xz_monomial(self):
         h = HbElement.mono({(1, 0, 1): 1})
@@ -207,13 +241,16 @@ class TestHandleSlide:
                 assert got == embed(a, p, KBSM, r) - embed(b, p, KBSM, r), (r, p)
 
     def test_mutations_differ_in_one_slot(self):
-        base = ReductionRule.for_convention(KBSM)
-        muts = base.single_sign_mutations()
-        assert len(muts) == 4
         slots = ("lead_sign", "alternating", "s_pm1_sign", "s_p_sign", "tail_sign")
-        for m in muts:
-            diffs = [s for s in slots if getattr(m, s) != getattr(base, s)]
-            assert len(diffs) == 1, m
+        for c in (KBSM, RT):
+            # one shared base rule per convention, so memo keys share it too
+            assert ReductionRule.for_convention(c) is ReductionRule.for_convention(c)
+            base = ReductionRule.for_convention(c)
+            muts = base.single_sign_mutations()
+            assert len(muts) == 4 and len(set(muts)) == 4
+            for m in muts:
+                diffs = [s for s in slots if getattr(m, s) != getattr(base, s)]
+                assert len(diffs) == 1, (c, m)
 
 
 class TestTelescope:
