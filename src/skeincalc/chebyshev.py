@@ -165,27 +165,6 @@ def s_combo_to_monomial(combo: Mapping[int, int]) -> tuple[int, ...]:
     return out
 
 
-def _fold(signed_indices) -> dict[int, int]:
-    """Sum of sign * S_idx over (idx, sign) pairs, indices normalized."""
-    out: dict[int, int] = {}
-    for idx, sgn in signed_indices:
-        norm = normalize_s_index(idx)
-        if norm is not None:
-            add_into(out, norm[1], sgn * norm[0])
-    return out
-
-
-def t_in_s(n: int) -> dict[int, int]:
-    """T_n written in the S basis: T_n = S_n - S_{n-2}, indices normalized.
-
-    >>> t_in_s(0)
-    {0: 2}
-    >>> t_in_s(4)
-    {4: 1, 2: -1}
-    """
-    return _fold(((abs(n), 1), (abs(n) - 2, -1)))
-
-
 def s_times_t(k: int, n: int) -> dict[int, int]:
     """The product identity S_k * T_n = S_{k+n} + S_{k-n} in the S basis.
 
@@ -196,7 +175,12 @@ def s_times_t(k: int, n: int) -> dict[int, int]:
     >>> s_times_t(0, 1)
     {1: 1}
     """
-    return _fold(((k + abs(n), 1), (k - abs(n), 1)))
+    out: dict[int, int] = {}
+    for idx in (k + abs(n), k - abs(n)):
+        norm = normalize_s_index(idx)
+        if norm is not None:
+            add_into(out, norm[1], norm[0])
+    return out
 
 
 def s_product(a: int, b: int) -> range:

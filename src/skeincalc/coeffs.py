@@ -276,18 +276,6 @@ class LaurentPoly(Sparse):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers are only defined for monomials; use t(exp)")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def bar(self) -> LaurentPoly:
         """The mirror involution t -> t^-1."""
         return self._like({-e: c for e, c in self.terms.items()})
@@ -318,9 +306,6 @@ class LaurentPoly(Sparse):
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-ZERO = LaurentPoly.zero()
 
 
 def as_laurent(c: LaurentPoly | int) -> LaurentPoly:

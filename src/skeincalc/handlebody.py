@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .chebyshev import (monomial_to_S, normalize_s_index, s_product, s_times_t,
                         s_to_monomial)
-from .coeffs import ZERO, LaurentPoly, Sparse, add_into, as_laurent, check_key
+from .coeffs import LaurentPoly, Sparse, add_into, as_laurent, check_key
 
 MONOMIAL = "monomial"
 CHEBYSHEV = "chebyshev"
@@ -61,10 +61,6 @@ class HbElement(Sparse):
         if min(key) < 0:
             raise ValueError(f"negative index in basis key {key}")
         return key
-
-    @staticmethod
-    def zero(basis: str = MONOMIAL) -> HbElement:
-        return HbElement(basis)
 
     @staticmethod
     def one(basis: str = MONOMIAL) -> HbElement:
@@ -163,9 +159,6 @@ class HbElement(Sparse):
     def mirror(self) -> HbElement:
         """Apply the bar involution t -> t^-1 to every coefficient."""
         return self._like({k: c.bar() for k, c in self.terms.items()})
-
-    def coefficient(self, m: int, n: int, k: int) -> LaurentPoly:
-        return self.terms.get((m, n, k), ZERO)
 
     def to_json(self) -> dict:
         return {"basis": self.basis, "terms": self._json_rows()}

@@ -13,13 +13,17 @@ for n >= 1, with negative indices folded by S_{-n} = -S_{n-2} first.  Each
 application strictly lowers the offending y-index, so reduction is one loop
 down the chain N -> p-n-1.  _emit is the one loop that accumulates module
 elements, and JonesSequence.sum the one way sums of reduced powers use it.
+The sum merges its terms by folded index before it reduces any, so the
+relation, telescope and rt-recursion residuals are each one sum of both
+sides' terms, and terms that cancel are never reduced.
 
 The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity, homogeneous recursion) each return a residual element;
 a check passes exactly when its residual is zero.  Every one of them accepts
 an explicit ReductionRule so that deliberately perturbed rules can demonstrate
 the checks have discriminating power; embed is linear under every rule, so
-the handle slide embeds the difference of its two sides.
+the handle slide embeds the difference of its two sides, whose closed-form
+side mirror(X1*T_n(y)) is built once per n.
 """
 
 from __future__ import annotations
@@ -256,17 +260,34 @@ class JonesSequence:
     def sum(self, terms: Iterable[tuple[LaurentPoly | int, int, int]]) -> TkElement:
         """The sum of c S_i(x) f(N) over the (c, i, N) terms, i and N any integers.
 
+        Terms are merged by folded (i, N) before anything is reduced, with
+        S_{-1} = f(-1) = 0 and S_{-j} = -S_{j-2}, f(-j) = -f(j-2) for j >= 2,
+        so terms that cancel cost no reduction.
+
         >>> f = JonesSequence(1, Convention.KBSM)
         >>> str(f.sum([(1, 0, 2), (1, -3, 0)]))
         '(-1)*S1(x) + (-t^4)*S2(x) + (-t^2)*S2(x)*S1(y)'
+        >>> str(f.sum([(1, 0, -4), (1, 0, 2)]))
+        '0'
         """
-        out: dict[TkKey, LaurentPoly] = {}
+        merged: dict[tuple[int, int], LaurentPoly | int] = {}
         for c, i, N in terms:
             norm = normalize_s_index(i)
-            if norm is not None:
-                _emit(out, (norm[1],), _reduce_items(N, self.p, self.convention, self.rule),
-                      c if norm[0] > 0 else -c)
+            if norm is None or N == -1:
+                continue
+            sign, i = norm
+            if N < -1:
+                sign, N = -sign, -N - 2
+            add_into(merged, (i, N), c if sign > 0 else -c)
+        out: dict[TkKey, LaurentPoly] = {}
+        for (i, N), c in merged.items():
+            _emit(out, (i,), _reduce_items(N, self.p, self.convention, self.rule), c)
         return TkElement(self.p, self.convention)._like(out)
+
+
+def _y_terms(p: int, r: ReductionRule, i: int, e: int, s: int) -> list:
+    """s t^e S_i(x) Y as (c, i, N) terms of JonesSequence.sum, Y the y_shorthand bracket."""
+    return [(t(e + 1, s * r.s_pm1_sign), i, p - 1), (t(e - 1, s * r.s_p_sign), i, p)]
 
 
 def y_shorthand(p: int, c: Convention, rule: ReductionRule | None = None) -> TkElement:
@@ -276,8 +297,7 @@ def y_shorthand(p: int, c: Convention, rule: ReductionRule | None = None) -> TkE
     coefficient flips sign.
     """
     r = _resolve(c, rule)
-    return TkElement(p, c, {(0, p - 1): t(1, r.s_pm1_sign),
-                            (0, p): t(-1, r.s_p_sign)})
+    return JonesSequence(p, c, r).sum(_y_terms(p, r, 0, 0, 1))
 
 
 def relation_residual(p: int, n: int, c: Convention,
@@ -288,14 +308,21 @@ def relation_residual(p: int, n: int, c: Convention,
     t^{-2n-1} S_{p+n}(y) - tail_sign t^{2n+1} S_{p-n-1}(y)
       = lead_sign a(n) S_{2n}(x) (s_pm1_sign t S_{p-1}(y) + s_p_sign t^{-1} S_p(y)).
     Near-tautological for n >= 1 by construction; the negative-n window checks
-    the index-folding conventions agree with it.
+    the index-folding conventions agree with it.  Both sides are one sum.
     """
     r = _resolve(c, rule)
-    lhs = (reduce_sy(p + n, p, c, r) * t(-2 * n - 1)
-           - reduce_sy(p - n - 1, p, c, r) * t(2 * n + 1, r.tail_sign))
     alt = r.lead_sign * (_parity_sign(n) if r.alternating else 1)
-    rhs = y_shorthand(p, c, r).times_sx(2 * n) * alt
-    return lhs - rhs
+    return JonesSequence(p, c, r).sum(
+        [(t(-2 * n - 1), 0, p + n), (t(2 * n + 1, -r.tail_sign), 0, p - n - 1)]
+        + _y_terms(p, r, 2 * n, 0, -alt))
+
+
+@functools.lru_cache(maxsize=128)
+def _mirrored_x1_T_closed(n: int) -> HbElement:
+    """mirror(X1*T_n(y)), built once per n for the handle slides of every p."""
+    from .families import x1_T_closed
+
+    return x1_T_closed(n).mirror()
 
 
 def handle_slide_residual(p: int, n: int,
@@ -306,38 +333,47 @@ def handle_slide_residual(p: int, n: int,
     the handlebody's Chebyshev basis, pushed through the embedding, and fully
     reduced under the kbsm convention; the identity asserts it vanishes.
     """
-    from .families import big_x, x1_T_closed
+    from .families import big_x
 
-    diff = x1_T_closed(n).mirror() - big_x(2 * p).mirror().times_t_y(n)
+    diff = _mirrored_x1_T_closed(n) - big_x(2 * p).mirror().times_t_y(n)
     return embed(diff, p, Convention.KBSM, rule)
+
+
+def _a_terms(p: int, n: int, e: int = 0, s: int = 1) -> list:
+    """s t^e A_n as its defining (c, i, N) terms of JonesSequence.sum."""
+    return ([(t(2 * k + e, s), 0, n - k) for k in range(2 * n)]
+            + [(t(e - 2 * k, s), 0, n + k) for k in range(1, 2 * p - 1)])
 
 
 def a_element(p: int, n: int, c: Convention = Convention.KBSM,
               rule: ReductionRule | None = None) -> TkElement:
     """The telescoping sum A_n, fully reduced.
 
-    A_n = sum_{k=0}^{2n-1} t^{2k} S_{n-k}(y) + sum_{k=1}^{2p-2} t^{-2k} S_{n+k}(y).
+    A_n = sum_{k=0}^{2n-1} t^{2k} S_{n-k}(y) + sum_{k=1}^{2p-2} t^{-2k} S_{n+k}(y),
+    one JonesSequence.sum of these 2n+2p-2 terms.
     The first sum starts at k = 0: with a k = 1 start the telescoping identity
     below fails already at p = 1, n = 1, and the test suite pins this down.
     """
-    return JonesSequence(p, c, rule).sum(
-        [(t(2 * k), 0, n - k) for k in range(2 * n)]
-        + [(t(-2 * k), 0, n + k) for k in range(1, 2 * p - 1)])
+    return JonesSequence(p, c, rule).sum(_a_terms(p, n))
 
 
 def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
                        rule: ReductionRule | None = None) -> TkElement:
     """Residual of A_{n+1} - t^2 A_n = (-1)^{p+n-1} t^{2n-2p+3} S_{2n+2p-2}(x) Y.
 
+    One JonesSequence.sum of A_{n+1}'s defining terms, -t^2 times A_n's and
+    minus the right side's two basis terms.  The sum merges terms before it
+    reduces any, and all but t^{4-4p} S_{n+2p-1}(y) + t^{4n+2} S_{-n}(y) of
+    the left side cancel, so no A_n is built.
     The t-exponent on the right is 2n-2p+3, one higher than a naive
     bookkeeping of the defining sums suggests; the zero residual over the
     acceptance grid is what certifies the exponent.
     """
     r = _resolve(c, rule)
-    lhs = a_element(p, n + 1, c, r) - a_element(p, n, c, r) * t(2)
     sign = _parity_sign(p + n - 1)
-    rhs = y_shorthand(p, c, r).times_sx(2 * n + 2 * p - 2) * t(2 * n - 2 * p + 3, sign)
-    return lhs - rhs
+    return JonesSequence(p, c, r).sum(
+        _a_terms(p, n + 1) + _a_terms(p, n, 2, -1)
+        + _y_terms(p, r, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
 
 
 def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,

@@ -3,7 +3,7 @@
 import pytest
 
 from skeincalc.chebyshev import (cheb_S, cheb_T, monomial_to_S, normalize_s_index,
-                                 s_combo_to_monomial, s_product, s_times_t, t_in_s)
+                                 s_combo_to_monomial, s_product, s_times_t)
 from skeincalc.coeffs import AuxLaurent, substitute_w, t
 
 
@@ -124,12 +124,6 @@ class TestProducts:
     def test_s_product_rejects_negative(self):
         with pytest.raises(ValueError):
             s_product(-1, 3)
-
-    def test_t_in_s(self):
-        assert t_in_s(0) == {0: 2}
-        assert t_in_s(1) == {1: 1}
-        assert t_in_s(2) == {2: 1, 0: -1}
-        assert t_in_s(-3) == t_in_s(3)
 
 
 class TestWIdentities:

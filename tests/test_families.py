@@ -55,7 +55,7 @@ class TestChebyshevOracle:
         # X1*T_n(y) = sum_j c_j X1*y^j over the monomial coefficients c_j of
         # T_n, with X1*y^j from the monomial-basis recursion; likewise Y1
         for n in range(0, 13):
-            xsum = ysum = HbElement.zero(MONOMIAL)
+            xsum = ysum = HbElement.mono({})
             for j, c in enumerate(cheb_T(n)):
                 xsum = xsum + x1y1_recursive(j).xpart * c
                 ysum = ysum + x1y1_recursive(j).ypart * c
@@ -146,7 +146,7 @@ class TestSigma:
 
     def test_s1_sn_s1_coefficient(self):
         for n in range(2, 13):
-            assert sigma(n).coefficient(1, n, 1) == t(4 * n + 3, -1) + t(-1), n
+            assert sigma(n).terms.get((1, n, 1)) == t(4 * n + 3, -1) + t(-1), n
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -160,25 +160,63 @@ class TestProductProperties:
         assert tk_mul(a, b + c) == tk_mul(a, b) + tk_mul(a, c)
 
 
-jones_terms = st.lists(st.tuples(small_laurents | st.integers(-3, 3),
-                                st.integers(-4, 6), st.integers(-12, 12)), max_size=5)
+jones_coeffs = small_laurents | st.integers(-3, 3)
 
 
-def base_and_one_mutant(c):
-    base = ReductionRule.for_convention(c)
-    return [(c, base), (c, base.single_sign_mutations()[0])]
+@st.composite
+def jones_terms(draw):
+    """Terms whose (i, N) pairs repeat, as given or folded by S_{-j} = -S_{j-2},
+    so that sum has terms to merge, including N <= -2."""
+    pairs = draw(st.lists(st.tuples(st.integers(-4, 6), st.integers(-12, 12)),
+                          min_size=1, max_size=3))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        i, N = draw(st.sampled_from(pairs))
+        if draw(st.booleans()):
+            i = -i - 2
+        if draw(st.booleans()):
+            N = -N - 2
+        terms.append((draw(jones_coeffs), i, N))
+    return terms
+
+
+def sum_rules():
+    kbsm, rt = ReductionRule.for_convention(KBSM), ReductionRule.for_convention(RT)
+    kbsm_muts = kbsm.single_sign_mutations()
+    # the first four keep the parameter ids they had when only the base rule
+    # and the lead_sign mutant of each convention were drawn
+    return ([(KBSM, kbsm), (KBSM, kbsm_muts[0]), (RT, rt), (RT, rt.single_sign_mutations()[0])]
+            + [(KBSM, m) for m in kbsm_muts[1:]])
 
 
 class TestJonesSum:
-    @pytest.mark.parametrize("c, rule", base_and_one_mutant(KBSM) + base_and_one_mutant(RT))
+    @pytest.mark.parametrize("c, rule", sum_rules())
     @settings(max_examples=40, deadline=None)
-    @given(terms=jones_terms, p=st.integers(1, 3))
+    @given(terms=jones_terms(), p=st.integers(1, 3))
     def test_matches_element_arithmetic(self, c, rule, terms, p):
         f = JonesSequence(p, c, rule)
         expected = TkElement(p, c)
         for coeff, i, N in terms:
             expected = expected + f(N).times_sx(i) * coeff
         assert f.sum(terms) == expected
+
+    def test_cancelling_terms_reduce_nothing(self):
+        # terms are merged by folded (i, N) before any reduction, so a
+        # cancelling pair never reaches the reduce memo
+        f = JonesSequence(2, KBSM)
+        for N in (7, 30, 61):
+            for terms in ([(1, 0, N), (-1, 0, N)], [(1, 0, -N - 2), (1, 0, N)],
+                          [(t(3), -5, N), (t(3), 3, N)], [(t(1), 4, -1), (2, -1, N)]):
+                misses = _reduce_items.cache_info().misses
+                assert f.sum(terms).is_zero(), (N, terms)
+                assert _reduce_items.cache_info().misses == misses, (N, terms)
+
+    def test_cold_telescope_reduces_only_the_survivors(self):
+        # A_{n+1} - t^2 A_n leaves two of its 4n+4p terms, plus the right
+        # side's two basis terms; the sum reduces nothing else
+        _reduce_items.cache_clear()
+        assert telescope_residual(40, 84).is_zero()
+        assert _reduce_items.cache_info().currsize <= 4
 
     def test_no_terms_give_zero_in_context(self):
         got = JonesSequence(2, RT).sum([])
@@ -267,6 +305,19 @@ class TestTelescope:
 
     def test_int_form(self):
         assert telescope_residual(2, 3).is_zero()
+
+    def test_is_the_relation_at_index_n_plus_p_minus_1(self):
+        # A_{n+1} - t^2 A_n collapses to t^{4-4p} f(n+2p-1) + t^{4n+2} f(-n),
+        # the defining relation's left side at index n+p-1; the telescope's
+        # right side has a fixed sign, so lead_sign and tail_sign mutants
+        # break the equality
+        base = ReductionRule.for_convention(KBSM)
+        muts = base.single_sign_mutations()
+        for r in (base, muts[1], muts[2]):
+            for p in range(1, 6):
+                for n in range(15):
+                    assert (telescope_residual(p, n, KBSM, r)
+                            == relation_residual(p, n + p - 1, KBSM, r) * t(2 * n - 2 * p + 3)), (r, p, n)
 
     def test_induction_identity_samples(self):
         assert induction_residual(1, 2).is_zero()
