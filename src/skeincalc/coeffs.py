@@ -314,8 +314,11 @@ def as_laurent(c: LaurentPoly | int) -> LaurentPoly:
 
 
 def t(exp: int, coeff: int = 1) -> LaurentPoly:
-    """Shorthand for the monomial coeff * t^exp."""
-    return LaurentPoly({exp: coeff})
+    """Shorthand for the monomial coeff * t^exp, built without Sparse's per-key loop."""
+    exp, coeff = check_int(exp), check_int(coeff)
+    res = object.__new__(LaurentPoly)
+    res.terms = {exp: coeff} if coeff else {}
+    return res
 
 
 class AuxLaurent(Sparse):

@@ -11,11 +11,12 @@ reduction rule; two rule conventions are supported and never mixed:
 
 for n >= 1, with negative indices folded by S_{-n} = -S_{n-2} first.  Each
 application strictly lowers the offending y-index, so reduction is one loop
-down the chain N -> p-n-1.  _emit is the one loop that accumulates module
-elements, and JonesSequence.sum the one way sums of reduced powers use it.
-The sum merges its terms by folded index before it reduces any, so the
-relation, telescope and rt-recursion residuals are each one sum of both
-sides' terms, and terms that cancel are never reduced.
+down the chain N -> p-n-1, memoised as int rows (m, n, e, sign): every
+coefficient it produces is a monomial.  The layer adds rows into flat int
+tables (m, n, e) -> c with _emit, and _element alone turns a table into an
+element.  JonesSequence.sum merges its terms by folded index before it
+reduces any, so each residual is one table of both sides' terms, and terms
+that cancel are never reduced.
 
 The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity, homogeneous recursion) each return a residual element;
@@ -34,10 +35,12 @@ import functools
 from collections.abc import Iterable, Mapping, Sequence
 
 from .chebyshev import normalize_s_index, s_product
-from .coeffs import LaurentPoly, Sparse, add_into, check_int, check_key, t
+from .coeffs import LaurentPoly, Sparse, add_into, as_laurent, check_int, check_key, t
 from .handlebody import CHEBYSHEV, HbElement
 
 TkKey = tuple[int, int]
+Row = tuple[int, int, int, int]         # (m, n, e, c): c t^e S_m(x) S_n(y)
+Table = dict[tuple[int, int, int], int]  # (m, n, e) -> c, zeros not yet dropped
 
 
 class Convention(enum.Enum):
@@ -92,19 +95,13 @@ def _resolve(c: Convention, rule: ReductionRule | None) -> ReductionRule:
 
 
 @functools.lru_cache(maxsize=None)
-def _tk_key(m: int, n: int) -> TkKey:
-    """(m, n) as one shared tuple, so the reduce memo's entries share their keys."""
-    return (m, n)
-
-
-@functools.lru_cache(maxsize=None)
 def _reduce_items(N: int, p: int, c: Convention,
-                  rule: ReductionRule) -> tuple[tuple[TkKey, LaurentPoly], ...]:
-    """S_N(y) reduced, as (key, coeff) items in key order, by one loop down the
-    chain N -> p-n-1 that folds negative indices as it goes; no key repeats."""
+                  rule: ReductionRule) -> tuple[Row, ...]:
+    """S_N(y) reduced, as int rows (m, n, e, sign) for sign t^e S_m(x) S_n(y), by
+    one loop down the chain N -> p-n-1 that folds negative indices as it goes."""
     if p < 1:
         raise ValueError("knot parameter p must be >= 1")
-    items: list[tuple[TkKey, LaurentPoly]] = []
+    rows: list[Row] = []
     sign, texp = 1, 0
     while N > p or N < -1:
         if N < 0:
@@ -112,12 +109,12 @@ def _reduce_items(N: int, p: int, c: Convention,
             continue
         n = N - p
         s = sign * rule.lead_sign * (_parity_sign(n) if rule.alternating else 1)
-        items += ((_tk_key(2 * n, p - 1), t(texp + 2 * n + 2, s * rule.s_pm1_sign)),
-                  (_tk_key(2 * n, p), t(texp + 2 * n, s * rule.s_p_sign)))
+        rows += ((2 * n, p - 1, texp + 2 * n + 2, s * rule.s_pm1_sign),
+                 (2 * n, p, texp + 2 * n, s * rule.s_p_sign))
         sign, texp, N = sign * rule.tail_sign, texp + 4 * n + 2, p - n - 1
     if N >= 0:
-        items.append((_tk_key(0, N), t(texp, sign)))
-    return tuple(sorted(items, key=lambda kv: kv[0]))
+        rows.append((0, N, texp, sign))
+    return tuple(rows)
 
 
 class TkElement(Sparse):
@@ -168,9 +165,10 @@ class TkElement(Sparse):
         if norm is None:
             return self._like({})
         sign, jj = norm
-        out: dict[TkKey, LaurentPoly] = {}
-        _emit(out, (jj,), self.terms.items(), sign)
-        return self._like(out)
+        acc: Table = {}
+        _emit(acc, (jj,), [(m, n, e, v) for (m, n), cf in self.terms.items()
+                           for e, v in cf.terms.items()], {0: sign})
+        return _element(self.p, self.convention, acc)
 
     def to_json(self) -> dict:
         return {
@@ -188,20 +186,34 @@ class TkElement(Sparse):
 def reduce_sy(N: int, p: int, c: Convention,
               rule: ReductionRule | None = None) -> TkElement:
     """Express S_N(y) in the bounded basis under the given convention."""
-    return TkElement(p, c)._like(dict(_reduce_items(N, p, c, _resolve(c, rule))))
+    return JonesSequence(p, c, rule).sum([(1, 0, N)])
 
 
-def _emit(out: dict[TkKey, LaurentPoly], xs: Sequence[int],
-          items: Iterable[tuple[TkKey, LaurentPoly]], scalar: LaurentPoly | int) -> None:
-    """out += scalar * S_mx(x) * element for each mx in xs, the element given by its items.
+def _emit(acc: Table, xs: Sequence[int], rows: Iterable[Row],
+          scalar: Mapping[int, int]) -> None:
+    """acc += scalar * S_mx(x) * (the sum of the rows) for each mx in xs, the
+    scalar given by its terms {e: c}: the layer's one accumulation loop.  It
+    prunes nothing; _element drops the zeros at the end."""
+    get = acc.get
+    for se, sc in scalar.items():
+        for m, n, e, c in rows:
+            e += se
+            c *= sc
+            for mx in xs:
+                for mf in s_product(mx, m):
+                    key = (mf, n, e)
+                    acc[key] = get(key, 0) + c
 
-    The layer's one accumulation loop: times_sx, tk_mul, embed and JonesSequence.sum use it.
-    """
-    for (mr, nr), cr in items:
-        c = cr * scalar
-        for mx in xs:
-            for mf in s_product(mx, mr):
-                add_into(out, (mf, nr), c)
+
+def _element(p: int, c: Convention, acc: Table) -> TkElement:
+    """The element of a flat table: the one place its entries are grouped by
+    (m, n), zeros dropped and each coefficient built, without re-validation."""
+    grouped: dict[TkKey, dict[int, int]] = {}
+    for (m, n, e), v in acc.items():
+        if v:
+            grouped.setdefault((m, n), {})[e] = v
+    like = LaurentPoly()._like
+    return TkElement(p, c)._like({k: like(cs) for k, cs in grouped.items()})
 
 
 def tk_mul(a: TkElement, b: TkElement, rule: ReductionRule | None = None) -> TkElement:
@@ -217,24 +229,24 @@ def tk_mul(a: TkElement, b: TkElement, rule: ReductionRule | None = None) -> TkE
     """
     a._peer(b)
     r = _resolve(a.convention, rule)
-    out: dict[TkKey, LaurentPoly] = {}
+    acc: Table = {}
     for (m1, n1), c1 in a.terms.items():
         for (m2, n2), c2 in b.terms.items():
             c = c1 * c2
             xs = s_product(m1, m2)
             for ny in s_product(n1, n2):
-                _emit(out, xs, _reduce_items(ny, a.p, a.convention, r), c)
-    return a._like(out)
+                _emit(acc, xs, _reduce_items(ny, a.p, a.convention, r), c.terms)
+    return _element(a.p, a.convention, acc)
 
 
 def embed(h: HbElement, p: int, c: Convention,
           rule: ReductionRule | None = None) -> TkElement:
     """Image of a handlebody element: z maps to x, then y-indices are reduced."""
     r = _resolve(c, rule)
-    out: dict[TkKey, LaurentPoly] = {}
+    acc: Table = {}
     for (m, n, k), coeff in h.to_basis(CHEBYSHEV).terms.items():
-        _emit(out, s_product(m, k), _reduce_items(n, p, c, r), coeff)
-    return TkElement(p, c)._like(out)
+        _emit(acc, s_product(m, k), _reduce_items(n, p, c, r), coeff.terms)
+    return _element(p, c, acc)
 
 
 class JonesSequence:
@@ -270,6 +282,10 @@ class JonesSequence:
         >>> str(f.sum([(1, 0, -4), (1, 0, 2)]))
         '0'
         """
+        return _element(self.p, self.convention, self._table(terms))
+
+    def _table(self, terms: Iterable[tuple[LaurentPoly | int, int, int]]) -> Table:
+        """sum(terms) as a flat table: merged by folded (i, N), then reduced."""
         merged: dict[tuple[int, int], LaurentPoly | int] = {}
         for c, i, N in terms:
             norm = normalize_s_index(i)
@@ -279,10 +295,11 @@ class JonesSequence:
             if N < -1:
                 sign, N = -sign, -N - 2
             add_into(merged, (i, N), c if sign > 0 else -c)
-        out: dict[TkKey, LaurentPoly] = {}
+        acc: Table = {}
         for (i, N), c in merged.items():
-            _emit(out, (i,), _reduce_items(N, self.p, self.convention, self.rule), c)
-        return TkElement(self.p, self.convention)._like(out)
+            _emit(acc, (i,), _reduce_items(N, self.p, self.convention, self.rule),
+                  as_laurent(c).terms)
+        return acc
 
 
 def _y_terms(p: int, r: ReductionRule, i: int, e: int, s: int) -> list:
@@ -378,13 +395,18 @@ def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
 
 def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
                        rule: ReductionRule | None = None) -> TkElement:
-    """Residual of (S_{2p+2n-2}(x) + S_{2p+2n-4}(x)) Y = (-1)^{p+n} t^{2p-2n-1} x^2 A_n."""
+    """Residual of (S_{2p+2n-2}(x) + S_{2p+2n-4}(x)) Y = (-1)^{p+n} t^{2p-2n-1} x^2 A_n.
+
+    One table: the left side's terms, then A_n's table emitted once with
+    x^2 = S_2(x) + S_0(x), so no element is built but the residual.
+    """
     r = _resolve(c, rule)
-    ybr = y_shorthand(p, c, r)
-    lhs = ybr.times_sx(2 * p + 2 * n - 2) + ybr.times_sx(2 * p + 2 * n - 4)
-    a = a_element(p, n, c, r)
-    rhs = (a.times_sx(2) + a) * t(2 * p - 2 * n - 1, _parity_sign(p + n))
-    return lhs - rhs
+    f = JonesSequence(p, c, r)
+    acc = f._table(_y_terms(p, r, 2 * p + 2 * n - 2, 0, 1)
+                   + _y_terms(p, r, 2 * p + 2 * n - 4, 0, 1))
+    a_rows = [(m, k, e, v) for (m, k, e), v in f._table(_a_terms(p, n)).items() if v]
+    _emit(acc, (2, 0), a_rows, {2 * p - 2 * n - 1: -_parity_sign(p + n)})
+    return _element(p, c, acc)
 
 
 def rt_recursion_residual(p: int, n: int,

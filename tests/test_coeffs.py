@@ -42,6 +42,7 @@ class TestLaurentPoly:
         p = LaurentPoly({3: 5, 1: 0})
         assert p.terms == {3: 5}
         assert (p - p).terms == {}
+        assert t(3, 0).terms == {}
 
     @given(laurents, laurents, laurents)
     def test_ring_axioms(self, a, b, c):
@@ -127,6 +128,9 @@ class TestKernelContract:
         lambda: LaurentPoly({0: 2.7}),
         lambda: LaurentPoly({"1": 2}),
         lambda: t(1) + 0.5,
+        lambda: t(1.5),
+        lambda: t(0, 1.5),
+        lambda: t(1.5, 0),
         lambda: HbElement.mono({(0, 0, 0): 1.5}),
         lambda: HbElement.mono({(0, 0.0, 0): 1}),
         lambda: HbElement.cheb_term(0, 1, 0, 2.0),

@@ -224,6 +224,20 @@ class TestJonesSum:
         assert got == TkElement(2, RT)
 
 
+class TestMemoIsolation:
+    def test_mutating_a_result_leaves_the_memo_unchanged(self):
+        # the reduce memo holds int rows, and every coefficient handed out is
+        # built fresh from them
+        before = str(reduce_sy(9, 2, KBSM))
+        got = reduce_sy(9, 2, KBSM)
+        next(iter(got.terms.values())).terms[99] = 7
+        summed = JonesSequence(2, KBSM).sum([(1, 0, 9)])
+        for coeff in summed.terms.values():
+            coeff.terms.clear()
+        assert str(reduce_sy(9, 2, KBSM)) == before
+        assert JonesSequence(2, KBSM).sum([(1, 0, 9)]) == reduce_sy(9, 2, KBSM)
+
+
 class TestEmbed:
     def test_xz_monomial(self):
         h = HbElement.mono({(1, 0, 1): 1})
@@ -327,6 +341,22 @@ class TestTelescope:
     def test_induction_identity_is_convention_specific(self):
         grid = [(p, n) for p in (1, 2) for n in range(0, 5)]
         assert any(not induction_residual(p, n, RT).is_zero() for p, n in grid)
+
+    @pytest.mark.parametrize("c, rule", [
+        (c, r) for c in (KBSM, RT)
+        for r in (ReductionRule.for_convention(c),
+                  *ReductionRule.for_convention(c).single_sign_mutations())])
+    def test_induction_is_the_element_formula(self, c, rule):
+        # induction_residual works on one flat table; this is the element
+        # arithmetic it stands for, written out, under every rule
+        for p in range(1, 5):
+            ybr = y_shorthand(p, c, rule)
+            for n in range(9):
+                a = a_element(p, n, c, rule)
+                expected = (ybr.times_sx(2 * p + 2 * n - 2) + ybr.times_sx(2 * p + 2 * n - 4)
+                            - (a.times_sx(2) + a) * t(2 * p - 2 * n - 1, (-1) ** (p + n)))
+                got = induction_residual(p, n, c, rule)
+                assert got == expected and str(got) == str(expected), (p, n)
 
 
 class TestRtRecursion:
