@@ -98,12 +98,15 @@ def qt_apply(P: QtElement, f: JonesSequence, n: int) -> TkElement:
     """Apply an operator to a sequence at the point n.
 
     Each term c(x) M^a L^b contributes t^{2an} c(x) f(n+b), with powers of x
-    expanded into S_j(x): one JonesSequence.sum over all the terms.
+    expanded into S_j(x) and c(x)'s Laurent coefficients into monomials: one
+    JonesSequence.sum over all the int terms, n checked once.
     """
-    return f.sum((lp * t(2 * a * n, cnt), sj, n + b)
-                 for (a, b), coeff in P.terms.items()
-                 for xd, lp in coeff.terms.items()
-                 for sj, cnt in monomial_to_S(xd).items())
+    n = check_int(n)
+    return f._sum((c * cnt, e + 2 * a * n, sj, n + b)
+                  for (a, b), coeff in P.terms.items()
+                  for xd, lp in coeff.terms.items()
+                  for sj, cnt in monomial_to_S(xd).items()
+                  for e, c in lp.terms.items())
 
 
 @functools.lru_cache(maxsize=None)

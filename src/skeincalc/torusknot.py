@@ -14,9 +14,10 @@ application strictly lowers the offending y-index, so reduction is one loop
 down the chain N -> p-n-1, memoised as int rows (m, n, e, sign): every
 coefficient it produces is a monomial.  The layer adds rows into flat int
 tables (m, n, e) -> c with _emit, and _element alone turns a table into an
-element.  JonesSequence.sum merges its terms by folded index before it
-reduces any, so each residual is one table of both sides' terms, and terms
-that cancel are never reduced.
+element.  JonesSequence.sum takes int terms (c, e, i, N) for c t^e S_i(x) f(N)
+and merges them by folded index before it reduces any, so each residual is
+one table of both sides' terms, terms that cancel are never reduced, and no
+coefficient object is built before the result.
 
 The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity, homogeneous recursion) each return a residual element;
@@ -35,11 +36,12 @@ import functools
 from collections.abc import Iterable, Mapping, Sequence
 
 from .chebyshev import normalize_s_index, s_product
-from .coeffs import LaurentPoly, Sparse, add_into, as_laurent, check_int, check_key, t
+from .coeffs import LaurentPoly, Sparse, check_int, check_key
 from .handlebody import CHEBYSHEV, HbElement
 
 TkKey = tuple[int, int]
 Row = tuple[int, int, int, int]         # (m, n, e, c): c t^e S_m(x) S_n(y)
+Term = tuple[int, int, int, int]        # (c, e, i, N): c t^e S_i(x) f(N)
 Table = dict[tuple[int, int, int], int]  # (m, n, e) -> c, zeros not yet dropped
 
 
@@ -90,17 +92,11 @@ def _parity_sign(n: int) -> int:
     return 1 if n % 2 == 0 else -1
 
 
-def _resolve(c: Convention, rule: ReductionRule | None) -> ReductionRule:
-    return rule if rule is not None else ReductionRule.for_convention(c)
-
-
 @functools.lru_cache(maxsize=None)
-def _reduce_items(N: int, p: int, c: Convention,
-                  rule: ReductionRule) -> tuple[Row, ...]:
+def _reduce_items(N: int, p: int, rule: ReductionRule) -> tuple[Row, ...]:
     """S_N(y) reduced, as int rows (m, n, e, sign) for sign t^e S_m(x) S_n(y), by
-    one loop down the chain N -> p-n-1 that folds negative indices as it goes."""
-    if p < 1:
-        raise ValueError("knot parameter p must be >= 1")
+    one loop down the chain N -> p-n-1 that folds negative indices as it goes.
+    The rule alone fixes the rows; the caller has checked p >= 1."""
     rows: list[Row] = []
     sign, texp = 1, 0
     while N > p or N < -1:
@@ -125,7 +121,8 @@ class TkElement(Sparse):
 
     def __init__(self, p: int, convention: Convention | str,
                  terms: Mapping[TkKey, LaurentPoly | int] | None = None):
-        if check_int(p) < 1:
+        p = check_int(p)
+        if p < 1:
             raise ValueError("knot parameter p must be >= 1")
         if convention.__class__ is not Convention:
             convention = Convention(convention)
@@ -171,11 +168,7 @@ class TkElement(Sparse):
         return _element(self.p, self.convention, acc)
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "convention": self.convention.value,
-            "terms": self._json_rows(),
-        }
+        return {"p": self.p, "convention": self.convention.value, "terms": self._json_rows()}
 
     @staticmethod
     def _monomial(key: TkKey) -> str:
@@ -186,7 +179,7 @@ class TkElement(Sparse):
 def reduce_sy(N: int, p: int, c: Convention,
               rule: ReductionRule | None = None) -> TkElement:
     """Express S_N(y) in the bounded basis under the given convention."""
-    return JonesSequence(p, c, rule).sum([(1, 0, N)])
+    return JonesSequence(p, c, rule)(N)
 
 
 def _emit(acc: Table, xs: Sequence[int], rows: Iterable[Row],
@@ -228,25 +221,25 @@ def tk_mul(a: TkElement, b: TkElement, rule: ReductionRule | None = None) -> TkE
     reduction (see embed) or restricted to x-only factors (times_sx).
     """
     a._peer(b)
-    r = _resolve(a.convention, rule)
+    r = rule or _BASE_RULES[a.convention]
     acc: Table = {}
     for (m1, n1), c1 in a.terms.items():
         for (m2, n2), c2 in b.terms.items():
             c = c1 * c2
             xs = s_product(m1, m2)
             for ny in s_product(n1, n2):
-                _emit(acc, xs, _reduce_items(ny, a.p, a.convention, r), c.terms)
+                _emit(acc, xs, _reduce_items(ny, a.p, r), c.terms)
     return _element(a.p, a.convention, acc)
 
 
 def embed(h: HbElement, p: int, c: Convention,
           rule: ReductionRule | None = None) -> TkElement:
     """Image of a handlebody element: z maps to x, then y-indices are reduced."""
-    r = _resolve(c, rule)
+    f = JonesSequence(p, c, rule)
     acc: Table = {}
     for (m, n, k), coeff in h.to_basis(CHEBYSHEV).terms.items():
-        _emit(acc, s_product(m, k), _reduce_items(n, p, c, r), coeff.terms)
-    return _element(p, c, acc)
+        _emit(acc, s_product(m, k), _reduce_items(n, f.p, f.rule), coeff.terms)
+    return _element(f.p, f.convention, acc)
 
 
 class JonesSequence:
@@ -258,53 +251,63 @@ class JonesSequence:
 
     __slots__ = ("p", "convention", "rule")
 
-    def __init__(self, p: int, convention: Convention,
+    def __init__(self, p: int, convention: Convention | str,
                  rule: ReductionRule | None = None):
-        if p < 1:
+        self.p = check_int(p)
+        if self.p < 1:
             raise ValueError("knot parameter p must be >= 1")
-        self.p = p
+        if convention.__class__ is not Convention:
+            convention = Convention(convention)
         self.convention = convention
-        self.rule = _resolve(convention, rule)
+        self.rule = rule or _BASE_RULES[convention]
 
     def __call__(self, n: int) -> TkElement:
-        return reduce_sy(n, self.p, self.convention, self.rule)
+        return self._sum([(1, 0, 0, check_int(n))])
 
-    def sum(self, terms: Iterable[tuple[LaurentPoly | int, int, int]]) -> TkElement:
-        """The sum of c S_i(x) f(N) over the (c, i, N) terms, i and N any integers.
+    def sum(self, terms: Iterable[Term]) -> TkElement:
+        """The sum of c t^e S_i(x) f(N) over the int terms (c, e, i, N), i and N any integers.
 
         Terms are merged by folded (i, N) before anything is reduced, with
         S_{-1} = f(-1) = 0 and S_{-j} = -S_{j-2}, f(-j) = -f(j-2) for j >= 2,
-        so terms that cancel cost no reduction.
+        so terms that cancel cost no reduction.  A Laurent coefficient enters
+        as one term per monomial.
 
         >>> f = JonesSequence(1, Convention.KBSM)
-        >>> str(f.sum([(1, 0, 2), (1, -3, 0)]))
+        >>> str(f.sum([(1, 0, 0, 2), (1, 0, -3, 0)]))
         '(-1)*S1(x) + (-t^4)*S2(x) + (-t^2)*S2(x)*S1(y)'
-        >>> str(f.sum([(1, 0, -4), (1, 0, 2)]))
+        >>> str(f.sum([(1, 0, 0, -4), (1, 0, 0, 2)]))
         '0'
         """
+        return self._sum([(check_int(c), check_int(e), check_int(i), check_int(N))
+                          for c, e, i, N in terms])
+
+    def _sum(self, terms: Iterable[Term]) -> TkElement:
+        """sum without checking the terms, for callers that built them from checked ints."""
         return _element(self.p, self.convention, self._table(terms))
 
-    def _table(self, terms: Iterable[tuple[LaurentPoly | int, int, int]]) -> Table:
-        """sum(terms) as a flat table: merged by folded (i, N), then reduced."""
-        merged: dict[tuple[int, int], LaurentPoly | int] = {}
-        for c, i, N in terms:
-            norm = normalize_s_index(i)
-            if norm is None or N == -1:
+    def _table(self, terms: Iterable[Term]) -> Table:
+        """The sum of the terms as a flat table: merged by folded (i, N), then reduced."""
+        merged: dict[tuple[int, int], dict[int, int]] = {}
+        for c, e, i, N in terms:
+            if i == -1 or N == -1:
                 continue
-            sign, i = norm
-            if N < -1:
-                sign, N = -sign, -N - 2
-            add_into(merged, (i, N), c if sign > 0 else -c)
+            if i < 0:
+                c, i = -c, -i - 2
+            if N < 0:
+                c, N = -c, -N - 2
+            scalar = merged.setdefault((i, N), {})
+            scalar[e] = scalar.get(e, 0) + c
         acc: Table = {}
-        for (i, N), c in merged.items():
-            _emit(acc, (i,), _reduce_items(N, self.p, self.convention, self.rule),
-                  as_laurent(c).terms)
+        for (i, N), scalar in merged.items():
+            scalar = {e: c for e, c in scalar.items() if c}
+            if scalar:
+                _emit(acc, (i,), _reduce_items(N, self.p, self.rule), scalar)
         return acc
 
 
-def _y_terms(p: int, r: ReductionRule, i: int, e: int, s: int) -> list:
-    """s t^e S_i(x) Y as (c, i, N) terms of JonesSequence.sum, Y the y_shorthand bracket."""
-    return [(t(e + 1, s * r.s_pm1_sign), i, p - 1), (t(e - 1, s * r.s_p_sign), i, p)]
+def _y_terms(p: int, r: ReductionRule, i: int, e: int, s: int) -> list[Term]:
+    """s t^e S_i(x) Y as int terms of JonesSequence.sum, Y the y_shorthand bracket."""
+    return [(s * r.s_pm1_sign, e + 1, i, p - 1), (s * r.s_p_sign, e - 1, i, p)]
 
 
 def y_shorthand(p: int, c: Convention, rule: ReductionRule | None = None) -> TkElement:
@@ -313,8 +316,8 @@ def y_shorthand(p: int, c: Convention, rule: ReductionRule | None = None) -> TkE
     Under kbsm this is t S_{p-1}(y) + t^{-1} S_p(y); under rt the S_{p-1}
     coefficient flips sign.
     """
-    r = _resolve(c, rule)
-    return JonesSequence(p, c, r).sum(_y_terms(p, r, 0, 0, 1))
+    f = JonesSequence(p, c, rule)
+    return f._sum(_y_terms(f.p, f.rule, 0, 0, 1))
 
 
 def relation_residual(p: int, n: int, c: Convention,
@@ -327,11 +330,12 @@ def relation_residual(p: int, n: int, c: Convention,
     Near-tautological for n >= 1 by construction; the negative-n window checks
     the index-folding conventions agree with it.  Both sides are one sum.
     """
-    r = _resolve(c, rule)
+    f = JonesSequence(p, c, rule)
+    p, n = f.p, check_int(n)
+    r = f.rule
     alt = r.lead_sign * (_parity_sign(n) if r.alternating else 1)
-    return JonesSequence(p, c, r).sum(
-        [(t(-2 * n - 1), 0, p + n), (t(2 * n + 1, -r.tail_sign), 0, p - n - 1)]
-        + _y_terms(p, r, 2 * n, 0, -alt))
+    return f._sum([(1, -2 * n - 1, 0, p + n), (-r.tail_sign, 2 * n + 1, 0, p - n - 1)]
+                  + _y_terms(p, r, 2 * n, 0, -alt))
 
 
 @functools.lru_cache(maxsize=128)
@@ -356,10 +360,10 @@ def handle_slide_residual(p: int, n: int,
     return embed(diff, p, Convention.KBSM, rule)
 
 
-def _a_terms(p: int, n: int, e: int = 0, s: int = 1) -> list:
-    """s t^e A_n as its defining (c, i, N) terms of JonesSequence.sum."""
-    return ([(t(2 * k + e, s), 0, n - k) for k in range(2 * n)]
-            + [(t(e - 2 * k, s), 0, n + k) for k in range(1, 2 * p - 1)])
+def _a_terms(p: int, n: int, e: int = 0, s: int = 1) -> list[Term]:
+    """s t^e A_n as its defining int terms of JonesSequence.sum."""
+    return ([(s, 2 * k + e, 0, n - k) for k in range(2 * n)]
+            + [(s, e - 2 * k, 0, n + k) for k in range(1, 2 * p - 1)])
 
 
 def a_element(p: int, n: int, c: Convention = Convention.KBSM,
@@ -371,7 +375,9 @@ def a_element(p: int, n: int, c: Convention = Convention.KBSM,
     The first sum starts at k = 0: with a k = 1 start the telescoping identity
     below fails already at p = 1, n = 1, and the test suite pins this down.
     """
-    return JonesSequence(p, c, rule).sum(_a_terms(p, n))
+    f = JonesSequence(p, c, rule)
+    p, n = f.p, check_int(n)
+    return f._sum(_a_terms(p, n))
 
 
 def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
@@ -386,11 +392,11 @@ def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
     bookkeeping of the defining sums suggests; the zero residual over the
     acceptance grid is what certifies the exponent.
     """
-    r = _resolve(c, rule)
+    f = JonesSequence(p, c, rule)
+    p, n = f.p, check_int(n)
     sign = _parity_sign(p + n - 1)
-    return JonesSequence(p, c, r).sum(
-        _a_terms(p, n + 1) + _a_terms(p, n, 2, -1)
-        + _y_terms(p, r, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
+    return f._sum(_a_terms(p, n + 1) + _a_terms(p, n, 2, -1)
+                  + _y_terms(p, f.rule, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
 
 
 def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
@@ -400,13 +406,13 @@ def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
     One table: the left side's terms, then A_n's table emitted once with
     x^2 = S_2(x) + S_0(x), so no element is built but the residual.
     """
-    r = _resolve(c, rule)
-    f = JonesSequence(p, c, r)
-    acc = f._table(_y_terms(p, r, 2 * p + 2 * n - 2, 0, 1)
-                   + _y_terms(p, r, 2 * p + 2 * n - 4, 0, 1))
+    f = JonesSequence(p, c, rule)
+    p, n = f.p, check_int(n)
+    acc = f._table(_y_terms(p, f.rule, 2 * p + 2 * n - 2, 0, 1)
+                   + _y_terms(p, f.rule, 2 * p + 2 * n - 4, 0, 1))
     a_rows = [(m, k, e, v) for (m, k, e), v in f._table(_a_terms(p, n)).items() if v]
     _emit(acc, (2, 0), a_rows, {2 * p - 2 * n - 1: -_parity_sign(p + n)})
-    return _element(p, c, acc)
+    return _element(p, f.convention, acc)
 
 
 def rt_recursion_residual(p: int, n: int,
@@ -417,8 +423,10 @@ def rt_recursion_residual(p: int, n: int,
       - t^{2n+1} (x^2-2) S_{n-p-1} + t^{-2n+1} S_{n+p-1} + t^{2n-1} S_{n-p-2} = 0
     with every S taken from the rt-reduced sequence, and x^2 - 2 = S_2(x) - S_0(x).
     """
-    return JonesSequence(p, Convention.RT, rule).sum([
-        (t(-2 * n - 3), 0, n + p + 1), (t(2 * n + 3), 0, n - p),
-        (t(-2 * n - 1, -1), 2, n + p), (t(-2 * n - 1), 0, n + p),
-        (t(2 * n + 1, -1), 2, n - p - 1), (t(2 * n + 1), 0, n - p - 1),
-        (t(-2 * n + 1), 0, n + p - 1), (t(2 * n - 1), 0, n - p - 2)])
+    f = JonesSequence(p, Convention.RT, rule)
+    p, n = f.p, check_int(n)
+    return f._sum([
+        (1, -2 * n - 3, 0, n + p + 1), (1, 2 * n + 3, 0, n - p),
+        (-1, -2 * n - 1, 2, n + p), (1, -2 * n - 1, 0, n + p),
+        (-1, 2 * n + 1, 2, n - p - 1), (1, 2 * n + 1, 0, n - p - 1),
+        (1, -2 * n + 1, 0, n + p - 1), (1, 2 * n - 1, 0, n - p - 2)])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeincalc.chebyshev import monomial_to_S
 from skeincalc.coeffs import AuxLaurent, LaurentPoly, t
 from skeincalc.handlebody import Z
 from skeincalc.qtorus import (L, L_INV, M, M_INV, X2_MINUS_2, CommutativePoly,
@@ -11,7 +12,7 @@ from skeincalc.qtorus import (L, L_INV, M, M_INV, X2_MINUS_2, CommutativePoly,
                               inhomog_recurrence, product_identity_residual,
                               product_multiplier, qt_apply, qt_mul,
                               recurrence_poly, t1_factor_residual)
-from skeincalc.torusknot import Convention, JonesSequence
+from skeincalc.torusknot import Convention, JonesSequence, ReductionRule, TkElement
 
 KBSM = Convention.KBSM
 RT = Convention.RT
@@ -92,7 +93,44 @@ class TestRingProperties:
         assert qt_mul(a, b + c) == qt_mul(a, b) + qt_mul(a, c)
 
 
+multi_laurents = st.dictionaries(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-3, max_value=3).filter(bool),
+    min_size=1, max_size=3).map(LaurentPoly)
+
+# operators whose x-coefficients have several x-degrees and several t-terms
+multi_term_ops = st.dictionaries(
+    st.tuples(st.integers(min_value=-2, max_value=2),
+              st.integers(min_value=-2, max_value=2)),
+    st.dictionaries(st.integers(min_value=0, max_value=3), multi_laurents,
+                    min_size=1, max_size=3).map(AuxLaurent),
+    max_size=3).map(QtElement)
+
+all_rules = [(c, r) for c in (KBSM, RT)
+             for r in (ReductionRule.for_convention(c),
+                       *ReductionRule.for_convention(c).single_sign_mutations())]
+
+
 class TestApply:
+    @pytest.mark.parametrize("c, rule", all_rules)
+    @settings(max_examples=25, deadline=None)
+    @given(P=multi_term_ops, n=st.integers(min_value=-4, max_value=6),
+           p=st.integers(min_value=1, max_value=3))
+    def test_matches_element_arithmetic(self, c, rule, P, n, p):
+        # qt_apply expands every coefficient into int terms; this is the
+        # element arithmetic those terms stand for
+        f = JonesSequence(p, c, rule)
+        expected = TkElement(p, c)
+        for (a, b), coeff in P.terms.items():
+            for xd, lp in coeff.terms.items():
+                for j, cnt in monomial_to_S(xd).items():
+                    expected = expected + f(n + b).times_sx(j) * (lp * t(2 * a * n) * cnt)
+        assert qt_apply(P, f, n) == expected
+
+    def test_float_point_raises(self):
+        with pytest.raises(TypeError):
+            qt_apply(inhomog_recurrence(2), JonesSequence(2, RT), 1.5)
+
     def test_m_weights_by_point(self):
         f = JonesSequence(2, RT)
         assert qt_apply(M, f, 3) == f(3) * t(6)

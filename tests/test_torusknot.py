@@ -1,10 +1,12 @@
 """Reduction rules, module arithmetic, and the verification identities."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeincalc.coeffs import LaurentPoly, t
+from skeincalc.coeffs import LaurentPoly, as_laurent, t
 from skeincalc.handlebody import HbElement
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule,
                                  TkElement, _reduce_items, a_element, embed,
@@ -194,19 +196,24 @@ class TestJonesSum:
     @settings(max_examples=40, deadline=None)
     @given(terms=jones_terms(), p=st.integers(1, 3))
     def test_matches_element_arithmetic(self, c, rule, terms, p):
+        # a Laurent coefficient enters the sum as one int term per monomial
         f = JonesSequence(p, c, rule)
         expected = TkElement(p, c)
         for coeff, i, N in terms:
             expected = expected + f(N).times_sx(i) * coeff
-        assert f.sum(terms) == expected
+        rows = [(v, e, i, N) for coeff, i, N in terms
+                for e, v in as_laurent(coeff).terms.items()]
+        assert f.sum(rows) == expected
 
     def test_cancelling_terms_reduce_nothing(self):
         # terms are merged by folded (i, N) before any reduction, so a
         # cancelling pair never reaches the reduce memo
         f = JonesSequence(2, KBSM)
         for N in (7, 30, 61):
-            for terms in ([(1, 0, N), (-1, 0, N)], [(1, 0, -N - 2), (1, 0, N)],
-                          [(t(3), -5, N), (t(3), 3, N)], [(t(1), 4, -1), (2, -1, N)]):
+            for terms in ([(1, 0, 0, N), (-1, 0, 0, N)], [(1, 0, 0, -N - 2), (1, 0, 0, N)],
+                          [(1, 3, -5, N), (1, 3, 3, N)], [(1, 1, 4, -1), (2, 0, -1, N)],
+                          [(2, 1, 1, N), (1, -3, 1, N), (-2, 1, -3, -N - 2),
+                           (-1, -3, 1, N)]):
                 misses = _reduce_items.cache_info().misses
                 assert f.sum(terms).is_zero(), (N, terms)
                 assert _reduce_items.cache_info().misses == misses, (N, terms)
@@ -231,11 +238,53 @@ class TestMemoIsolation:
         before = str(reduce_sy(9, 2, KBSM))
         got = reduce_sy(9, 2, KBSM)
         next(iter(got.terms.values())).terms[99] = 7
-        summed = JonesSequence(2, KBSM).sum([(1, 0, 9)])
+        summed = JonesSequence(2, KBSM).sum([(1, 0, 0, 9)])
         for coeff in summed.terms.values():
             coeff.terms.clear()
         assert str(reduce_sy(9, 2, KBSM)) == before
-        assert JonesSequence(2, KBSM).sum([(1, 0, 9)]) == reduce_sy(9, 2, KBSM)
+        assert JonesSequence(2, KBSM).sum([(1, 0, 0, 9)]) == reduce_sy(9, 2, KBSM)
+
+    def test_bool_p_shares_no_corrupt_memo_entry(self):
+        # True == 1 as a memo key, so p is stored as a plain int before any
+        # row that carries it as a y-index can reach the memo
+        _reduce_items.cache_clear()
+        expected = json.dumps(reduce_sy(4, 1, KBSM).to_json())
+        _reduce_items.cache_clear()
+        reduce_sy(4, True, KBSM)
+        assert json.dumps(reduce_sy(4, 1, KBSM).to_json()) == expected
+        assert str(JonesSequence(True, KBSM)(3)) == str(JonesSequence(1, KBSM)(3))
+        assert all(type(n) is int for _, n in reduce_sy(9, True, RT).terms)
+        assert type(TkElement(True, KBSM).to_json()["p"]) is int
+
+    def test_string_convention_shares_the_memo(self):
+        _reduce_items.cache_clear()
+        assert JonesSequence(2, "rt").convention is RT
+        assert reduce_sy(9, 2, "rt") == reduce_sy(9, 2, RT)
+        assert _reduce_items.cache_info().currsize == 1
+
+
+class TestTermContract:
+    def test_float_in_any_field_raises(self):
+        f = JonesSequence(2, KBSM)
+        for k in range(4):
+            row = [1, 0, 0, 3]
+            row[k] = float(row[k])
+            with pytest.raises(TypeError):
+                f.sum([tuple(row)])
+        with pytest.raises(TypeError):
+            f(3.0)
+
+    def test_float_parameters_raise(self):
+        with pytest.raises(TypeError):
+            relation_residual(2, 1.0, KBSM)
+        with pytest.raises(TypeError):
+            rt_recursion_residual(2, 1.0)
+        with pytest.raises(TypeError):
+            telescope_residual(2.0, 1)
+        with pytest.raises(TypeError):
+            induction_residual(2, 0.0)
+        with pytest.raises(TypeError):
+            a_element(1.5, 2)
 
 
 class TestEmbed:
