@@ -17,8 +17,7 @@ from .families import (FamilyPair, big_x, big_x_closed, big_x_residual,
 from .torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
                         a_element, embed, handle_slide_residual,
                         induction_residual, reduce_sy, relation_residual,
-                        rt_recursion_residual, telescope_residual, tk_mul,
-                        y_shorthand)
+                        rt_recursion_residual, telescope_residual, y_shorthand)
 from .qtorus import (CommutativePoly, QtElement, base_relation_op,
                      homogenization_residual, inhomog_recurrence,
                      mixed_operator_residual, product_identity_residual,

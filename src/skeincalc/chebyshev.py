@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from typing import Mapping
 
-from .coeffs import add_into
+from .coeffs import add_into, check_int
 
 
 def normalize_s_index(n: int) -> tuple[int, int] | None:
@@ -38,6 +38,8 @@ def normalize_s_index(n: int) -> tuple[int, int] | None:
     >>> normalize_s_index(-3)
     (-1, 1)
     """
+    if n.__class__ is not int:
+        n = check_int(n)
     if n >= 0:
         return (1, n)
     if n == -1:
@@ -50,13 +52,15 @@ def ascending_memo(fn):
 
     On a miss at n, every index from the lowest one not yet filled up to n - 1
     is evaluated first, in ascending order.  Each evaluation then finds its
-    predecessors cached, so the stack depth does not grow with n.
+    predecessors cached, so the stack depth does not grow with n.  lru_cache
+    keys 2.0 by its argument tuple, not as 2, so 2.0 reaches the TypeError.
     """
     filled = 0  # the memo holds every index below this one
 
     @functools.wraps(fn)
     def ascending(n):
         nonlocal filled
+        check_int(n)
         filled = min(filled, memo.cache_info().currsize)  # 0 after a cache_clear()
         while filled < n:
             memo(filled)

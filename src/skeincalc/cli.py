@@ -248,6 +248,11 @@ def main(argv=None) -> int:
         parser.error("--p-max and --n-max must be positive")
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be positive")
+    if getattr(args, "json", None) not in (None, "-"):
+        try:  # before any check runs, so a bad path costs no run
+            open(args.json, "w").close()
+        except OSError as exc:
+            parser.error(f"cannot write --json {args.json}: {exc.strerror}")
     return args.func(args)
 
 

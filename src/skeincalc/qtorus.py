@@ -25,7 +25,7 @@ import functools
 from .chebyshev import monomial_to_S
 from .coeffs import (AuxLaurent, LaurentPoly, Sparse, add_into, check_int,
                      check_key, decode_int, t)
-from .torusknot import Convention, JonesSequence, TkElement
+from .torusknot import Convention, JonesSequence, TkElement, _context
 
 QtKey = tuple[int, int]
 
@@ -118,8 +118,7 @@ def inhomog_recurrence(p: int) -> QtElement:
     + t M^{-1} L^{p-1} + t^{-1} M L^{-p-2}.  Applied at n this is exactly the
     six-term homogeneous recursion of torusknot.rt_recursion_residual.
     """
-    if p < 1:
-        raise ValueError("knot parameter p must be >= 1")
+    p, _ = _context(p, Convention.RT)
     neg = -X2_MINUS_2
     return QtElement({
         (-1, p + 1): t(-3),
@@ -139,8 +138,7 @@ def base_relation_op(p: int) -> QtElement:
     solved form; left-multiplying by L + L^{-1} - (x^2-2) homogenizes it into
     inhomog_recurrence(p).
     """
-    if p < 1:
-        raise ValueError("knot parameter p must be >= 1")
+    p, _ = _context(p, Convention.RT)
     return QtElement({(-1, p): t(-1), (1, -p - 1): t(1)})
 
 
@@ -152,8 +150,7 @@ def homogenization_residual(p: int) -> QtElement:
 
 def product_multiplier(p: int) -> QtElement:
     """The literal product t^{2p+5} L^{p+2} M in normal form, t^{4p+9} M L^{p+2}."""
-    if p < 1:
-        raise ValueError("knot parameter p must be >= 1")
+    p, _ = _context(p, Convention.RT)
     return QtElement({(1, p + 2): t(4 * p + 9)})
 
 
@@ -166,14 +163,13 @@ def recurrence_poly(p: int) -> QtElement:
         t^{2p+2} L^{2p+3} - t^{2p+4} (x^2-2) L^{2p+2} + t^{2p+6} L^{2p+1}
         + t^{6p+16} M^2 L^2 - t^{6p+14} (x^2-2) M^2 L + t^{6p+12} M^2
 
-    and the function asserts this explicit form equals the computed product.
-    It annihilates the rt-reduced sequence, and at t = 1 it collapses to
-    (L^2 - (x^2-2) L + 1)(L^{2p+1} + M^2).
+    This explicit form is returned; product_identity_residual checks that it
+    equals the product.  It annihilates the rt-reduced sequence, and at t = 1
+    it collapses to (L^2 - (x^2-2) L + 1)(L^{2p+1} + M^2).
     """
-    if p < 1:
-        raise ValueError("knot parameter p must be >= 1")
+    p, _ = _context(p, Convention.RT)
     neg = -X2_MINUS_2
-    explicit = QtElement({
+    return QtElement({
         (0, 2 * p + 3): t(2 * p + 2),
         (0, 2 * p + 2): neg * t(2 * p + 4),
         (0, 2 * p + 1): t(2 * p + 6),
@@ -181,10 +177,6 @@ def recurrence_poly(p: int) -> QtElement:
         (2, 1): neg * t(6 * p + 14),
         (2, 0): t(6 * p + 12),
     })
-    product = qt_mul(product_multiplier(p), inhomog_recurrence(p))
-    if explicit != product:
-        raise AssertionError("recurrence polynomial disagrees with the operator product")
-    return explicit
 
 
 def product_identity_residual(p: int) -> QtElement:

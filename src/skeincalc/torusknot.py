@@ -17,7 +17,8 @@ tables (m, n, e) -> c with _emit, and _element alone turns a table into an
 element.  JonesSequence.sum takes int terms (c, e, i, N) for c t^e S_i(x) f(N)
 and merges them by folded index before it reduces any, so each residual is
 one table of both sides' terms, terms that cancel are never reduced, and no
-coefficient object is built before the result.
+coefficient object is built before the result.  The module has no product of
+its own: the x-subalgebra acts on it through times_sx, and * takes scalars.
 
 The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity, homogeneous recursion) each return a residual element;
@@ -37,6 +38,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .chebyshev import normalize_s_index, s_product
 from .coeffs import LaurentPoly, Sparse, check_int, check_key
+from .families import big_x, x1_T_closed
 from .handlebody import CHEBYSHEV, HbElement
 
 TkKey = tuple[int, int]
@@ -88,6 +90,17 @@ _BASE_RULES = {Convention.KBSM: ReductionRule(1, True, 1, 1, -1),
                Convention.RT: ReductionRule(1, False, -1, 1, 1)}
 
 
+def _context(p: int, convention: Convention | str) -> tuple[int, Convention]:
+    """The checked context (p, convention) of a module element or operator:
+    p an int >= 1, the convention coerced to a Convention."""
+    p = check_int(p)
+    if p < 1:
+        raise ValueError("knot parameter p must be >= 1")
+    if convention.__class__ is not Convention:
+        convention = Convention(convention)
+    return p, convention
+
+
 def _parity_sign(n: int) -> int:
     return 1 if n % 2 == 0 else -1
 
@@ -121,12 +134,7 @@ class TkElement(Sparse):
 
     def __init__(self, p: int, convention: Convention | str,
                  terms: Mapping[TkKey, LaurentPoly | int] | None = None):
-        p = check_int(p)
-        if p < 1:
-            raise ValueError("knot parameter p must be >= 1")
-        if convention.__class__ is not Convention:
-            convention = Convention(convention)
-        self._ctx = (p, convention)
+        self._ctx = _context(p, convention)
         super().__init__(terms)
 
     @property
@@ -147,9 +155,7 @@ class TkElement(Sparse):
     def one(p: int, convention: Convention) -> TkElement:
         return TkElement(p, convention, {(0, 0): 1})
 
-    def __mul__(self, other: TkElement | LaurentPoly | int) -> TkElement:
-        if isinstance(other, TkElement):
-            return tk_mul(self, other)
+    def __mul__(self, other: LaurentPoly | int) -> TkElement:
         if isinstance(other, (LaurentPoly, int)):
             return self.scale(other)
         return NotImplemented
@@ -209,32 +215,14 @@ def _element(p: int, c: Convention, acc: Table) -> TkElement:
     return TkElement(p, c)._like({k: like(cs) for k, cs in grouped.items()})
 
 
-def tk_mul(a: TkElement, b: TkElement, rule: ReductionRule | None = None) -> TkElement:
-    """Formal product: Chebyshev products in x and y, then reduction.
-
-    This is bilinear and commutative, and it is associative whenever at
-    least one factor has no y-content (the reduction kernel is stable
-    under multiplication by the x-only subalgebra). It is NOT associative
-    for general triples: reducing an intermediate product and multiplying
-    by further y-content can land outside the kernel, so parenthesization
-    matters. Products that must be canonical should be carried out before
-    reduction (see embed) or restricted to x-only factors (times_sx).
-    """
-    a._peer(b)
-    r = rule or _BASE_RULES[a.convention]
-    acc: Table = {}
-    for (m1, n1), c1 in a.terms.items():
-        for (m2, n2), c2 in b.terms.items():
-            c = c1 * c2
-            xs = s_product(m1, m2)
-            for ny in s_product(n1, n2):
-                _emit(acc, xs, _reduce_items(ny, a.p, r), c.terms)
-    return _element(a.p, a.convention, acc)
-
-
 def embed(h: HbElement, p: int, c: Convention,
           rule: ReductionRule | None = None) -> TkElement:
-    """Image of a handlebody element: z maps to x, then y-indices are reduced."""
+    """Image of a handlebody element: z maps to x, then y-indices are reduced.
+
+    Reduction commutes with multiplication by x (embed(S_j(x) h) is
+    embed(h).times_sx(j)) but not with multiplication by y, so a product with
+    y-content is formed in the handlebody before it is embedded.
+    """
     f = JonesSequence(p, c, rule)
     acc: Table = {}
     for (m, n, k), coeff in h.to_basis(CHEBYSHEV).terms.items():
@@ -253,13 +241,8 @@ class JonesSequence:
 
     def __init__(self, p: int, convention: Convention | str,
                  rule: ReductionRule | None = None):
-        self.p = check_int(p)
-        if self.p < 1:
-            raise ValueError("knot parameter p must be >= 1")
-        if convention.__class__ is not Convention:
-            convention = Convention(convention)
-        self.convention = convention
-        self.rule = rule or _BASE_RULES[convention]
+        self.p, self.convention = _context(p, convention)
+        self.rule = rule or _BASE_RULES[self.convention]
 
     def __call__(self, n: int) -> TkElement:
         return self._sum([(1, 0, 0, check_int(n))])
@@ -341,8 +324,6 @@ def relation_residual(p: int, n: int, c: Convention,
 @functools.lru_cache(maxsize=128)
 def _mirrored_x1_T_closed(n: int) -> HbElement:
     """mirror(X1*T_n(y)), built once per n for the handle slides of every p."""
-    from .families import x1_T_closed
-
     return x1_T_closed(n).mirror()
 
 
@@ -354,8 +335,6 @@ def handle_slide_residual(p: int, n: int,
     the handlebody's Chebyshev basis, pushed through the embedding, and fully
     reduced under the kbsm convention; the identity asserts it vanishes.
     """
-    from .families import big_x
-
     diff = _mirrored_x1_T_closed(n) - big_x(2 * p).mirror().times_t_y(n)
     return embed(diff, p, Convention.KBSM, rule)
 

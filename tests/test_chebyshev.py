@@ -76,6 +76,33 @@ class TestNormalization:
             assert cheb_S(n) == tuple(sign * c for c in cheb_S(j))
 
 
+class TestNonIntIndices:
+    # each table is warmed at the int index first: the float must not be
+    # answered from the entry of the equal int
+    def test_cheb_s(self):
+        cheb_S(2)
+        with pytest.raises(TypeError):
+            cheb_S(2.0)
+        with pytest.raises(TypeError):
+            normalize_s_index(-3.0)
+
+    def test_cheb_t(self):
+        cheb_T(2)
+        with pytest.raises(TypeError):
+            cheb_T(2.0)
+
+    def test_monomial_to_s(self):
+        monomial_to_S(2)
+        with pytest.raises(TypeError):
+            monomial_to_S(2.0)
+
+    def test_s_times_t(self):
+        with pytest.raises(TypeError):
+            s_times_t(1, 1.5)
+        with pytest.raises(TypeError):
+            s_times_t(1.0, 1)
+
+
 class TestBasisConversion:
     def test_examples(self):
         assert monomial_to_S(0) == {0: 1}

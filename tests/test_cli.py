@@ -60,6 +60,17 @@ class TestVerify:
         payload = json.loads(target.read_text())
         assert payload["suite"] == "t1-factor"
 
+    def test_unwritable_json_path_exits_2_before_any_check(self, capsys, monkeypatch,
+                                                           tmp_path):
+        ran = []
+        monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "t1-factor", "--p-max", "1",
+                  "--json", str(tmp_path / "missing" / "x.json")])
+        assert exc.value.code == 2
+        assert "error: cannot write --json" in capsys.readouterr().err
+        assert ran == []
+
     def test_parallel_matches_serial(self, capsys):
         argv = ["verify", "--suite", "families", "--p-max", "1",
                 "--n-max", "2", "--json", "-"]

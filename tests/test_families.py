@@ -119,6 +119,11 @@ class TestBigX:
         for i in range(0, 13):
             assert big_x_closed(i) == big_x(i), i
 
+    def test_rejects_non_int_index(self):
+        big_x(2)
+        with pytest.raises(TypeError):
+            big_x(2.0)
+
     def test_mirror_orientation_would_fail(self):
         # the variant with all t-exponents negated disagrees already at i = 1
         assert big_x_closed(1).mirror() != big_x(1)

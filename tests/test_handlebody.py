@@ -76,6 +76,10 @@ class TestChebTermConstruction:
         got = HbElement.cheb_sum([])
         assert got.is_zero() and got.basis == CHEBYSHEV
 
+    def test_times_t_y_rejects_non_int_index(self):
+        with pytest.raises(TypeError):
+            HbElement.cheb({(0, 1, 0): 1}).times_t_y(1.5)
+
     def test_t_y_builder(self):
         assert HbElement.cheb_t_y(0) == HbElement.cheb({(0, 0, 0): 2})
         assert HbElement.cheb_t_y(2) == HbElement.cheb({(0, 2, 0): 1, (0, 0, 0): -1})

@@ -187,6 +187,16 @@ class TestRecurrenceOperators:
         with pytest.raises(ValueError):
             inhomog_recurrence(0)
 
+    def test_builders_check_p_like_the_module(self):
+        # one knot-parameter check for all four, whether or not p is cached
+        for build in (inhomog_recurrence, base_relation_op, product_multiplier,
+                      recurrence_poly):
+            build(2)
+            with pytest.raises(TypeError):
+                build(2.0)
+            with pytest.raises(ValueError):
+                build(0)
+
     def test_base_relation_terms(self):
         assert base_relation_op(2).terms == {(-1, 2): AuxLaurent({0: t(-1)}),
                                              (1, -3): AuxLaurent({0: t(1)})}

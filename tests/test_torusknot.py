@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeincalc.chebyshev import normalize_s_index, s_product
 from skeincalc.coeffs import LaurentPoly, as_laurent, t
-from skeincalc.handlebody import HbElement
+from skeincalc.handlebody import HbElement, X, Z
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule,
                                  TkElement, _reduce_items, a_element, embed,
                                  handle_slide_residual, induction_residual, reduce_sy,
                                  relation_residual, rt_recursion_residual,
-                                 telescope_residual, tk_mul, y_shorthand)
+                                 telescope_residual, y_shorthand)
 
 KBSM = Convention.KBSM
 RT = Convention.RT
@@ -75,19 +76,20 @@ class TestYShorthand:
 class TestArithmetic:
     def test_sx_square(self):
         e = basis_vec(2, KBSM, 1, 0)
-        assert tk_mul(e, e).terms == {(2, 0): LaurentPoly.one(),
-                                      (0, 0): LaurentPoly.one()}
+        assert e.times_sx(1).terms == {(2, 0): LaurentPoly.one(),
+                                       (0, 0): LaurentPoly.one()}
 
     def test_unit(self):
         e = TkElement(2, KBSM, {(3, 1): t(2) - t(-2)})
-        assert tk_mul(e, TkElement.one(2, KBSM)) == e
+        assert e.times_sx(0) == e
+        assert 1 * e == e
 
     def test_sy_product_matches_sequence(self):
+        # y-products are formed in the handlebody, then embedded
         for p in (1, 2, 3):
             f = JonesSequence(p, KBSM)
-            s1 = basis_vec(p, KBSM, 0, 1) if p >= 1 else None
-            sp = basis_vec(p, KBSM, 0, p)
-            assert tk_mul(s1, sp) == f(p + 1) + f(p - 1), p
+            h = HbElement.cheb_term(0, 1, 0) * HbElement.cheb_term(0, p, 0)
+            assert embed(h, p, KBSM) == f(p + 1) + f(p - 1), p
 
     def test_times_sx_folding(self):
         e = TkElement(1, KBSM, {(0, 1): t(3)})
@@ -100,7 +102,7 @@ class TestArithmetic:
 
     def test_mismatched_convention(self):
         with pytest.raises(ValueError):
-            tk_mul(basis_vec(1, KBSM, 0, 0), basis_vec(1, RT, 0, 0))
+            basis_vec(1, KBSM, 0, 0) + basis_vec(1, RT, 0, 0)
 
     def test_key_validation(self):
         with pytest.raises(ValueError):
@@ -128,38 +130,19 @@ tk_elems = st.dictionaries(
     small_laurents,
     max_size=3).map(lambda d: TkElement(2, KBSM, d))
 
-x_only_elems = st.dictionaries(
-    st.tuples(st.integers(min_value=0, max_value=3), st.just(0)),
-    small_laurents,
-    max_size=3).map(lambda d: TkElement(2, KBSM, d))
 
-
-class TestProductProperties:
+class TestXAction:
     @settings(max_examples=60, deadline=None)
-    @given(tk_elems, tk_elems)
-    def test_commutative(self, a, b):
-        assert tk_mul(a, b) == tk_mul(b, a)
-
-    @settings(max_examples=40, deadline=None)
-    @given(tk_elems, tk_elems, x_only_elems)
-    def test_associative_with_x_only_factor(self, a, b, c):
-        # reduction commutes with x-multiplication, so any placement of the
-        # y-free factor gives the same result
-        assert tk_mul(tk_mul(a, b), c) == tk_mul(a, tk_mul(b, c))
-        assert tk_mul(tk_mul(a, c), b) == tk_mul(a, tk_mul(c, b))
-
-    def test_not_associative_in_general(self):
-        # reducing an intermediate product and then multiplying by more
-        # y-content is lossy, so the formal product is only associative
-        # when a y-free factor is involved; pin one failing triple
-        s1 = basis_vec(2, KBSM, 0, 1)
-        s2 = basis_vec(2, KBSM, 0, 2)
-        assert tk_mul(tk_mul(s1, s1), s2) != tk_mul(s1, tk_mul(s1, s2))
-
-    @settings(max_examples=40, deadline=None)
-    @given(tk_elems, tk_elems, tk_elems)
-    def test_distributive(self, a, b, c):
-        assert tk_mul(a, b + c) == tk_mul(a, b) + tk_mul(a, c)
+    @given(tk_elems, st.integers(-8, 8), st.integers(-8, 8))
+    def test_times_sx_twice_is_times_the_product(self, a, i, j):
+        # S_i(x) S_j(x) = sum of S_k(x) over k in s_product, after folding
+        # S_{-1} = 0 and S_{-i} = -S_{i-2}; x acts on the module term by term
+        expected = TkElement(a.p, a.convention)
+        fi, fj = normalize_s_index(i), normalize_s_index(j)
+        if fi is not None and fj is not None:
+            for k in s_product(fi[1], fj[1]):
+                expected = expected + a.times_sx(k) * (fi[0] * fj[0])
+        assert a.times_sx(i).times_sx(j) == expected
 
 
 jones_coeffs = small_laurents | st.integers(-3, 3)
@@ -307,12 +290,12 @@ class TestEmbed:
                 h = HbElement.cheb_term(0, n, 0, LaurentPoly.one())
                 assert embed(h, p, KBSM) == reduce_sy(n, p, KBSM), (p, n)
 
-    def test_is_ring_map_on_samples(self):
-        a = HbElement.mono({(1, 1, 0): t(2), (0, 0, 1): 1})
-        b = HbElement.mono({(0, 2, 0): 1, (1, 0, 1): t(-2)})
-        lhs = embed(a * b, 2, KBSM)
-        rhs = tk_mul(embed(a, 2, KBSM), embed(b, 2, KBSM))
-        assert lhs == rhs
+    def test_commutes_with_x_and_z(self):
+        # reduction commutes with x-multiplication, and z maps to x; the
+        # y-degrees 3 and 5 exceed p = 2, so both sides reduce
+        h = HbElement.mono({(1, 3, 0): t(2), (0, 5, 1): 1})
+        for v in (X, Z):
+            assert embed(v * h, 2, KBSM) == embed(h, 2, KBSM).times_sx(1)
 
 
 class TestRelation:
