@@ -15,12 +15,12 @@ raises is reported as a failed check with its error, and the run goes on.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from . import families, qtorus, torusknot
 from .handlebody import CHEBYSHEV, MONOMIAL, HbElement
@@ -129,8 +129,8 @@ def run_suite(suite: str, p_max: int, n_max: int, jobs: int = 1) -> dict:
     tasks = _SUITE_BUILDERS[suite](p_max, n_max)
     jobs = _clamp_jobs(jobs, len(tasks), os.cpu_count() or 1)
     start = time.perf_counter()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1:  # the pool's module is imported here, on first use
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             checks = list(pool.map(_run_check, tasks))
     else:
         checks = [_run_check(task) for task in tasks]

@@ -1,8 +1,12 @@
 """Command-line entry points, exercised through main()."""
 
+import concurrent.futures
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -132,13 +136,23 @@ class TestVerify:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         cli.run_suite("t1-factor", 1, 1, jobs=10**6)
         assert started == []
         report = cli.run_suite("families", 1, 2, jobs=10**6)
         assert started == [2]
         assert all(row["pass"] for row in report["checks"])
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only --jobs > 1 needs the pool, so a default run does not pay for
+        # importing it
+        code = "import sys, skeincalc.cli; print('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_rejects_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:

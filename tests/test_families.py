@@ -162,19 +162,21 @@ class TestSigma:
 
 def test_cold_memos_need_no_deep_stack():
     # the memos fill in ascending order (the reduction along its
-    # N -> N-(2p+1) chain), so a large index from a cold cache runs under a
+    # N -> N-(2p+1) chain), and the induction residual builds a cold n from
+    # A_n's defining terms, so a large index from a cold cache runs under a
     # small recursion limit
     code = textwrap.dedent("""
         import sys
         from skeincalc.chebyshev import cheb_S, monomial_to_S
         from skeincalc.families import big_x_residual
-        from skeincalc.torusknot import Convention, reduce_sy
+        from skeincalc.torusknot import Convention, induction_residual, reduce_sy
         sys.setrecursionlimit(200)
         assert len(cheb_S(400)) == 401
         assert monomial_to_S(400)[400] == 1
         assert big_x_residual(300).is_zero()
         assert max(m for m, _ in reduce_sy(1000, 1, Convention.KBSM).terms) == 1998
         assert max(m for m, _ in reduce_sy(2000, 3, Convention.RT).terms) == 3994
+        assert induction_residual(3, 1500).is_zero()
         print("ok")
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(skeincalc.__file__).resolve().parents[1]))

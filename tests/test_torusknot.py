@@ -1,22 +1,39 @@
 """Reduction rules, module arithmetic, and the verification identities."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeincalc import torusknot
 from skeincalc.chebyshev import normalize_s_index, s_product
 from skeincalc.coeffs import LaurentPoly, as_laurent, t
 from skeincalc.handlebody import HbElement, X, Z
-from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule,
-                                 TkElement, _reduce_items, a_element, embed,
+from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
+                                 _reduce_items, _x2_a_rows, _x2_a_running, a_element, embed,
                                  handle_slide_residual, induction_residual, reduce_sy,
                                  relation_residual, rt_recursion_residual,
                                  telescope_residual, y_shorthand)
 
 KBSM = Convention.KBSM
 RT = Convention.RT
+
+
+ALL_RULES = [(c, r) for c in (KBSM, RT)
+             for r in (ReductionRule.for_convention(c),
+                       *ReductionRule.for_convention(c).single_sign_mutations())]
+
+
+def induction_formula(p, n, c, rule):
+    """The induction residual as element arithmetic: the left side minus
+    (-1)^{p+n} t^{2p-2n-1} x^2 A_n, with x^2 = S_2(x) + S_0(x)."""
+    ybr = y_shorthand(p, c, rule)
+    a = a_element(p, n, c, rule)
+    return (ybr.times_sx(2 * p + 2 * n - 2) + ybr.times_sx(2 * p + 2 * n - 4)
+            - (a.times_sx(2) + a) * t(2 * p - 2 * n - 1, -1 if (p + n) % 2 else 1))
 
 
 def basis_vec(p, c, m, n):
@@ -227,6 +244,16 @@ class TestMemoIsolation:
         assert str(reduce_sy(9, 2, KBSM)) == before
         assert JonesSequence(2, KBSM).sum([(1, 0, 0, 9)]) == reduce_sy(9, 2, KBSM)
 
+    def test_mutating_a_residual_leaves_the_next_unchanged(self):
+        # the induction memo holds int rows; the residual's coefficients are
+        # built fresh on every call
+        before = str(induction_residual(2, 3, RT))
+        got = induction_residual(2, 3, RT)
+        for coeff in got.terms.values():
+            coeff.terms[99] = 7
+        got.terms[(0, 0)] = LaurentPoly.one()
+        assert str(induction_residual(2, 3, RT)) == before != "0"
+
     def test_bool_p_shares_no_corrupt_memo_entry(self):
         # True == 1 as a memo key, so p is stored as a plain int before any
         # row that carries it as a y-index can reach the memo
@@ -336,6 +363,20 @@ class TestHandleSlide:
                 diffs = [s for s in slots if getattr(m, s) != getattr(base, s)]
                 assert len(diffs) == 1, (c, m)
 
+    def test_rule_hash_is_cached_outside_the_fields(self):
+        # the hash is computed once per rule; the fields, which mutation
+        # checks compare one by one, are the five sign slots alone
+        slots = ("lead_sign", "alternating", "s_pm1_sign", "s_p_sign", "tail_sign")
+        assert tuple(f.name for f in dataclasses.fields(ReductionRule)) == slots
+        for c in (KBSM, RT):
+            base = ReductionRule.for_convention(c)
+            copy = ReductionRule(*(getattr(base, s) for s in slots))
+            assert copy == base and copy is not base and hash(copy) == hash(base)
+            for m in base.single_sign_mutations():
+                back = dataclasses.replace(m, **{s: getattr(base, s) for s in slots})
+                assert back == base and hash(back) == hash(base)
+                assert {base: 1, m: 2}[back] == 1
+
 
 class TestTelescope:
     def test_a0_is_empty_for_p1(self):
@@ -374,21 +415,65 @@ class TestTelescope:
         grid = [(p, n) for p in (1, 2) for n in range(0, 5)]
         assert any(not induction_residual(p, n, RT).is_zero() for p, n in grid)
 
-    @pytest.mark.parametrize("c, rule", [
-        (c, r) for c in (KBSM, RT)
-        for r in (ReductionRule.for_convention(c),
-                  *ReductionRule.for_convention(c).single_sign_mutations())])
+    @pytest.mark.parametrize("c, rule", ALL_RULES)
     def test_induction_is_the_element_formula(self, c, rule):
         # induction_residual works on one flat table; this is the element
         # arithmetic it stands for, written out, under every rule
         for p in range(1, 5):
-            ybr = y_shorthand(p, c, rule)
             for n in range(9):
-                a = a_element(p, n, c, rule)
-                expected = (ybr.times_sx(2 * p + 2 * n - 2) + ybr.times_sx(2 * p + 2 * n - 4)
-                            - (a.times_sx(2) + a) * t(2 * p - 2 * n - 1, (-1) ** (p + n)))
                 got = induction_residual(p, n, c, rule)
+                expected = induction_formula(p, n, c, rule)
                 assert got == expected and str(got) == str(expected), (p, n)
+
+    def test_any_order_is_the_element_formula(self):
+        # a cold or out-of-order n is built from A_n's defining terms, the
+        # next n steps from it; n < 0 is always built from the terms
+        _x2_a_running.clear()
+        points = [(c, rule, p, n) for c, rule in ALL_RULES
+                  for p in range(1, 7) for n in range(-2, 2 * p + 5)]
+        random.Random(10).shuffle(points)
+        for c, rule, p, n in points:
+            got = induction_residual(p, n, c, rule)
+            assert got == induction_formula(p, n, c, rule), (c, rule, p, n)
+
+    def test_ascending_sweep_steps_from_the_running_rows(self, monkeypatch):
+        # x^2 A_n is one step from x^2 A_{n-1}: a sweep builds A_n from its
+        # defining terms once, at its first n, and gives the same rows as a
+        # cold build at every n, under every rule
+        calls = []
+        a_terms = torusknot._a_terms
+        monkeypatch.setattr(torusknot, "_a_terms", lambda *a: calls.append(a) or a_terms(*a))
+        for _, rule in ALL_RULES:
+            _x2_a_running.clear()
+            f = JonesSequence(3, KBSM, rule)
+            swept = [_x2_a_rows(f, n) for n in range(11)]
+            assert calls == [(3, 0)], rule
+            calls.clear()
+            for n, rows in enumerate(swept):
+                _x2_a_running.clear()
+                assert sorted(_x2_a_rows(f, n)) == sorted(rows), (rule, n)
+            calls.clear()
+
+    def test_running_rows_keep_one_n_per_rule(self):
+        # under a rule for which the identity fails, x^2 A_n grows like n^2
+        # rows, so only the latest n is kept
+        tail = ReductionRule.for_convention(KBSM).single_sign_mutations()[3]
+        _x2_a_running.clear()
+        f = JonesSequence(1, KBSM, tail)
+        sizes = [len(_x2_a_rows(f, n)) for n in range(61)]
+        assert sizes[60] > 50 * sizes[4]
+        assert list(_x2_a_running) == [(1, tail)] and _x2_a_running[(1, tail)][0] == 60
+
+    def test_base_rule_memo_holds_the_left_side(self):
+        # under the base rule x^2 A_n is the left side up to a monomial:
+        # four rows, S_{2p+2n-2}(x) and S_{2p+2n-4}(x) times S_{p-1}(y), S_p(y)
+        for p in range(1, 5):
+            f = JonesSequence(p, KBSM)
+            for n in range(1, 2 * p + 5):
+                rows = _x2_a_rows(f, n)
+                assert len(rows) == 4, (p, n)
+                assert {(m, k) for m, k, _, _ in rows} == {
+                    (m, k) for m in (2 * p + 2 * n - 2, 2 * p + 2 * n - 4) for k in (p - 1, p)}
 
 
 class TestRtRecursion:
