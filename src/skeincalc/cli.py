@@ -6,16 +6,14 @@ Two subcommands:
            print a per-check report, exit 0 exactly when every check passed
   expand   print a named family member or a reduced basis expression as JSON
 
-Grid points are independent, so --jobs N runs them in a process pool of at
-most N workers, no more than there are tasks or cores; results are merged in
-task order, so output is deterministic regardless of job count.  A check that
-raises is reported as a failed check with its error, and the run goes on.
+Checks run one after another in one process, so the memo caches filled by one
+grid point serve the next.  A check that raises is reported as a failed check
+with its error, and the run goes on.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -49,8 +47,7 @@ _CHECKS = {
 }
 
 
-def _run_check(task):
-    name, p, n = task
+def _run_check(name, p, n):
     try:
         resid = _CHECKS[name](p, n)
     except Exception as exc:  # one check's failure; the rest of the run goes on
@@ -119,21 +116,11 @@ _SUITE_BUILDERS = {
 }
 
 
-def _clamp_jobs(jobs: int, ntasks: int, cpus: int) -> int:
-    """Worker processes to start: no more than asked for, tasks to run, or cores."""
-    return min(jobs, ntasks, cpus)
-
-
-def run_suite(suite: str, p_max: int, n_max: int, jobs: int = 1) -> dict:
+def run_suite(suite: str, p_max: int, n_max: int) -> dict:
     """One suite's JSON report: its grid, a row per check, and the elapsed time."""
     tasks = _SUITE_BUILDERS[suite](p_max, n_max)
-    jobs = _clamp_jobs(jobs, len(tasks), os.cpu_count() or 1)
     start = time.perf_counter()
-    if jobs > 1:  # the pool's module is imported here, on first use
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            checks = list(pool.map(_run_check, tasks))
-    else:
-        checks = [_run_check(task) for task in tasks]
+    checks = [_run_check(*task) for task in tasks]
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return {"suite": suite, "grid": {"p_max": p_max, "n_max": n_max},
             "checks": checks, "elapsed_ms": round(elapsed_ms, 3)}
@@ -144,7 +131,7 @@ def cmd_verify(args) -> int:
     reports = []
     failed = 0
     for suite in suites:
-        report = run_suite(suite, args.p_max, args.n_max, args.jobs)
+        report = run_suite(suite, args.p_max, args.n_max)
         reports.append(report)
         npass = sum(1 for c in report["checks"] if c["pass"])
         total = len(report["checks"])
@@ -166,8 +153,13 @@ def cmd_verify(args) -> int:
         if args.json == "-":
             print(text)
         else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
+            try:  # exit 1 means a check failed, so a failed write exits 2
+                with open(args.json, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                print(f"error: cannot write --json {args.json}: {exc.strerror}",
+                      file=sys.stderr)
+                return 2
     return 0 if failed == 0 else 1
 
 
@@ -218,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n-max", type=int, default=10, dest="n_max")
     verify.add_argument("--json", metavar="PATH",
                         help="write the JSON report here ('-' for stdout)")
-    verify.add_argument("--jobs", type=int, default=1,
-                        help="run grid points in N worker processes")
     verify.set_defaults(func=cmd_verify)
 
     expand = sub.add_parser("expand", help="print one family member as JSON")
@@ -246,14 +236,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "p_max", 1) < 1 or getattr(args, "n_max", 1) < 1:
         parser.error("--p-max and --n-max must be positive")
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be positive")
     if getattr(args, "json", None) not in (None, "-"):
         try:  # before any check runs, so a bad path costs no run
             open(args.json, "w").close()
         except OSError as exc:
             parser.error(f"cannot write --json {args.json}: {exc.strerror}")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout once more at exit; let that go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

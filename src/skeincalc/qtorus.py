@@ -218,24 +218,18 @@ class CommutativePoly(Sparse):
                 add_into(out, (xd, b, a), lp.substitute_one())
         return cls(out)
 
-    def __mul__(self, other: CommutativePoly) -> CommutativePoly:
-        if other.__class__ is not CommutativePoly:
-            return NotImplemented
-        out: dict[tuple[int, int, int], int] = {}
-        for (x1, l1, m1), c1 in self.terms.items():
-            for (x2, l2, m2), c2 in other.terms.items():
-                add_into(out, (x1 + x2, l1 + l2, m1 + m2), c1 * c2)
-        return self._like(out)
-
     @staticmethod
     def _monomial(key: tuple[int, int, int]) -> str:
         return "".join(f"*{v}^{d}" if d != 1 else f"*{v}" for v, d in zip("xLM", key) if d)
 
 
 def t1_factor_residual(p: int) -> CommutativePoly:
-    """At t = 1 the recurrence polynomial minus (L^2-(x^2-2)L+1)(L^{2p+1}+M^2), zero by the factorization."""
-    specialized = CommutativePoly.from_qt(recurrence_poly(p))
-    quadratic = CommutativePoly({(0, 2, 0): 1, (2, 1, 0): -1, (0, 1, 0): 2,
-                                 (0, 0, 0): 1})
-    binomial = CommutativePoly({(0, 2 * p + 1, 0): 1, (0, 0, 2): 1})
-    return specialized - quadratic * binomial
+    """At t = 1 the recurrence polynomial minus (L^2-(x^2-2)L+1)(L^{2p+1}+M^2), zero by the factorization.
+
+    The product is formed in the quantum torus and then specialized: t = 1 is
+    a ring map, so this is the same as multiplying at t = 1.
+    """
+    poly = recurrence_poly(p)
+    quadratic = QtElement({(0, 2): 1, (0, 1): -X2_MINUS_2, (0, 0): 1})
+    binomial = QtElement({(0, 2 * p + 1): 1, (2, 0): 1})
+    return CommutativePoly.from_qt(poly - qt_mul(quadratic, binomial))

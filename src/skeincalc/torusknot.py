@@ -332,7 +332,7 @@ def relation_residual(p: int, n: int, c: Convention,
                   + _y_terms(p, r, 2 * n, 0, -alt))
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=None)
 def _mirrored_x1_T_closed(n: int) -> HbElement:
     """mirror(X1*T_n(y)), built once per n for the handle slides of every p."""
     return x1_T_closed(n).mirror()

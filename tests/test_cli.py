@@ -1,6 +1,6 @@
 """Command-line entry points, exercised through main()."""
 
-import concurrent.futures
+import errno
 import json
 import os
 import shutil
@@ -14,6 +14,10 @@ from skeincalc import cli
 from skeincalc.cli import SUITES, main
 from skeincalc.families import big_x
 from skeincalc.qtorus import CommutativePoly
+
+
+# a child interpreter that imports this checkout's package
+_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
 
 
 def run(capsys, argv):
@@ -75,17 +79,6 @@ class TestVerify:
         assert "error: cannot write --json" in capsys.readouterr().err
         assert ran == []
 
-    def test_parallel_matches_serial(self, capsys):
-        argv = ["verify", "--suite", "families", "--p-max", "1",
-                "--n-max", "2", "--json", "-"]
-        _, out1, _ = run(capsys, argv + ["--jobs", "1"])
-        _, out2, _ = run(capsys, argv + ["--jobs", "2"])
-        p1 = json.loads(out1[out1.index("{"):])
-        p2 = json.loads(out2[out2.index("{"):])
-        p1.pop("elapsed_ms")
-        p2.pop("elapsed_ms")
-        assert p1 == p2
-
     def test_failing_check_reports_its_residual(self, capsys, monkeypatch):
         nonzero = CommutativePoly({(0, 1, 0): 1})
         monkeypatch.setitem(cli._CHECKS, "t1_factorization", lambda p, n: nonzero)
@@ -113,46 +106,45 @@ class TestVerify:
                            "residual": None}
         assert "error: ZeroDivisionError: no inverse" in out
 
-    def test_jobs_clamp(self, monkeypatch):
-        assert cli._clamp_jobs(10**6, 9, 2) == 2
-        assert cli._clamp_jobs(10**6, 1, 64) == 1
-        assert cli._clamp_jobs(3, 100, 8) == 3
-        assert cli._clamp_jobs(4, 0, 8) == 0
-
-        # run_suite applies the clamp; a stand-in pool records its size, so
-        # no worker process is ever started here
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        cli.run_suite("t1-factor", 1, 1, jobs=10**6)
-        assert started == []
-        report = cli.run_suite("families", 1, 2, jobs=10**6)
-        assert started == [2]
-        assert all(row["pass"] for row in report["checks"])
-
     def test_import_leaves_the_process_pool_unloaded(self):
-        # only --jobs > 1 needs the pool, so a default run does not pay for
-        # importing it
-        code = "import sys, skeincalc.cli; print('concurrent.futures.process' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        # verify runs in one process, so nothing loads concurrent.futures
+        code = "import sys, skeincalc.cli; print('concurrent.futures' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=60)
+                              text=True, env=_ENV, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_jobs_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_json_write_after_the_run_exits_2(self, capsys):
+        # /dev/full opens, so the early check passes; the write fails with ENOSPC
+        code, out, err = run(capsys, ["verify", "--suite", "t1-factor",
+                                      "--p-max", "2", "--json", "/dev/full"])
+        assert code == 2
+        assert out.startswith("ok")
+        assert err.splitlines() == ["error: cannot write --json /dev/full: "
+                                    + os.strerror(errno.ENOSPC)]
+
+    def test_closed_stdout_exits_2_without_traceback(self):
+        # the pipe's read end is closed before the child writes, so its first
+        # flush fails, as it does under `| head -1` once head has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "skeincalc.cli", "verify",
+                                   "--suite", "t1-factor", "--p-max", "2", "--json", "-"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=_ENV, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: cannot write standard output: "
+                                            + os.strerror(errno.EPIPE)]
 
     def test_rejects_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -161,8 +153,7 @@ class TestVerify:
 
     def test_rejects_nonpositive_bounds(self, capsys):
         for argv in (["verify", "--p-max", "0"],
-                     ["verify", "--n-max", "-3"],
-                     ["verify", "--jobs", "0"]):
+                     ["verify", "--n-max", "-3"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2

@@ -339,6 +339,18 @@ class TestHandleSlide:
         assert handle_slide_residual(1, 5).is_zero()
         assert handle_slide_residual(2, 3).is_zero()
 
+    def test_mirrored_family_memo_keeps_a_whole_sweep(self):
+        # the handle-slide suite sweeps n = 1 ... 2p+4 for each p in turn, and
+        # a bounded LRU swept by more keys than it holds misses on every call
+        memo = torusknot._mirrored_x1_T_closed
+        memo.cache_clear()
+        for n in range(1, 131):
+            memo(n)
+        misses = memo.cache_info().misses
+        for n in range(1, 131):
+            memo(n)
+        assert memo.cache_info().misses == misses == 130
+
     def test_embed_is_linear_under_every_rule(self):
         # handle_slide_residual embeds the difference of its two sides, which
         # equals the difference of the embedded sides only if embed is linear,
