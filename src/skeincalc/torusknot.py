@@ -13,9 +13,10 @@ for n >= 1, with negative indices folded by S_{-n} = -S_{n-2} first.  Each
 application strictly lowers the offending y-index, so reduction is one loop
 down the chain N -> p-n-1, memoised as int rows (m, n, e, sign): every
 coefficient it produces is a monomial.  The layer adds rows into flat int
-tables (m, n, e) -> c with _emit, and _element alone turns a table into an
-element.  JonesSequence.sum takes int terms (c, e, i, N) for c t^e S_i(x) f(N)
-and merges them by folded index before it reduces any, so each residual is
+tables (m, n, e) -> c with _emit, one table into another with _add and
+_add_x2, and _element alone turns a table into an element.
+JonesSequence.sum takes int terms (c, e, i, N) for c t^e S_i(x) f(N) and
+merges them by folded index before it reduces any, so each residual is
 one table of both sides' terms, terms that cancel are never reduced, and no
 coefficient object is built before the result.  The module has no product of
 its own: the x-subalgebra acts on it through times_sx, and * takes scalars.
@@ -24,12 +25,16 @@ The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity, homogeneous recursion) each return a residual element;
 a check passes exactly when its residual is zero.  Every one of them accepts
 an explicit ReductionRule so that deliberately perturbed rules can demonstrate
-the checks have discriminating power; embed is linear under every rule, so
-the handle slide embeds the difference of its two sides, whose closed-form
-side mirror(X1*T_n(y)) is built once per n.  The induction identity's right
-side x^2 A_n is kept as int rows per (p, rule), and x^2 A_n is one step
-from x^2 A_{n-1}, by a reindexing of A_n's defining sums that holds under
-every rule.
+the checks have discriminating power.  Two checks keep running values per
+(p, rule), through the one policy of _running: the latest n only, one step
+from n-1 when a sweep ascends, else built from the defining sums.  Each step
+is a reindexing of those sums, so it holds for every sequence f, under every
+rule.  The induction identity keeps its right side x^2 A_n.  The handle
+slide builds no handlebody element per (p, n): both sides embed to a few
+head terms plus geometric k-sums of f, and it keeps the k-sums as three
+tables G, P and Q, stepped by reindexings given at handle_slide_residual.
+The rest of each side is read off the family functions, so the residual
+stays the embed of the difference of the two sides even if a family changes.
 """
 
 from __future__ import annotations
@@ -203,14 +208,15 @@ def _emit(acc: Table, xs: Sequence[int], rows: Iterable[Row],
           scalar: Mapping[int, int]) -> None:
     """acc += scalar * S_mx(x) * (the sum of the rows) for each mx in xs, the
     scalar given by its terms {e: c}: the layer's one accumulation loop.  It
-    prunes nothing; _element drops the zeros at the end."""
+    prunes nothing; _element drops the zeros at the end.  The x-indices are
+    s_product(mx, m), inlined: this loop is the layer's hot spot."""
     get = acc.get
     for se, sc in scalar.items():
         for m, n, e, c in rows:
             e += se
             c *= sc
             for mx in xs:
-                for mf in s_product(mx, m):
+                for mf in range(abs(mx - m), mx + m + 1, 2):
                     key = (mf, n, e)
                     acc[key] = get(key, 0) + c
 
@@ -281,22 +287,27 @@ class JonesSequence:
 
     def _table(self, terms: Iterable[Term]) -> Table:
         """The sum of the terms as a flat table: merged by folded (i, N), then reduced."""
-        merged: dict[tuple[int, int], dict[int, int]] = {}
-        for c, e, i, N in terms:
-            if i == -1 or N == -1:
-                continue
-            if i < 0:
-                c, i = -c, -i - 2
-            if N < 0:
-                c, N = -c, -N - 2
-            scalar = merged.setdefault((i, N), {})
-            scalar[e] = scalar.get(e, 0) + c
         acc: Table = {}
-        for (i, N), scalar in merged.items():
+        for (i, N), scalar in _merge(terms).items():
             scalar = {e: c for e, c in scalar.items() if c}
             if scalar:
                 _emit(acc, (i,), _reduce_items(N, self.p, self.rule), scalar)
         return acc
+
+
+def _merge(terms: Iterable[Term]) -> dict[tuple[int, int], dict[int, int]]:
+    """The int terms merged by folded (i, N) into scalars {e: c}, zeros kept."""
+    merged: dict[tuple[int, int], dict[int, int]] = {}
+    for c, e, i, N in terms:
+        if i == -1 or N == -1:
+            continue
+        if i < 0:
+            c, i = -c, -i - 2
+        if N < 0:
+            c, N = -c, -N - 2
+        scalar = merged.setdefault((i, N), {})
+        scalar[e] = scalar.get(e, 0) + c
+    return merged
 
 
 def _y_terms(p: int, r: ReductionRule, i: int, e: int, s: int) -> list[Term]:
@@ -332,22 +343,154 @@ def relation_residual(p: int, n: int, c: Convention,
                   + _y_terms(p, r, 2 * n, 0, -alt))
 
 
+# (p, rule) -> (n, (G, P, Q)): the running tables of the handle slide, kept
+# as t^{-2n} G(n), t^{-2n} P(n) and t^{2n} Q(n), so that a step only adds
+_handle_slide_running: dict[tuple[int, ReductionRule], tuple[int, tuple[Table, ...]]] = {}
+
+
+def _running(memo: dict, key, n: int, build, step):
+    """memo[key] brought to n, kept as (n, value): step(value at n-1) when the
+    entry holds n - 1 and n > 0, else build(), so a cold or out-of-order n
+    costs what it would without the entry.  Only the latest n is kept per key:
+    under a rule for which an identity fails, a running value can grow with n."""
+    last = memo.get(key)
+    if last is not None and last[0] == n:
+        return last[1]
+    if last is not None and last[0] == n - 1 and n > 0:
+        value = step(last[1])
+    else:
+        value = build()
+    memo[key] = (n, value)
+    return value
+
+
+def _x2(terms: Iterable[Term]) -> list[Term]:
+    """x^2 times the int terms, with x^2 = S_2(x) + S_0(x); each term has i = 0."""
+    return [(c, e, i, N) for c, e, _, N in terms for i in (2, 0)]
+
+
+def _g_terms(n: int) -> list[Term]:
+    """G(n) = sum_{r=0}^{2n-1} t^{2r} f(n-1-r)."""
+    return [(1, 2 * r, 0, n - 1 - r) for r in range(2 * n)]
+
+
+def _embedded_rest(h: HbElement, ksum: list[Term]) -> tuple[Term, ...]:
+    """The int terms, before reduction, of embed(mirror(h)) minus the k-sum's."""
+    merged = _merge([(c, -e, i, N)
+                     for (m, N, k), cf in h.to_basis(CHEBYSHEV).terms.items()
+                     for e, c in cf.terms.items() for i in s_product(m, k)]
+                    + [(-c, e, i, N) for c, e, i, N in ksum])
+    return tuple((c, e, i, N) for (i, N), scalar in merged.items()
+                 for e, c in scalar.items() if c)
+
+
 @functools.lru_cache(maxsize=None)
-def _mirrored_x1_T_closed(n: int) -> HbElement:
-    """mirror(X1*T_n(y)), built once per n for the handle slides of every p."""
-    return x1_T_closed(n).mirror()
+def _x1_rest(n: int) -> tuple[Term, ...]:
+    """mirror(x1_T_closed(n)) embedded, less 2 (1 - t^{-4n}) x^2 G(n)."""
+    g = _g_terms(n)
+    return _embedded_rest(x1_T_closed(n), _x2([(2, e, i, N) for _, e, i, N in g]
+                                             + [(-2, e - 4 * n, i, N) for _, e, i, N in g]))
+
+
+@functools.lru_cache(maxsize=None)
+def _big_x_rest(p: int) -> tuple[Term, ...]:
+    """mirror(big_x(2p)) embedded, less -2 t^{-2} x^2 sum_{j=0}^{2p-2} t^{-2j} S_j(y)."""
+    return _embedded_rest(big_x(2 * p), _x2([(-2, -2 * j - 2, 0, j) for j in range(2 * p - 1)]))
+
+
+def _handle_slide_tables(f: JonesSequence, n: int) -> tuple[Table, ...]:
+    """(t^{-2n} G(n), t^{-2n} P(n), t^{2n} Q(n)) as tables, zeros dropped: the
+    steps given at handle_slide_residual, times the same powers of t, add two
+    reduced powers to each table of n - 1 and move no entry."""
+    p, J = f.p, 2 * f.p - 2
+
+    def step(last):
+        for table, terms in zip(last, ([(1, -2 * n, 0, n - 1), (1, 2 * n - 2, 0, -n)],
+                                       [(-1, 2 - 2 * n, 0, n - 1), (1, -2 * n - 2 * J, 0, n + J)],
+                                       [(-1, 2 * n - 2 * J - 2, 0, J + 1 - n), (1, 2 * n, 0, -n)])):
+            _add(table, f._table(terms), {0: 1})
+        return last
+
+    def build():
+        sums = (_g_terms(n), [(1, -2 * j, 0, n + j) for j in range(J + 1)],
+                [(1, -2 * j, 0, j - n) for j in range(J + 1)])
+        return tuple(_add({}, f._table(terms), {s: 1})
+                     for terms, s in zip(sums, (-2 * n, -2 * n, 2 * n)))
+
+    return _running(_handle_slide_running, (p, f.rule), n, build, step)
+
+
+def _add(acc: Table, table: Table, scalar: Mapping[int, int]) -> Table:
+    """acc += scalar * table in place, the scalar given by its terms {e: c},
+    dropping the entries that cancel; returns acc."""
+    get = acc.get
+    for se, sc in scalar.items():
+        for (m, n, e), c in table.items():
+            key = (m, n, e + se)
+            c = get(key, 0) + sc * c
+            if c:
+                acc[key] = c
+            else:
+                acc.pop(key, None)
+    return acc
+
+
+def _add_x2(acc: Table, table: Table) -> None:
+    """acc += x^2 * table, by x^2 S_m(x) = S_{m+2}(x) + 2 S_m(x) + S_{m-2}(x),
+    which is S_3 + 2 S_1 at m = 1 and S_2 + S_0 at m = 0."""
+    get = acc.get
+    for (m, n, e), c in table.items():
+        key = (m + 2, n, e)
+        acc[key] = get(key, 0) + c
+        key = (m, n, e)
+        acc[key] = get(key, 0) + (c if m == 0 else 2 * c)
+        if m >= 2:
+            key = (m - 2, n, e)
+            acc[key] = get(key, 0) + c
 
 
 def handle_slide_residual(p: int, n: int,
                           rule: ReductionRule | None = None) -> TkElement:
-    """Difference of the two sides of the handle-slide identity.
+    """Difference of the two sides of the handle-slide identity, n >= 0.
 
-    The difference mirror(X1*T_n(y)) - T_n(y) * mirror(X_{2p}) is formed in
-    the handlebody's Chebyshev basis, pushed through the embedding, and fully
-    reduced under the kbsm convention; the identity asserts it vanishes.
+    The residual is embed(mirror(X1*T_n(y)) - T_n(y) * mirror(X_{2p})) under
+    the kbsm convention; the identity asserts it vanishes.  With f(N) the
+    reduced S_N(y) and x^2 = S_2(x) + S_0(x), the image of xz and of
+    (x^2 + z^2)/2, the two sides embed to
+
+        2 (1 - t^{-4n}) x^2 G(n) + R1(n)  and  -2 t^{-2} x^2 (P(n) + Q(n)) + T_n(y) R2
+
+    where G(n) = sum_{r=0}^{2n-1} t^{2r} f(n-1-r) is X1*T_n(y)'s k-sum and,
+    for J = 2p - 2, P(n) = sum_{j=0}^{J} t^{-2j} f(n+j) and
+    Q(n) = sum_{j=0}^{J} t^{-2j} f(j-n) are T_n(y) times X_{2p}'s.  The rests
+    R1(n) and R2 are read off x1_T_closed(n) and big_x(2p), once per n and
+    once per p, as the embedded terms outside the k-sums: their heads while
+    the families have their closed forms, and whatever else a family holds
+    if one changes, so the residual is always the one embed would give.
+    G, P and Q are kept as tables per (p, rule), and a sweep over n
+    ascending steps them by
+
+        G(n) = t^2 G(n-1) + f(n-1) + t^{4n-2} f(-n)
+        P(n) = t^2 P(n-1) - t^2 f(n-1) + t^{-2J} f(n+J)
+        Q(n) = t^{-2} Q(n-1) - t^{-2J-2} f(J+1-n) + f(-n),
+
+    reindexings that hold for every sequence f, so under every rule, mutants
+    included: six reduced powers per n, and no handlebody element.
     """
-    diff = _mirrored_x1_T_closed(n) - big_x(2 * p).mirror().times_t_y(n)
-    return embed(diff, p, Convention.KBSM, rule)
+    f = JonesSequence(p, Convention.KBSM, rule)
+    p, n = f.p, check_int(n)
+    if n < 0:
+        raise ValueError(f"handle slide index n must be >= 0, got {n}")
+    g, pp, q = _handle_slide_tables(f, n)
+    acc = f._table(list(_x1_rest(n))
+                   + [(-c, e, i, N + s) for c, e, i, N in _big_x_rest(p) for s in (n, -n)])
+    d: Table = {}
+    if n:  # G's coefficient 2 (t^{2n} - t^{-2n}) vanishes at n = 0
+        _add(d, g, {2 * n: 2, -2 * n: -2})
+    _add(d, pp, {2 * n - 2: 2})
+    _add(d, q, {-2 * n - 2: 2})
+    _add_x2(acc, d)
+    return _element(p, f.convention, acc)
 
 
 def _a_terms(p: int, n: int, e: int = 0, s: int = 1) -> list[Term]:
@@ -396,29 +539,22 @@ _x2_a_running: dict[tuple[int, ReductionRule], tuple[int, tuple[Row, ...]]] = {}
 def _x2_a_rows(f: JonesSequence, n: int) -> tuple[Row, ...]:
     """x^2 A_n as int rows (m, k, e, c), zeros dropped, with x^2 = S_2(x) + S_0(x).
 
-    When the running entry of (p, rule) is x^2 A_{n-1}, this is one step
-    from it, by the reindexing given at induction_residual; otherwise it is
-    built from A_n's 2n+2p-2 defining terms, so a cold or out-of-order n
-    costs what it did without the entry.  Only the latest n is kept per
-    (p, rule): under a rule for which the identity fails, x^2 A_n can have
-    O(n^2) rows, and keeping every n would hold O(n^3).
+    Kept per (p, rule) by _running: one step from x^2 A_{n-1}, by the
+    reindexing given at induction_residual, or built from A_n's 2n+2p-2
+    defining terms.  Under a rule for which the identity fails, x^2 A_n can
+    have O(n^2) rows, so keeping every n would hold O(n^3).
     """
-    p, key = f.p, (f.p, f.rule)
-    last = _x2_a_running.get(key)
-    if last is not None and last[0] == n:
-        return last[1]
-    step = last is not None and last[0] == n - 1 and n > 0
-    if step:
-        terms = [(1, 4 * n - 2, 0, 1 - n), (1, 4 - 4 * p, 0, n + 2 * p - 2)]
-    else:
-        terms = _a_terms(p, n)
-    acc: Table = {}
-    _emit(acc, (2, 0), [(m, k, e, c) for (m, k, e), c in f._table(terms).items() if c], {0: 1})
-    if step:
-        _emit(acc, (0,), last[1], {2: 1})
-    rows = tuple((m, k, e, c) for (m, k, e), c in acc.items() if c)
-    _x2_a_running[key] = (n, rows)
-    return rows
+    p = f.p
+
+    def x2_a(terms, last=()):
+        acc: Table = {}
+        _add_x2(acc, f._table(terms))
+        _emit(acc, (0,), last, {2: 1})
+        return tuple((m, k, e, c) for (m, k, e), c in acc.items() if c)
+
+    return _running(_x2_a_running, (p, f.rule), n, lambda: x2_a(_a_terms(p, n)),
+                    lambda last: x2_a([(1, 4 * n - 2, 0, 1 - n),
+                                       (1, 4 - 4 * p, 0, n + 2 * p - 2)], last))
 
 
 def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from skeincalc import torusknot
 from skeincalc.chebyshev import normalize_s_index, s_product
 from skeincalc.coeffs import LaurentPoly, as_laurent, t
+from skeincalc.families import big_x, x1_T_closed
 from skeincalc.handlebody import HbElement, X, Z
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
                                  _reduce_items, _x2_a_rows, _x2_a_running, a_element, embed,
@@ -38,6 +39,26 @@ def induction_formula(p, n, c, rule):
 
 def basis_vec(p, c, m, n):
     return TkElement(p, c, {(m, n): LaurentPoly.one()})
+
+
+KBSM_RULES = [ReductionRule.for_convention(KBSM),
+              *ReductionRule.for_convention(KBSM).single_sign_mutations()]
+
+
+def clear_handle_slide_state():
+    torusknot._handle_slide_running.clear()
+    torusknot._x1_rest.cache_clear()
+    torusknot._big_x_rest.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def direct_handle_slide():
+    """(rule, p, n) -> the JSON of embed(mirror(X1*T_n(y)) - T_n(y) mirror(X_{2p})),
+    formed in the handlebody, for every kbsm rule, p <= 8 and 0 <= n <= 2p+4."""
+    return {(rule, p, n): json.dumps(embed(x1_T_closed(n).mirror()
+                                           - big_x(2 * p).mirror().times_t_y(n),
+                                           p, KBSM, rule).to_json())
+            for rule in KBSM_RULES for p in range(1, 9) for n in range(2 * p + 5)}
 
 
 class TestReduce:
@@ -339,22 +360,99 @@ class TestHandleSlide:
         assert handle_slide_residual(1, 5).is_zero()
         assert handle_slide_residual(2, 3).is_zero()
 
-    def test_mirrored_family_memo_keeps_a_whole_sweep(self):
-        # the handle-slide suite sweeps n = 1 ... 2p+4 for each p in turn, and
-        # a bounded LRU swept by more keys than it holds misses on every call
-        memo = torusknot._mirrored_x1_T_closed
-        memo.cache_clear()
-        for n in range(1, 131):
-            memo(n)
-        misses = memo.cache_info().misses
-        for n in range(1, 131):
-            memo(n)
-        assert memo.cache_info().misses == misses == 130
+    def test_arguments_are_checked_before_the_running_state(self):
+        torusknot._handle_slide_running.clear()
+        with pytest.raises(TypeError, match=r"2\.0"):
+            handle_slide_residual(1, 2.0)
+        with pytest.raises(ValueError):
+            handle_slide_residual(1, -1)
+        with pytest.raises(TypeError):
+            handle_slide_residual(1.0, 2)
+        with pytest.raises(ValueError):
+            handle_slide_residual(0, 2)
+        assert torusknot._handle_slide_running == {}
+
+    def test_running_tables_keep_one_n_per_rule(self):
+        # a sweep keeps G, P and Q of its latest n only; under the tail_sign
+        # mutant, whose residuals do not vanish, the tables stay small
+        base = ReductionRule.for_convention(KBSM)
+        tail = base.single_sign_mutations()[3]
+        assert tail.tail_sign == -base.tail_sign
+        for rule in (base, tail):
+            torusknot._handle_slide_running.clear()
+            nonzero = [not handle_slide_residual(30, n, rule).is_zero() for n in range(65)]
+            assert any(nonzero) == (rule is tail)
+            assert list(torusknot._handle_slide_running) == [(30, rule)]
+            last, tables = torusknot._handle_slide_running[(30, rule)]
+            assert last == 64 and len(tables) == 3
+            assert all(0 < len(table) <= 250 for table in tables), [len(x) for x in tables]
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled", "cold"])
+    def test_equals_the_embedded_difference(self, order, direct_handle_slide):
+        # every point of every kbsm rule, in a sweep that steps the running
+        # tables, in a seeded shuffle and with the state cleared before each
+        points = sorted(direct_handle_slide, key=lambda k: (KBSM_RULES.index(k[0]), k[1], k[2]))
+        if order == "shuffled":
+            random.Random(12).shuffle(points)
+        torusknot._handle_slide_running.clear()
+        for rule, p, n in points:
+            if order == "cold":
+                torusknot._handle_slide_running.clear()
+            got = json.dumps(handle_slide_residual(p, n, rule).to_json())
+            assert got == direct_handle_slide[(rule, p, n)], (rule, p, n)
+
+    @pytest.mark.parametrize("family", ["x1_T_closed", "big_x"])
+    def test_follows_a_changed_family(self, family, monkeypatch):
+        # the terms outside the k-sums are read off the family functions, so
+        # a family with one more term gives the embed of the changed
+        # difference, and the check fails
+        extra = HbElement.cheb({(1, 3, 2): t(5, 3)})
+        sides = {"x1_T_closed": x1_T_closed, "big_x": big_x}
+        sides[family] = lambda i, unchanged=sides[family]: unchanged(i) + extra
+        monkeypatch.setattr(torusknot, family, sides[family])
+        clear_handle_slide_state()
+        try:
+            for p in range(1, 4):
+                for n in range(2 * p + 5):
+                    want = embed(sides["x1_T_closed"](n).mirror()
+                                 - sides["big_x"](2 * p).mirror().times_t_y(n), p, KBSM)
+                    got = handle_slide_residual(p, n)
+                    assert not got.is_zero() and got == want, (p, n)
+        finally:
+            monkeypatch.undo()
+            clear_handle_slide_state()
+
+    def test_sweep_builds_each_family_once(self, monkeypatch):
+        # a sweep reads x1_T_closed once per n and big_x(2p) once per p, and
+        # embeds, mirrors or multiplies by T_n(y) nothing per (p, n)
+        for i in range(13):
+            big_x(i)
+        built, other = [], []
+
+        def logged(log, name, fn):
+            return lambda *a: log.append((name, a)) or fn(*a)
+
+        monkeypatch.setattr(torusknot, "x1_T_closed", logged(built, "x1", x1_T_closed))
+        monkeypatch.setattr(torusknot, "big_x", logged(built, "big_x", big_x))
+        monkeypatch.setattr(torusknot, "embed", logged(other, "embed", embed))
+        for name in ("mirror", "times_t_y"):
+            monkeypatch.setattr(HbElement, name, logged(other, name, getattr(HbElement, name)))
+        clear_handle_slide_state()
+        try:
+            for p in range(1, 7):
+                for n in range(1, 2 * p + 5):
+                    assert handle_slide_residual(p, n).is_zero(), (p, n)
+        finally:
+            monkeypatch.undo()
+            clear_handle_slide_state()
+        assert other == []
+        assert sorted(built) == ([("big_x", (2 * p,)) for p in range(1, 7)]
+                                 + [("x1", (n,)) for n in range(1, 17)])
 
     def test_embed_is_linear_under_every_rule(self):
-        # handle_slide_residual embeds the difference of its two sides, which
-        # equals the difference of the embedded sides only if embed is linear,
-        # for the mutant rules too
+        # handle_slide_residual embeds each side's heads and k-sums apart and
+        # adds the results, which is the embed of the difference of the two
+        # sides only if embed is linear, for the mutant rules too
         a = HbElement.cheb({(1, 3, 2): t(2), (0, 4, 1): -1, (2, 0, 0): t(-1, 3)})
         b = HbElement.cheb({(1, 3, 2): t(2), (3, 5, 0): t(1), (0, 2, 2): 2})
         base = ReductionRule.for_convention(KBSM)
