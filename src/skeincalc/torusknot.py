@@ -12,14 +12,16 @@ reduction rule; two rule conventions are supported and never mixed:
 for n >= 1, with negative indices folded by S_{-n} = -S_{n-2} first.  Each
 application strictly lowers the offending y-index, so reduction is one loop
 down the chain N -> p-n-1, memoised as int rows (m, n, e, sign): every
-coefficient it produces is a monomial.  The layer adds rows into flat int
-tables (m, n, e) -> c with _emit, one table into another with _add and
-_add_x2, and _element alone turns a table into an element.
-JonesSequence.sum takes int terms (c, e, i, N) for c t^e S_i(x) f(N) and
-merges them by folded index before it reduces any, so each residual is
-one table of both sides' terms, terms that cancel are never reduced, and no
-coefficient object is built before the result.  The module has no product of
-its own: the x-subalgebra acts on it through times_sx, and * takes scalars.
+coefficient it produces is a monomial.  JonesSequence.sum takes int terms
+(c, e, i, N) for c t^e S_i(x) f(N), merges them by folded (i, N, e) and
+adds the rows of each surviving f(N), read from the memo once per N, times
+S_i(x) into a flat int table (m, n, e) -> c: the layer's one accumulation
+loop.  embed and times_sx are such sums, of reduced powers times S(x).
+Tables are added to tables by _add and _add_x2, and _element alone turns a
+table into an element.  So each residual is one table of both sides' terms,
+terms that cancel are never reduced, and no coefficient object is built
+before the result.  The module has no product of its own: the x-subalgebra
+acts on it through times_sx, and * takes scalars.
 
 The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity, homogeneous recursion) each return a residual element;
@@ -42,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 
 from .chebyshev import normalize_s_index, s_product
 from .coeffs import LaurentPoly, Sparse, check_int, check_key
@@ -184,10 +186,9 @@ class TkElement(Sparse):
         if norm is None:
             return self._like({})
         sign, jj = norm
-        acc: Table = {}
-        _emit(acc, (jj,), [(m, n, e, v) for (m, n), cf in self.terms.items()
-                           for e, v in cf.terms.items()], {0: sign})
-        return _element(self.p, self.convention, acc)
+        return JonesSequence(self.p, self.convention)._sum(
+            (sign * v, e, i, n) for (m, n), cf in self.terms.items()
+            for e, v in cf.terms.items() for i in s_product(jj, m))
 
     def to_json(self) -> dict:
         return {"p": self.p, "convention": self.convention.value, "terms": self._json_rows()}
@@ -202,23 +203,6 @@ def reduce_sy(N: int, p: int, c: Convention,
               rule: ReductionRule | None = None) -> TkElement:
     """Express S_N(y) in the bounded basis under the given convention."""
     return JonesSequence(p, c, rule)(N)
-
-
-def _emit(acc: Table, xs: Sequence[int], rows: Iterable[Row],
-          scalar: Mapping[int, int]) -> None:
-    """acc += scalar * S_mx(x) * (the sum of the rows) for each mx in xs, the
-    scalar given by its terms {e: c}: the layer's one accumulation loop.  It
-    prunes nothing; _element drops the zeros at the end.  The x-indices are
-    s_product(mx, m), inlined: this loop is the layer's hot spot."""
-    get = acc.get
-    for se, sc in scalar.items():
-        for m, n, e, c in rows:
-            e += se
-            c *= sc
-            for mx in xs:
-                for mf in range(abs(mx - m), mx + m + 1, 2):
-                    key = (mf, n, e)
-                    acc[key] = get(key, 0) + c
 
 
 def _element(p: int, c: Convention, acc: Table) -> TkElement:
@@ -240,11 +224,9 @@ def embed(h: HbElement, p: int, c: Convention,
     embed(h).times_sx(j)) but not with multiplication by y, so a product with
     y-content is formed in the handlebody before it is embedded.
     """
-    f = JonesSequence(p, c, rule)
-    acc: Table = {}
-    for (m, n, k), coeff in h.to_basis(CHEBYSHEV).terms.items():
-        _emit(acc, s_product(m, k), _reduce_items(n, f.p, f.rule), coeff.terms)
-    return _element(f.p, f.convention, acc)
+    return JonesSequence(p, c, rule)._sum(
+        (v, e, i, n) for (m, n, k), cf in h.to_basis(CHEBYSHEV).terms.items()
+        for e, v in cf.terms.items() for i in s_product(m, k))
 
 
 class JonesSequence:
@@ -267,10 +249,11 @@ class JonesSequence:
     def sum(self, terms: Iterable[Term]) -> TkElement:
         """The sum of c t^e S_i(x) f(N) over the int terms (c, e, i, N), i and N any integers.
 
-        Terms are merged by folded (i, N) before anything is reduced, with
+        Terms are merged by folded (i, N, e) before anything is reduced, with
         S_{-1} = f(-1) = 0 and S_{-j} = -S_{j-2}, f(-j) = -f(j-2) for j >= 2,
-        so terms that cancel cost no reduction.  A Laurent coefficient enters
-        as one term per monomial.
+        so terms that cancel cost no reduction, and each f(N) left is read
+        from the reduce memo once.  A Laurent coefficient enters as one term
+        per monomial.
 
         >>> f = JonesSequence(1, Convention.KBSM)
         >>> str(f.sum([(1, 0, 0, 2), (1, 0, -3, 0)]))
@@ -286,18 +269,38 @@ class JonesSequence:
         return _element(self.p, self.convention, self._table(terms))
 
     def _table(self, terms: Iterable[Term]) -> Table:
-        """The sum of the terms as a flat table: merged by folded (i, N), then reduced."""
+        """The sum of the terms as a flat table, the layer's one accumulation
+        loop: merged by folded (i, N, e), then each nonzero entry adds the
+        rows of f(N), read from the memo once per N, times S_i(x).  It prunes
+        nothing; _element drops the zeros at the end.  The x-indices are
+        s_product(i, m), inlined: this loop is the layer's hot spot."""
         acc: Table = {}
-        for (i, N), scalar in _merge(terms).items():
-            scalar = {e: c for e, c in scalar.items() if c}
-            if scalar:
-                _emit(acc, (i,), _reduce_items(N, self.p, self.rule), scalar)
+        get = acc.get
+        p, rule = self.p, self.rule
+        reduced: dict[int, tuple[Row, ...]] = {}
+        for (i, N, se), sc in _merge(terms).items():
+            if not sc:
+                continue
+            rows = reduced.get(N)
+            if rows is None:
+                rows = reduced[N] = _reduce_items(N, p, rule)
+            for m, n, e, c in rows:
+                e += se
+                c *= sc
+                if i == 0 or m == 0:
+                    key = (i + m, n, e)
+                    acc[key] = get(key, 0) + c
+                else:
+                    for mf in range(abs(i - m), i + m + 1, 2):
+                        key = (mf, n, e)
+                        acc[key] = get(key, 0) + c
         return acc
 
 
-def _merge(terms: Iterable[Term]) -> dict[tuple[int, int], dict[int, int]]:
-    """The int terms merged by folded (i, N) into scalars {e: c}, zeros kept."""
-    merged: dict[tuple[int, int], dict[int, int]] = {}
+def _merge(terms: Iterable[Term]) -> dict[tuple[int, int, int], int]:
+    """The int terms merged by folded (i, N, e), zeros kept."""
+    merged: dict[tuple[int, int, int], int] = {}
+    get = merged.get
     for c, e, i, N in terms:
         if i == -1 or N == -1:
             continue
@@ -305,8 +308,8 @@ def _merge(terms: Iterable[Term]) -> dict[tuple[int, int], dict[int, int]]:
             c, i = -c, -i - 2
         if N < 0:
             c, N = -c, -N - 2
-        scalar = merged.setdefault((i, N), {})
-        scalar[e] = scalar.get(e, 0) + c
+        key = (i, N, e)
+        merged[key] = get(key, 0) + c
     return merged
 
 
@@ -380,8 +383,7 @@ def _embedded_rest(h: HbElement, ksum: list[Term]) -> tuple[Term, ...]:
                      for (m, N, k), cf in h.to_basis(CHEBYSHEV).terms.items()
                      for e, c in cf.terms.items() for i in s_product(m, k)]
                     + [(-c, e, i, N) for c, e, i, N in ksum])
-    return tuple((c, e, i, N) for (i, N), scalar in merged.items()
-                 for e, c in scalar.items() if c)
+    return tuple((c, e, i, N) for (i, N, e), c in merged.items() if c)
 
 
 @functools.lru_cache(maxsize=None)
@@ -435,9 +437,9 @@ def _add(acc: Table, table: Table, scalar: Mapping[int, int]) -> Table:
     return acc
 
 
-def _add_x2(acc: Table, table: Table) -> None:
+def _add_x2(acc: Table, table: Table) -> Table:
     """acc += x^2 * table, by x^2 S_m(x) = S_{m+2}(x) + 2 S_m(x) + S_{m-2}(x),
-    which is S_3 + 2 S_1 at m = 1 and S_2 + S_0 at m = 0."""
+    which is S_3 + 2 S_1 at m = 1 and S_2 + S_0 at m = 0; returns acc."""
     get = acc.get
     for (m, n, e), c in table.items():
         key = (m + 2, n, e)
@@ -447,6 +449,7 @@ def _add_x2(acc: Table, table: Table) -> None:
         if m >= 2:
             key = (m - 2, n, e)
             acc[key] = get(key, 0) + c
+    return acc
 
 
 def handle_slide_residual(p: int, n: int,
@@ -532,27 +535,24 @@ def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
                   + _y_terms(p, f.rule, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
 
 
-# (p, rule) -> (n, rows of x^2 A_n): the running x^2 A_n of each (p, rule)
-_x2_a_running: dict[tuple[int, ReductionRule], tuple[int, tuple[Row, ...]]] = {}
+# (p, rule) -> (n, x^2 A_n): the running x^2 A_n of each (p, rule)
+_x2_a_running: dict[tuple[int, ReductionRule], tuple[int, Table]] = {}
 
 
-def _x2_a_rows(f: JonesSequence, n: int) -> tuple[Row, ...]:
-    """x^2 A_n as int rows (m, k, e, c), zeros dropped, with x^2 = S_2(x) + S_0(x).
+def _x2_a_table(f: JonesSequence, n: int) -> Table:
+    """x^2 A_n as a table, zeros dropped, with x^2 = S_2(x) + S_0(x).
 
     Kept per (p, rule) by _running: one step from x^2 A_{n-1}, by the
     reindexing given at induction_residual, or built from A_n's 2n+2p-2
     defining terms.  Under a rule for which the identity fails, x^2 A_n can
-    have O(n^2) rows, so keeping every n would hold O(n^3).
+    have O(n^2) entries, so keeping every n would hold O(n^3).
     """
     p = f.p
 
-    def x2_a(terms, last=()):
-        acc: Table = {}
-        _add_x2(acc, f._table(terms))
-        _emit(acc, (0,), last, {2: 1})
-        return tuple((m, k, e, c) for (m, k, e), c in acc.items() if c)
+    def x2_a(terms, last: Table) -> Table:
+        return _add(_add({}, last, {2: 1}), _add_x2({}, f._table(terms)), {0: 1})
 
-    return _running(_x2_a_running, (p, f.rule), n, lambda: x2_a(_a_terms(p, n)),
+    return _running(_x2_a_running, (p, f.rule), n, lambda: x2_a(_a_terms(p, n), {}),
                     lambda last: x2_a([(1, 4 * n - 2, 0, 1 - n),
                                        (1, 4 - 4 * p, 0, n + 2 * p - 2)], last))
 
@@ -561,7 +561,7 @@ def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
                        rule: ReductionRule | None = None) -> TkElement:
     """Residual of (S_{2p+2n-2}(x) + S_{2p+2n-4}(x)) Y = (-1)^{p+n} t^{2p-2n-1} x^2 A_n.
 
-    One table: the left side's terms, then the rows of x^2 A_n emitted once
+    One table: the left side's terms, then the table of x^2 A_n added once
     under the right side's scalar.  For n >= 1,
 
         A_n = t^2 A_{n-1} + t^{4n-2} f(1-n) + t^{4-4p} f(n+2p-2),
@@ -577,7 +577,7 @@ def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
     p, n = f.p, check_int(n)
     acc = f._table(_y_terms(p, f.rule, 2 * p + 2 * n - 2, 0, 1)
                    + _y_terms(p, f.rule, 2 * p + 2 * n - 4, 0, 1))
-    _emit(acc, (0,), _x2_a_rows(f, n), {2 * p - 2 * n - 1: -_parity_sign(p + n)})
+    _add(acc, _x2_a_table(f, n), {2 * p - 2 * n - 1: -_parity_sign(p + n)})
     return _element(p, f.convention, acc)
 
 

@@ -29,3 +29,17 @@ def test_traced_cli_run_binds_every_layer():
                     if name.startswith(layer + "."))
         assert calls > 0, layer
     assert len(trace["memos"]) == 4
+
+
+def test_traced_sums_read_the_reduce_memo():
+    # the census reads torusknot's reduction memo by name; a qtorus run
+    # reduces through JonesSequence sums only, so they must go through it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), "cli", "verify",
+         "--suite", "qtorus", "--p-max", "2", "--n-max", "3", "--json", "-"],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["exit"] == 0
+    assert out["trace"]["memos"]["torusknot"]["misses"] > 0

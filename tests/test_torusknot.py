@@ -14,7 +14,7 @@ from skeincalc.coeffs import LaurentPoly, as_laurent, t
 from skeincalc.families import big_x, x1_T_closed
 from skeincalc.handlebody import HbElement, X, Z
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
-                                 _reduce_items, _x2_a_rows, _x2_a_running, a_element, embed,
+                                 _reduce_items, _x2_a_running, _x2_a_table, a_element, embed,
                                  handle_slide_residual, induction_residual, reduce_sy,
                                  relation_residual, rt_recursion_residual,
                                  telescope_residual, y_shorthand)
@@ -227,17 +227,32 @@ class TestJonesSum:
         assert f.sum(rows) == expected
 
     def test_cancelling_terms_reduce_nothing(self):
-        # terms are merged by folded (i, N) before any reduction, so a
-        # cancelling pair never reaches the reduce memo
+        # terms are merged by folded (i, N, e) before any reduction, so a
+        # cancelling pair never reaches the reduce memo, also when two
+        # exponents on one (i, N) each cancel against a term written with
+        # both i and N folded
         f = JonesSequence(2, KBSM)
         for N in (7, 30, 61):
             for terms in ([(1, 0, 0, N), (-1, 0, 0, N)], [(1, 0, 0, -N - 2), (1, 0, 0, N)],
                           [(1, 3, -5, N), (1, 3, 3, N)], [(1, 1, 4, -1), (2, 0, -1, N)],
                           [(2, 1, 1, N), (1, -3, 1, N), (-2, 1, -3, -N - 2),
-                           (-1, -3, 1, N)]):
+                           (-1, -3, 1, N)],
+                          [(2, 1, 2, N), (-1, 5, 2, N), (-2, 1, -4, -N - 2),
+                           (1, 5, -4, -N - 2)]):
                 misses = _reduce_items.cache_info().misses
                 assert f.sum(terms).is_zero(), (N, terms)
                 assert _reduce_items.cache_info().misses == misses, (N, terms)
+
+    def test_one_memo_read_per_reduced_power(self):
+        # several (i, e) entries on one N, some written folded, read the
+        # reduce memo once between them
+        f = JonesSequence(2, KBSM)
+        for N in (5, 17, 33):
+            terms = [(1, 0, 0, N), (2, 3, 1, N), (-1, 5, -6, -N - 2), (1, 2, 6, N), (3, -2, 0, N)]
+            before = _reduce_items.cache_info()
+            assert not f.sum(terms).is_zero()
+            after = _reduce_items.cache_info()
+            assert after.hits + after.misses == before.hits + before.misses + 1, N
 
     def test_cold_telescope_reduces_only_the_survivors(self):
         # A_{n+1} - t^2 A_n leaves two of its 4n+4p terms, plus the right
@@ -250,6 +265,86 @@ class TestJonesSum:
         got = JonesSequence(2, RT).sum([])
         assert got.is_zero() and (got.p, got.convention) == (2, RT)
         assert got == TkElement(2, RT)
+
+
+def literal_reduce(N, p, c, rule):
+    """S_N(y) rewritten by the rule exactly as the ReductionRule docstring
+    states it, in element arithmetic: fold S_{-1} = 0 and S_{-n} = -S_{n-2},
+    keep 0 <= N <= p, and rewrite S_{p+n}(y) for n >= 1, recursing on the tail."""
+    if N == -1:
+        return TkElement(p, c)
+    if N < -1:
+        return -literal_reduce(-N - 2, p, c, rule)
+    if N <= p:
+        return basis_vec(p, c, 0, N)
+    n = N - p
+    a = (-1) ** n if rule.alternating else 1
+    bracket = (TkElement(p, c, {(2 * n, p - 1): t(1, rule.s_pm1_sign)})
+               + TkElement(p, c, {(2 * n, p): t(-1, rule.s_p_sign)}))
+    return (bracket * t(2 * n + 1, rule.lead_sign * a)
+            + literal_reduce(p - n - 1, p, c, rule) * t(4 * n + 2, rule.tail_sign))
+
+
+def literal_times_sx(elem, i):
+    """elem times S_i(x), term by term through s_product and element addition."""
+    out = TkElement(elem.p, elem.convention)
+    norm = normalize_s_index(i)
+    if norm is None:
+        return out
+    sign, i = norm
+    for (m, n), coeff in elem.terms.items():
+        for k in s_product(i, m):
+            out = out + TkElement(elem.p, elem.convention, {(k, n): coeff * sign})
+    return out
+
+
+class TestLiteralReduction:
+    # an oracle that shares no code with JonesSequence._table: p <= 4 and
+    # |N| up to 3p+6 give chains of three or more rule steps, and S_i(x) for
+    # -8 <= i <= 6 runs both the one-term products (i = 0 or a row at m = 0)
+    # and the longer ones
+
+    @pytest.mark.parametrize("c, rule", ALL_RULES)
+    def test_reduce_sy(self, c, rule):
+        for p in range(1, 5):
+            for N in range(-3 * p - 8, 3 * p + 7):
+                assert reduce_sy(N, p, c, rule) == literal_reduce(N, p, c, rule), (p, N)
+
+    @pytest.mark.parametrize("c, rule", ALL_RULES)
+    def test_times_sx(self, c, rule):
+        for p in range(1, 5):
+            for N in range(-3 * p - 8, 3 * p + 7, 3):
+                elem = literal_reduce(N, p, c, rule)
+                for i in range(-8, 7):
+                    assert elem.times_sx(i) == literal_times_sx(elem, i), (p, N, i)
+
+    @pytest.mark.parametrize("c, rule", ALL_RULES)
+    def test_sum(self, c, rule):
+        rng = random.Random(13)
+        for p in range(1, 5):
+            for _ in range(25):
+                terms = [(rng.randint(-3, 3), rng.randint(-6, 6), rng.randint(-8, 6),
+                          rng.randint(-3 * p - 8, 3 * p + 6)) for _ in range(rng.randint(1, 8))]
+                expected = TkElement(p, c)
+                for coeff, e, i, N in terms:
+                    expected = expected + literal_times_sx(literal_reduce(N, p, c, rule), i) * t(e, coeff)
+                assert JonesSequence(p, c, rule).sum(terms) == expected, (p, terms)
+
+    @pytest.mark.parametrize("c, rule", ALL_RULES)
+    def test_embed(self, c, rule):
+        # a Chebyshev-basis element: S_m(x) S_n(y) S_k(z) embeds to
+        # S_m(x) S_k(x) f(n), z mapping to x
+        rng = random.Random(17)
+        for p in range(1, 5):
+            for _ in range(10):
+                keys = {(rng.randint(0, 6), rng.randint(0, 3 * p + 6), rng.randint(0, 6)):
+                        t(rng.randint(-4, 4), rng.choice((-2, -1, 1, 3)))
+                        for _ in range(rng.randint(1, 4))}
+                expected = TkElement(p, c)
+                for (m, n, k), coeff in keys.items():
+                    expected = expected + literal_times_sx(
+                        literal_times_sx(literal_reduce(n, p, c, rule), m), k) * coeff
+                assert embed(HbElement.cheb(keys), p, c, rule) == expected, (p, keys)
 
 
 class TestMemoIsolation:
@@ -548,7 +643,7 @@ class TestTelescope:
 
     def test_ascending_sweep_steps_from_the_running_rows(self, monkeypatch):
         # x^2 A_n is one step from x^2 A_{n-1}: a sweep builds A_n from its
-        # defining terms once, at its first n, and gives the same rows as a
+        # defining terms once, at its first n, and gives the same table as a
         # cold build at every n, under every rule
         calls = []
         a_terms = torusknot._a_terms
@@ -556,33 +651,33 @@ class TestTelescope:
         for _, rule in ALL_RULES:
             _x2_a_running.clear()
             f = JonesSequence(3, KBSM, rule)
-            swept = [_x2_a_rows(f, n) for n in range(11)]
+            swept = [_x2_a_table(f, n) for n in range(11)]
             assert calls == [(3, 0)], rule
             calls.clear()
-            for n, rows in enumerate(swept):
+            for n, table in enumerate(swept):
                 _x2_a_running.clear()
-                assert sorted(_x2_a_rows(f, n)) == sorted(rows), (rule, n)
+                assert _x2_a_table(f, n) == table, (rule, n)
             calls.clear()
 
     def test_running_rows_keep_one_n_per_rule(self):
         # under a rule for which the identity fails, x^2 A_n grows like n^2
-        # rows, so only the latest n is kept
+        # entries, so only the latest n is kept
         tail = ReductionRule.for_convention(KBSM).single_sign_mutations()[3]
         _x2_a_running.clear()
         f = JonesSequence(1, KBSM, tail)
-        sizes = [len(_x2_a_rows(f, n)) for n in range(61)]
+        sizes = [len(_x2_a_table(f, n)) for n in range(61)]
         assert sizes[60] > 50 * sizes[4]
         assert list(_x2_a_running) == [(1, tail)] and _x2_a_running[(1, tail)][0] == 60
 
     def test_base_rule_memo_holds_the_left_side(self):
         # under the base rule x^2 A_n is the left side up to a monomial:
-        # four rows, S_{2p+2n-2}(x) and S_{2p+2n-4}(x) times S_{p-1}(y), S_p(y)
+        # four entries, S_{2p+2n-2}(x) and S_{2p+2n-4}(x) times S_{p-1}(y), S_p(y)
         for p in range(1, 5):
             f = JonesSequence(p, KBSM)
             for n in range(1, 2 * p + 5):
-                rows = _x2_a_rows(f, n)
-                assert len(rows) == 4, (p, n)
-                assert {(m, k) for m, k, _, _ in rows} == {
+                table = _x2_a_table(f, n)
+                assert len(table) == 4, (p, n)
+                assert {(m, k) for m, k, _ in table} == {
                     (m, k) for m in (2 * p + 2 * n - 2, 2 * p + 2 * n - 4) for k in (p - 1, p)}
 
 
