@@ -27,14 +27,15 @@ The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity, homogeneous recursion) each return a residual element;
 a check passes exactly when its residual is zero.  Every one of them accepts
 an explicit ReductionRule so that deliberately perturbed rules can demonstrate
-the checks have discriminating power.  Two checks keep running values per
-(p, rule), through the one policy of _running: the latest n only, one step
-from n-1 when a sweep ascends, else built from the defining sums.  Each step
-is a reindexing of those sums, so it holds for every sequence f, under every
-rule.  The induction identity keeps its right side x^2 A_n.  The handle
-slide builds no handlebody element per (p, n): both sides embed to a few
-head terms plus geometric k-sums of f, and it keeps the k-sums as three
-tables G, P and Q, stepped by reindexings given at handle_slide_residual.
+the checks have discriminating power.  Every running sum of the layer is a
+window of one weighted sequence, U(lo, hi) = sum_{N=lo}^{hi} t^{-2N} f(N),
+oriented so that U(a, b) + U(b+1, c) = U(a, c) for all a, b, c.  _window
+keeps x^2 U of the latest [lo, hi] per (p, rule, slot), and reaches the next
+window by adding and subtracting the powers at its two ends when that
+reduces fewer powers than a fresh build.  Additivity holds for every
+sequence f, so under every rule.  The induction identity's x^2 A_n is one
+window.  The handle slide builds no handlebody element per (p, n): both
+sides embed to a few head terms plus geometric k-sums of f, two windows.
 The rest of each side is read off the family functions, so the residual
 stays the embed of the difference of the two sides even if a family changes.
 """
@@ -74,9 +75,10 @@ class ReductionRule:
                           (s_pm1_sign * t * S_{p-1}(y) + s_p_sign * t^{-1} * S_p(y))
                       + tail_sign * t^{4n+2} S_{p-n-1}(y)
 
-    where a(n) = (-1)^n when ``alternating`` and 1 otherwise.  A rule is part
-    of every memo key of the module, so its hash is computed once, kept
-    outside the fields.
+    where a(n) = (-1)^n when ``alternating`` and 1 otherwise.  Each sign is
+    an int +1 or -1 and ``alternating`` a bool, else TypeError or ValueError.
+    A rule is part of every memo key of the module, so its hash is computed
+    once, kept outside the fields.
     """
 
     lead_sign: int
@@ -85,7 +87,16 @@ class ReductionRule:
     s_p_sign: int
     tail_sign: int
 
+    _SIGNS = ("lead_sign", "s_pm1_sign", "s_p_sign", "tail_sign")
+
     def __post_init__(self):
+        for field in self._SIGNS:
+            sign = check_int(getattr(self, field))
+            if sign not in (1, -1):
+                raise ValueError(f"{field} must be 1 or -1, got {sign}")
+            object.__setattr__(self, field, sign)
+        if not isinstance(self.alternating, bool):
+            raise TypeError(f"alternating must be a bool, got {self.alternating!r}")
         object.__setattr__(self, "_hash", hash(dataclasses.astuple(self)))
 
     def __hash__(self) -> int:
@@ -98,10 +109,8 @@ class ReductionRule:
 
     def single_sign_mutations(self) -> tuple[ReductionRule, ...]:
         """All rules obtained by flipping exactly one of the four sign slots."""
-        out = []
-        for field in ("lead_sign", "s_pm1_sign", "s_p_sign", "tail_sign"):
-            out.append(dataclasses.replace(self, **{field: -getattr(self, field)}))
-        return tuple(out)
+        return tuple(dataclasses.replace(self, **{field: -getattr(self, field)})
+                     for field in self._SIGNS)
 
 
 _BASE_RULES = {Convention.KBSM: ReductionRule(1, True, 1, 1, -1),
@@ -241,7 +250,11 @@ class JonesSequence:
     def __init__(self, p: int, convention: Convention | str,
                  rule: ReductionRule | None = None):
         self.p, self.convention = _context(p, convention)
-        self.rule = rule or _BASE_RULES[self.convention]
+        if rule is None:
+            rule = _BASE_RULES[self.convention]
+        elif not isinstance(rule, ReductionRule):
+            raise TypeError(f"expected a ReductionRule, got {rule!r}")
+        self.rule = rule
 
     def __call__(self, n: int) -> TkElement:
         return self._sum([(1, 0, 0, check_int(n))])
@@ -346,35 +359,44 @@ def relation_residual(p: int, n: int, c: Convention,
                   + _y_terms(p, r, 2 * n, 0, -alt))
 
 
-# (p, rule) -> (n, (G, P, Q)): the running tables of the handle slide, kept
-# as t^{-2n} G(n), t^{-2n} P(n) and t^{2n} Q(n), so that a step only adds
-_handle_slide_running: dict[tuple[int, ReductionRule], tuple[int, tuple[Table, ...]]] = {}
+# (p, rule, slot) -> ((lo, hi), x^2 U(lo, hi)): the latest window of each slot
+_windows: dict[tuple[int, ReductionRule, str], tuple[tuple[int, int], Table]] = {}
 
 
-def _running(memo: dict, key, n: int, build, step):
-    """memo[key] brought to n, kept as (n, value): step(value at n-1) when the
-    entry holds n - 1 and n > 0, else build(), so a cold or out-of-order n
-    costs what it would without the entry.  Only the latest n is kept per key:
-    under a rule for which an identity fails, a running value can grow with n."""
-    last = memo.get(key)
-    if last is not None and last[0] == n:
-        return last[1]
-    if last is not None and last[0] == n - 1 and n > 0:
-        value = step(last[1])
+def _u_terms(lo: int, hi: int, e: int, s: int) -> list[Term]:
+    """s t^e U(lo, hi) as int terms, U(lo, hi) = sum_{N=lo}^{hi} t^{-2N} f(N)
+    oriented: U(lo, hi) = -U(hi+1, lo-1) when hi < lo - 1, which makes
+    U(a, b) + U(b+1, c) = U(a, c) for all a, b and c."""
+    if hi < lo:
+        lo, hi, s = hi + 1, lo - 1, -s
+    return [(s, e - 2 * N, 0, N) for N in range(lo, hi + 1)]
+
+
+def _window(f: JonesSequence, slot: str, lo: int, hi: int) -> Table:
+    """x^2 U(lo, hi) as a table, zeros dropped, with x^2 = S_2(x) + S_0(x).
+
+    Only the latest [lo, hi] is kept per (p, rule, slot): under a rule for
+    which an identity fails, a window can have O(n^2) entries.  The window
+    [lo', hi'] kept is brought to [lo, hi] in place by adding U(hi'+1, hi) and
+    subtracting U(lo', lo-1) when those reduce fewer powers than U(lo, hi);
+    else U(lo, hi) is built afresh.  Additivity holds for every sequence f,
+    so under every rule, and x^2 touches only the powers that enter.  The
+    table returned is the one kept, so the next call of its slot changes it.
+    """
+    key = (f.p, f.rule, slot)
+    # no entry yet reads as the empty window [lo, lo-1], which never steps
+    (lo0, hi0), table = _windows.get(key, ((lo, lo - 1), {}))
+    if abs(hi - hi0) + abs(lo - lo0) < abs(hi - lo + 1):
+        terms = _u_terms(hi0 + 1, hi, 0, 1) + _u_terms(lo0, lo - 1, 0, -1)
     else:
-        value = build()
-    memo[key] = (n, value)
-    return value
+        table, terms = {}, _u_terms(lo, hi, 0, 1)
+    _windows[key] = ((lo, hi), table)
+    return _add(table, _add_x2({}, f._table(terms)), {0: 1})
 
 
 def _x2(terms: Iterable[Term]) -> list[Term]:
     """x^2 times the int terms, with x^2 = S_2(x) + S_0(x); each term has i = 0."""
     return [(c, e, i, N) for c, e, _, N in terms for i in (2, 0)]
-
-
-def _g_terms(n: int) -> list[Term]:
-    """G(n) = sum_{r=0}^{2n-1} t^{2r} f(n-1-r)."""
-    return [(1, 2 * r, 0, n - 1 - r) for r in range(2 * n)]
 
 
 def _embedded_rest(h: HbElement, ksum: list[Term]) -> tuple[Term, ...]:
@@ -388,38 +410,15 @@ def _embedded_rest(h: HbElement, ksum: list[Term]) -> tuple[Term, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _x1_rest(n: int) -> tuple[Term, ...]:
-    """mirror(x1_T_closed(n)) embedded, less 2 (1 - t^{-4n}) x^2 G(n)."""
-    g = _g_terms(n)
-    return _embedded_rest(x1_T_closed(n), _x2([(2, e, i, N) for _, e, i, N in g]
-                                             + [(-2, e - 4 * n, i, N) for _, e, i, N in g]))
+    """mirror(x1_T_closed(n)) embedded, less 2 (1 - t^{-4n}) x^2 t^{2n-2} U(-n, n-1)."""
+    return _embedded_rest(x1_T_closed(n), _x2(_u_terms(-n, n - 1, 2 * n - 2, 2)
+                                             + _u_terms(-n, n - 1, -2 * n - 2, -2)))
 
 
 @functools.lru_cache(maxsize=None)
 def _big_x_rest(p: int) -> tuple[Term, ...]:
-    """mirror(big_x(2p)) embedded, less -2 t^{-2} x^2 sum_{j=0}^{2p-2} t^{-2j} S_j(y)."""
-    return _embedded_rest(big_x(2 * p), _x2([(-2, -2 * j - 2, 0, j) for j in range(2 * p - 1)]))
-
-
-def _handle_slide_tables(f: JonesSequence, n: int) -> tuple[Table, ...]:
-    """(t^{-2n} G(n), t^{-2n} P(n), t^{2n} Q(n)) as tables, zeros dropped: the
-    steps given at handle_slide_residual, times the same powers of t, add two
-    reduced powers to each table of n - 1 and move no entry."""
-    p, J = f.p, 2 * f.p - 2
-
-    def step(last):
-        for table, terms in zip(last, ([(1, -2 * n, 0, n - 1), (1, 2 * n - 2, 0, -n)],
-                                       [(-1, 2 - 2 * n, 0, n - 1), (1, -2 * n - 2 * J, 0, n + J)],
-                                       [(-1, 2 * n - 2 * J - 2, 0, J + 1 - n), (1, 2 * n, 0, -n)])):
-            _add(table, f._table(terms), {0: 1})
-        return last
-
-    def build():
-        sums = (_g_terms(n), [(1, -2 * j, 0, n + j) for j in range(J + 1)],
-                [(1, -2 * j, 0, j - n) for j in range(J + 1)])
-        return tuple(_add({}, f._table(terms), {s: 1})
-                     for terms, s in zip(sums, (-2 * n, -2 * n, 2 * n)))
-
-    return _running(_handle_slide_running, (p, f.rule), n, build, step)
+    """mirror(big_x(2p)) embedded, less -2 t^{-2} x^2 U(0, 2p-2)."""
+    return _embedded_rest(big_x(2 * p), _x2(_u_terms(0, 2 * p - 2, -2, -2)))
 
 
 def _add(acc: Table, table: Table, scalar: Mapping[int, int]) -> Table:
@@ -463,36 +462,29 @@ def handle_slide_residual(p: int, n: int,
 
         2 (1 - t^{-4n}) x^2 G(n) + R1(n)  and  -2 t^{-2} x^2 (P(n) + Q(n)) + T_n(y) R2
 
-    where G(n) = sum_{r=0}^{2n-1} t^{2r} f(n-1-r) is X1*T_n(y)'s k-sum and,
-    for J = 2p - 2, P(n) = sum_{j=0}^{J} t^{-2j} f(n+j) and
-    Q(n) = sum_{j=0}^{J} t^{-2j} f(j-n) are T_n(y) times X_{2p}'s.  The rests
+    where, for J = 2p - 2 and U the oriented window sum of _u_terms,
+    G(n) = t^{2n-2} U(-n, n-1) is X1*T_n(y)'s k-sum, and P(n) = t^{2n} U(n, n+J)
+    and Q(n) = t^{-2n} U(-n, J-n) are T_n(y) times X_{2p}'s.  The rests
     R1(n) and R2 are read off x1_T_closed(n) and big_x(2p), once per n and
     once per p, as the embedded terms outside the k-sums: their heads while
     the families have their closed forms, and whatever else a family holds
     if one changes, so the residual is always the one embed would give.
-    G, P and Q are kept as tables per (p, rule), and a sweep over n
-    ascending steps them by
+    By additivity the k-sums of the difference are two windows,
 
-        G(n) = t^2 G(n-1) + f(n-1) + t^{4n-2} f(-n)
-        P(n) = t^2 P(n-1) - t^2 f(n-1) + t^{-2J} f(n+J)
-        Q(n) = t^{-2} Q(n-1) - t^{-2J-2} f(J+1-n) + f(-n),
+        x^2 (2 t^{2n-2} U(-n, n+J) + 2 t^{-2n-2} U(n, J-n)),
 
-    reindexings that hold for every sequence f, so under every rule, mutants
-    included: six reduced powers per n, and no handlebody element.
+    and a sweep over n ascending steps each by two reduced powers per n,
+    under every rule, mutants included, and builds no handlebody element.
     """
     f = JonesSequence(p, Convention.KBSM, rule)
     p, n = f.p, check_int(n)
     if n < 0:
         raise ValueError(f"handle slide index n must be >= 0, got {n}")
-    g, pp, q = _handle_slide_tables(f, n)
+    J = 2 * p - 2
     acc = f._table(list(_x1_rest(n))
                    + [(-c, e, i, N + s) for c, e, i, N in _big_x_rest(p) for s in (n, -n)])
-    d: Table = {}
-    if n:  # G's coefficient 2 (t^{2n} - t^{-2n}) vanishes at n = 0
-        _add(d, g, {2 * n: 2, -2 * n: -2})
-    _add(d, pp, {2 * n - 2: 2})
-    _add(d, q, {-2 * n - 2: 2})
-    _add_x2(acc, d)
+    _add(acc, _window(f, "slide+", -n, n + J), {2 * n - 2: 2})
+    _add(acc, _window(f, "slide-", n, J - n), {-2 * n - 2: 2})
     return _element(p, f.convention, acc)
 
 
@@ -535,49 +527,28 @@ def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
                   + _y_terms(p, f.rule, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
 
 
-# (p, rule) -> (n, x^2 A_n): the running x^2 A_n of each (p, rule)
-_x2_a_running: dict[tuple[int, ReductionRule], tuple[int, Table]] = {}
-
-
-def _x2_a_table(f: JonesSequence, n: int) -> Table:
-    """x^2 A_n as a table, zeros dropped, with x^2 = S_2(x) + S_0(x).
-
-    Kept per (p, rule) by _running: one step from x^2 A_{n-1}, by the
-    reindexing given at induction_residual, or built from A_n's 2n+2p-2
-    defining terms.  Under a rule for which the identity fails, x^2 A_n can
-    have O(n^2) entries, so keeping every n would hold O(n^3).
-    """
-    p = f.p
-
-    def x2_a(terms, last: Table) -> Table:
-        return _add(_add({}, last, {2: 1}), _add_x2({}, f._table(terms)), {0: 1})
-
-    return _running(_x2_a_running, (p, f.rule), n, lambda: x2_a(_a_terms(p, n), {}),
-                    lambda last: x2_a([(1, 4 * n - 2, 0, 1 - n),
-                                       (1, 4 - 4 * p, 0, n + 2 * p - 2)], last))
-
-
 def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
                        rule: ReductionRule | None = None) -> TkElement:
     """Residual of (S_{2p+2n-2}(x) + S_{2p+2n-4}(x)) Y = (-1)^{p+n} t^{2p-2n-1} x^2 A_n.
 
-    One table: the left side's terms, then the table of x^2 A_n added once
-    under the right side's scalar.  For n >= 1,
+    One table: the left side's terms, then x^2 A_n added once under the
+    right side's scalar.  With U the oriented window sum of _u_terms, A_n's
+    two defining sums are t^{2n} U(1-n, n), or no term for n < 0, and
+    t^{2n} U(n+1, n+2p-2), so
 
-        A_n = t^2 A_{n-1} + t^{4n-2} f(1-n) + t^{4-4p} f(n+2p-2),
+        A_n = t^{2n} U(1-|n|, n+2p-2),
 
-    a reindexing of A_n's two defining sums (all other terms of A_n and
-    t^2 A_{n-1} match up, the f(n) of one sum with that of the other).  It
-    holds for every sequence f, so under every ReductionRule, mutants
-    included, and a sweep over n ascending reduces two powers per n, not
-    2n+2p-2; the identity being checked, which does depend on the rule, is
-    still checked in full at every n.
+    one _window, kept per (p, rule): a sweep over n ascending reduces two
+    powers per n, not 2n+2p-2, under every ReductionRule, mutants included.
+    The identity being checked, which does depend on the rule, is still
+    checked in full at every n.
     """
     f = JonesSequence(p, c, rule)
     p, n = f.p, check_int(n)
     acc = f._table(_y_terms(p, f.rule, 2 * p + 2 * n - 2, 0, 1)
                    + _y_terms(p, f.rule, 2 * p + 2 * n - 4, 0, 1))
-    _add(acc, _x2_a_table(f, n), {2 * p - 2 * n - 1: -_parity_sign(p + n)})
+    _add(acc, _window(f, "induction", 1 - abs(n), n + 2 * p - 2),
+         {2 * p - 1: -_parity_sign(p + n)})
     return _element(p, f.convention, acc)
 
 

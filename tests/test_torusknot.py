@@ -14,7 +14,7 @@ from skeincalc.coeffs import LaurentPoly, as_laurent, t
 from skeincalc.families import big_x, x1_T_closed
 from skeincalc.handlebody import HbElement, X, Z
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
-                                 _reduce_items, _x2_a_running, _x2_a_table, a_element, embed,
+                                 _merge, _reduce_items, _u_terms, _window, a_element, embed,
                                  handle_slide_residual, induction_residual, reduce_sy,
                                  relation_residual, rt_recursion_residual,
                                  telescope_residual, y_shorthand)
@@ -45,8 +45,14 @@ KBSM_RULES = [ReductionRule.for_convention(KBSM),
               *ReductionRule.for_convention(KBSM).single_sign_mutations()]
 
 
+def kept_window():
+    """The table of the one window kept."""
+    [(_, table)] = torusknot._windows.values()
+    return table
+
+
 def clear_handle_slide_state():
-    torusknot._handle_slide_running.clear()
+    torusknot._windows.clear()
     torusknot._x1_rest.cache_clear()
     torusknot._big_x_rest.cache_clear()
 
@@ -456,7 +462,7 @@ class TestHandleSlide:
         assert handle_slide_residual(2, 3).is_zero()
 
     def test_arguments_are_checked_before_the_running_state(self):
-        torusknot._handle_slide_running.clear()
+        torusknot._windows.clear()
         with pytest.raises(TypeError, match=r"2\.0"):
             handle_slide_residual(1, 2.0)
         with pytest.raises(ValueError):
@@ -465,22 +471,23 @@ class TestHandleSlide:
             handle_slide_residual(1.0, 2)
         with pytest.raises(ValueError):
             handle_slide_residual(0, 2)
-        assert torusknot._handle_slide_running == {}
+        assert torusknot._windows == {}
 
     def test_running_tables_keep_one_n_per_rule(self):
-        # a sweep keeps G, P and Q of its latest n only; under the tail_sign
-        # mutant, whose residuals do not vanish, the tables stay small
+        # a sweep keeps the two windows of its latest n only; under the
+        # tail_sign mutant, whose residuals do not vanish, they stay small
         base = ReductionRule.for_convention(KBSM)
         tail = base.single_sign_mutations()[3]
         assert tail.tail_sign == -base.tail_sign
-        for rule in (base, tail):
-            torusknot._handle_slide_running.clear()
+        for rule, most in ((base, 12), (tail, 400)):
+            torusknot._windows.clear()
             nonzero = [not handle_slide_residual(30, n, rule).is_zero() for n in range(65)]
             assert any(nonzero) == (rule is tail)
-            assert list(torusknot._handle_slide_running) == [(30, rule)]
-            last, tables = torusknot._handle_slide_running[(30, rule)]
-            assert last == 64 and len(tables) == 3
-            assert all(0 < len(table) <= 250 for table in tables), [len(x) for x in tables]
+            assert [key[:2] for key in torusknot._windows] == [(30, rule)] * 2
+            bounds = sorted(b for b, _ in torusknot._windows.values())
+            assert bounds == [(-64, 122), (64, -6)]
+            sizes = [len(table) for _, table in torusknot._windows.values()]
+            assert all(0 < size <= most for size in sizes), sizes
 
     @pytest.mark.parametrize("order", ["ascending", "shuffled", "cold"])
     def test_equals_the_embedded_difference(self, order, direct_handle_slide):
@@ -489,10 +496,10 @@ class TestHandleSlide:
         points = sorted(direct_handle_slide, key=lambda k: (KBSM_RULES.index(k[0]), k[1], k[2]))
         if order == "shuffled":
             random.Random(12).shuffle(points)
-        torusknot._handle_slide_running.clear()
+        torusknot._windows.clear()
         for rule, p, n in points:
             if order == "cold":
-                torusknot._handle_slide_running.clear()
+                torusknot._windows.clear()
             got = json.dumps(handle_slide_residual(p, n, rule).to_json())
             assert got == direct_handle_slide[(rule, p, n)], (rule, p, n)
 
@@ -631,9 +638,9 @@ class TestTelescope:
                 assert got == expected and str(got) == str(expected), (p, n)
 
     def test_any_order_is_the_element_formula(self):
-        # a cold or out-of-order n is built from A_n's defining terms, the
-        # next n steps from it; n < 0 is always built from the terms
-        _x2_a_running.clear()
+        # each n steps the kept window of A_n from wherever it last was, or
+        # builds it afresh; n < 0 too, where A_n's first sum is empty
+        torusknot._windows.clear()
         points = [(c, rule, p, n) for c, rule in ALL_RULES
                   for p in range(1, 7) for n in range(-2, 2 * p + 5)]
         random.Random(10).shuffle(points)
@@ -641,44 +648,145 @@ class TestTelescope:
             got = induction_residual(p, n, c, rule)
             assert got == induction_formula(p, n, c, rule), (c, rule, p, n)
 
-    def test_ascending_sweep_steps_from_the_running_rows(self, monkeypatch):
-        # x^2 A_n is one step from x^2 A_{n-1}: a sweep builds A_n from its
-        # defining terms once, at its first n, and gives the same table as a
-        # cold build at every n, under every rule
-        calls = []
-        a_terms = torusknot._a_terms
-        monkeypatch.setattr(torusknot, "_a_terms", lambda *a: calls.append(a) or a_terms(*a))
-        for _, rule in ALL_RULES:
-            _x2_a_running.clear()
-            f = JonesSequence(3, KBSM, rule)
-            swept = [_x2_a_table(f, n) for n in range(11)]
-            assert calls == [(3, 0)], rule
-            calls.clear()
+    def test_ascending_sweep_steps_from_the_running_rows(self):
+        # x^2 A_n is one step from x^2 A_{n-1}: the window a sweep keeps is
+        # the same table as a cold build at every n, under every rule
+        for c, rule in ALL_RULES:
+            torusknot._windows.clear()
+            swept = []
+            for n in range(11):
+                induction_residual(3, n, c, rule)
+                swept.append(dict(kept_window()))
             for n, table in enumerate(swept):
-                _x2_a_running.clear()
-                assert _x2_a_table(f, n) == table, (rule, n)
-            calls.clear()
+                torusknot._windows.clear()
+                induction_residual(3, n, c, rule)
+                assert kept_window() == table, (rule, n)
 
     def test_running_rows_keep_one_n_per_rule(self):
         # under a rule for which the identity fails, x^2 A_n grows like n^2
         # entries, so only the latest n is kept
         tail = ReductionRule.for_convention(KBSM).single_sign_mutations()[3]
-        _x2_a_running.clear()
-        f = JonesSequence(1, KBSM, tail)
-        sizes = [len(_x2_a_table(f, n)) for n in range(61)]
+        torusknot._windows.clear()
+        sizes = []
+        for n in range(61):
+            induction_residual(1, n, KBSM, tail)
+            sizes.append(len(kept_window()))
         assert sizes[60] > 50 * sizes[4]
-        assert list(_x2_a_running) == [(1, tail)] and _x2_a_running[(1, tail)][0] == 60
+        assert list(torusknot._windows) == [(1, tail, "induction")]
+        assert torusknot._windows[(1, tail, "induction")][0] == (-59, 60)
 
     def test_base_rule_memo_holds_the_left_side(self):
         # under the base rule x^2 A_n is the left side up to a monomial:
         # four entries, S_{2p+2n-2}(x) and S_{2p+2n-4}(x) times S_{p-1}(y), S_p(y)
         for p in range(1, 5):
-            f = JonesSequence(p, KBSM)
             for n in range(1, 2 * p + 5):
-                table = _x2_a_table(f, n)
+                torusknot._windows.clear()
+                induction_residual(p, n)
+                table = kept_window()
                 assert len(table) == 4, (p, n)
                 assert {(m, k) for m, k, _ in table} == {
                     (m, k) for m in (2 * p + 2 * n - 2, 2 * p + 2 * n - 4) for k in (p - 1, p)}
+
+
+class TestWindows:
+    def test_u_terms_are_oriented_and_additive(self):
+        # U(a, b) + U(b+1, c) = U(a, c) for all a, b, c once the terms are
+        # merged, reversed windows included; U(a, b) has |b - a + 1| terms
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                assert len(_u_terms(a, b, 0, 1)) == abs(b - a + 1), (a, b)
+                for c in range(-6, 7):
+                    merged = _merge(_u_terms(a, b, 3, 2) + _u_terms(b + 1, c, 3, 2)
+                                    + _u_terms(a, c, 3, -2))
+                    assert not any(merged.values()), (a, b, c)
+
+    @pytest.mark.parametrize("rule", KBSM_RULES)
+    def test_random_walk_equals_a_cold_build(self, rule):
+        # a seeded walk of small moves and jumps, empty and reversed windows
+        # among them, each window reached from the last where that is
+        # cheaper than a fresh build: every table is x^2 U
+        # as element arithmetic, with no zero entry
+        f = JonesSequence(2, KBSM, rule)
+        rng = random.Random(12)
+        torusknot._windows.clear()
+        lo, hi, kept, seen = 0, 0, None, set()
+        for _ in range(50):
+            if rng.random() < 0.25:
+                lo, hi = rng.randint(-8, 8), rng.randint(-8, 8)
+            else:
+                lo, hi = lo + rng.randint(-2, 2), hi + rng.randint(-2, 2)
+            table = _window(f, "walk", lo, hi)
+            u = f.sum(_u_terms(lo, hi, 0, 1))
+            assert torusknot._element(2, KBSM, table) == u.times_sx(2) + u, (lo, hi)
+            assert all(table.values()), (lo, hi)
+            seen.add("stepped" if table is kept else "built")
+            seen.add("empty" if hi == lo - 1 else "reversed" if hi < lo - 1 else "forward")
+            kept = table
+        assert seen == {"stepped", "built", "empty", "reversed", "forward"}
+
+    def test_ascending_sweeps_reduce_two_powers_per_window_and_n(self, monkeypatch):
+        # after its first n, an ascending sweep passes four terms per n to the
+        # reduction for the handle slide and two for the induction; the
+        # handle slide's second window U(n, J-n) holds one power at n = p-1
+        # and n = p, and is built afresh there
+        p, J = 30, 58
+        for n in range(65):
+            handle_slide_residual(p, n)  # the rests are cached per n and p
+        passed = []
+        u_terms = torusknot._u_terms
+
+        def logged(*args):
+            terms = u_terms(*args)
+            passed.append(len(terms))
+            return terms
+
+        monkeypatch.setattr(torusknot, "_u_terms", logged)
+        for residual, want in ((handle_slide_residual, [2 + min(2, abs(J + 1 - 2 * n))
+                                                        for n in range(1, 65)]),
+                               (induction_residual, [2] * 64)):
+            torusknot._windows.clear()
+            per_n = []
+            for n in range(65):
+                passed.clear()
+                assert residual(p, n).is_zero(), (residual, n)
+                per_n.append(sum(passed))
+            assert per_n[1:] == want, residual
+
+
+class TestRuleChecks:
+    def test_signs_are_int_plus_or_minus_one(self):
+        base = ReductionRule.for_convention(KBSM)
+        with pytest.raises(TypeError, match="1.5"):
+            ReductionRule(1.5, True, 1, 1, -1)
+        for field in ("lead_sign", "s_pm1_sign", "s_p_sign", "tail_sign"):
+            for bad in (2, 0, -2):
+                with pytest.raises(ValueError, match=field):
+                    dataclasses.replace(base, **{field: bad})
+            with pytest.raises(TypeError):
+                dataclasses.replace(base, **{field: "1"})
+
+    def test_alternating_is_a_bool(self):
+        for bad in ("yes", 1, None):
+            with pytest.raises(TypeError, match="alternating"):
+                ReductionRule(1, bad, 1, 1, -1)
+
+    def test_rule_is_checked_before_any_memo_is_read(self):
+        # a rule that is not a ReductionRule raises, inside the basis window
+        # too, and leaves no memo entry behind
+        _reduce_items.cache_clear()
+        torusknot._windows.clear()
+        for bad in ("kbsm", (1, True, 1, 1, -1)):
+            for N in (1, 5):
+                with pytest.raises(TypeError, match="ReductionRule"):
+                    reduce_sy(3, N, KBSM, bad)
+            with pytest.raises(TypeError, match="ReductionRule"):
+                JonesSequence(3, KBSM, bad)
+            with pytest.raises(TypeError, match="ReductionRule"):
+                handle_slide_residual(1, 2, bad)
+            with pytest.raises(TypeError, match="ReductionRule"):
+                induction_residual(1, 2, KBSM, bad)
+        assert _reduce_items.cache_info().currsize == 0
+        assert torusknot._windows == {}
 
 
 class TestRtRecursion:
