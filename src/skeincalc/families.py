@@ -21,24 +21,18 @@ X_i satisfies
 Reindexing the pair by T_n (so X1*T_n(y) = sum_j c_j X1*y^j for
 T_n = sum_j c_j xi^j) admits the closed forms implemented here, as does X_i.
 The sigma family is the combination sigma_n = t X1*T_n(y) + t^-1 x z T_n(y),
-again with its own closed form.  Each closed form is a list of S-terms, a
-fixed head plus a k-sum, summed by :meth:`HbElement.cheb_sum`.  Each has a
-``*_residual`` function, the closed form minus its oracle, zero where it holds.
+again with its own closed form.  Each closed form is a fixed head plus a
+k-sum.  Each has a ``*_residual`` function, the closed form minus its oracle,
+zero where it holds.
 
-Bases.  The closed forms, the oracles they are checked against and the
-residuals' arithmetic are all in the Chebyshev basis S_m(x) S_n(y) S_k(z):
-
-* :func:`x1y1_T_recursive` (and :func:`x1_T_recursive`,
-  :func:`y1_T_recursive`, :func:`sigma_defining` built on it) pushes
-  T_{n+1} = y T_n - T_{n-1} through the coupled system above, which is linear
-  in the y-polynomial it decorates;
-* :func:`big_x` runs the three-term recursion for X_i.
-
-Only :func:`x1y1_recursive`, the pair at the powers y^n themselves, computes
-in the monomial basis, where its coefficients grow exponentially; it is kept
-as an independent cross-check and for ``skeincalc expand x1y``.  Each
-``*_residual`` converts its difference to the monomial basis, which costs
-nothing when the difference is zero.
+Bases.  Only :func:`x1y1_recursive`, the pair at the powers y^n, computes in
+the monomial basis, where its coefficients grow exponentially; it is kept as
+an independent cross-check and for ``skeincalc expand x1y``.  All else adds
+ints on flat Chebyshev-basis tables (m, n, k, e) -> c, merged as in
+:mod:`skeincalc.handlebody`: each closed form is a list of int terms, and the
+oracles (the pair's, behind :func:`x1y1_T_recursive`, and :func:`big_x`) step
+tables.  Public functions build fresh elements; a ``*_residual`` builds one,
+in the monomial basis, only when closed form and oracle differ.
 """
 
 from __future__ import annotations
@@ -46,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chebyshev import ascending_memo
-from .coeffs import LaurentPoly, t
-from .handlebody import CHEBYSHEV, MONOMIAL, HbElement
+from .coeffs import check_int, t
+from .handlebody import MONOMIAL, HbElement, Table, Term, _element, _merge, _table
 
 
 @dataclass(frozen=True)
@@ -59,19 +53,16 @@ class FamilyPair:
     ypart: HbElement
 
 
-# The seeds and the inhomogeneous terms, in the monomial basis for
-# x1y1_recursive and, written out as S-combinations, in the Chebyshev basis:
-# y = S_1(y), xz = S_1(x) S_1(z), x^2 + z^2 = S_2(x) + S_2(z) + 2.
+# The seeds and the inhomogeneous terms in the monomial basis, for x1y1_recursive.
 _X0_MONO = HbElement.mono({(0, 1, 0): t(4, -1), (1, 0, 1): t(2, -1)})
 _Y0_MONO = HbElement.mono({(0, 0, 0): t(2, -1) + t(-2, -1)})
 _Y_GEN = HbElement.mono({(0, 1, 0): 1})
 _XZ_MONO = HbElement.mono({(1, 0, 1): 1})
 _XSQ_ZSQ_MONO = HbElement.mono({(2, 0, 0): 1, (0, 0, 2): 1})
 
-_X0 = HbElement.cheb({(0, 1, 0): t(4, -1), (1, 0, 1): t(2, -1)})
-_Y0 = HbElement.cheb({(0, 0, 0): t(2, -1) + t(-2, -1)})
-_XZ = HbElement.cheb({(1, 0, 1): 1})
-_XSQ_ZSQ = HbElement.cheb({(2, 0, 0): 1, (0, 0, 2): 1, (0, 0, 0): 2})
+# The seeds X1*1 = X_1 = -t^4 y - t^2 xz and Y1*1 = X_0 = -t^2 - t^-2 as tables.
+_X0: Table = {(0, 1, 0, 4): -1, (1, 0, 1, 2): -1}
+_Y0: Table = {(0, 0, 0, 2): -1, (0, 0, 0, -2): -1}
 
 
 @ascending_memo
@@ -92,86 +83,95 @@ def x1y1_recursive(n: int) -> FamilyPair:
     return FamilyPair(n, xpart, ypart)
 
 
-def _times_y(xq: HbElement, yq: HbElement, q: HbElement) -> tuple[HbElement, HbElement]:
-    """(X1*(y q), Y1*(y q)) from (X1*q, Y1*q) and q(y): one step of the system."""
-    return (xq.times_t_y(1) * t(4) + yq * (t(-2) - t(6)) + _XSQ_ZSQ * q * (1 - t(4)),
-            yq.times_t_y(1) * t(-4) + xq * (t(2) - t(-6)) + _XZ * q * ((1 - t(-4)) * 2))
+def _add(acc: Table, table: Table, scalar: dict[int, int], dy: tuple[int, ...] = (0,)) -> Table:
+    """acc += scalar * table in place, the scalar given by its terms {e: c}, and with
+    dy = (1, -1) times y: y S_j(y) = S_{j+1}(y) + S_{j-1}(y), S_{-1} = 0."""
+    get = acc.get
+    for se, sc in scalar.items():
+        for d in dy:
+            for (m, j, k, e), c in table.items():
+                if j + d >= 0:
+                    key = (m, j + d, k, e + se)
+                    acc[key] = get(key, 0) + sc * c
+    return acc
 
 
 @ascending_memo
-def x1y1_T_recursive(n: int) -> FamilyPair:
-    """(X1*T_n(y), Y1*T_n(y)) from the coupled recursion, Chebyshev basis.
+def _oracle(n: int) -> tuple[Table, Table]:
+    """The tables of (X1*T_n(y), Y1*T_n(y)), zeros dropped: the pair oracle's memo.
 
-    The system is linear in the y-polynomial q it decorates, so
-    T_{n+1} = y T_n - T_{n-1} carries over to the pair; T_0 = 2 doubles the
-    seeds and T_1 = y is one step from them.  No closed form is used, so this
-    is the oracle the closed forms are checked against.
-    """
+    The system is linear in the y-polynomial q it decorates, so T_0 = 2
+    doubles the seeds, T_1 = y is one step from them (q = 1), and
+    T_{n+1} = y T_n - T_{n-1} carries over to the pair; each step adds the
+    inhomogeneous terms (1 - t^4)(x^2 + z^2) q and 2 (1 - t^-4) xz q."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n == 0:
-        return FamilyPair(0, _X0 * 2, _Y0 * 2)
-    if n == 1:
-        return FamilyPair(1, *_times_y(_X0, _Y0, HbElement.one(CHEBYSHEV)))
-    prev, prev2 = x1y1_T_recursive(n - 1), x1y1_T_recursive(n - 2)
-    xpart, ypart = _times_y(prev.xpart, prev.ypart, HbElement.cheb_t_y(n - 1))
-    return FamilyPair(n, xpart - prev2.xpart, ypart - prev2.ypart)
+        return _add({}, _X0, {0: 2}), _add({}, _Y0, {0: 2})
+    (xq, yq), (x2, y2) = ((_X0, _Y0), ({}, {})) if n == 1 else (_oracle(n - 1), _oracle(n - 2))
+    q = [(1, 0)] if n == 1 else [(1, n - 1), (-1, n - 3)]  # 1 or T_{n-1}(y) as (sign, j) of S_j(y)
+    x = _merge([(s * h * c, e, m, j, k) for s, j in q for h, e in ((1, 0), (-1, 4))
+                for c, m, k in ((1, 2, 0), (1, 0, 2), (2, 0, 0))])
+    y = _merge([(2 * s * h, e, 1, j, 1) for s, j in q for h, e in ((1, 0), (-1, -4))])
+    _add(_add(_add(x, xq, {4: 1}, (1, -1)), yq, {-2: 1, 6: -1}), x2, {0: -1})
+    _add(_add(_add(y, yq, {-4: 1}, (1, -1)), xq, {2: 1, -6: -1}), y2, {0: -1})
+    return {k: c for k, c in x.items() if c}, {k: c for k, c in y.items() if c}
+
+
+def x1y1_T_recursive(n: int) -> FamilyPair:
+    """(X1*T_n(y), Y1*T_n(y)) from the coupled recursion, Chebyshev basis: no
+    closed form is used, so this is the oracle the closed forms are checked
+    against.  Each call builds fresh elements from the memo's tables."""
+    return FamilyPair(n, *map(_element, _oracle(n)))
 
 
 def x1_T_recursive(n: int) -> HbElement:
     """X1*T_n(y) from the recursion (the oracle), Chebyshev basis."""
-    return x1y1_T_recursive(n).xpart
+    return _element(_oracle(n)[0])
 
 
 def y1_T_recursive(n: int) -> HbElement:
     """Y1*T_n(y) from the recursion (the oracle), Chebyshev basis."""
-    return x1y1_T_recursive(n).ypart
+    return _element(_oracle(n)[1])
 
 
-def _xsq_zsq(j: int, c: LaurentPoly) -> list[tuple[int, int, int, LaurentPoly]]:
-    """(x^2 + z^2) S_j(y) c as cheb_sum terms: x^2 + z^2 = S_2(x) + S_2(z) + 2."""
-    return [(2, j, 0, c), (0, j, 2, c), (0, j, 0, c * 2)]
+def _ksum(n: int, d: int, e: int) -> list[Term]:
+    """sum_{k<n} (1 - t^{4n}) t^{e-4k} ((x^2 + z^2) S_j(y) + 2 t^-2 xz S_{j-1}(y)),
+    j = n - 2k - 1 - d, as int terms: x^2 + z^2 = S_2(x) + S_2(z) + 2."""
+    return [term for k in range(n) for c, ek in ((1, e - 4 * k), (-1, e - 4 * k + 4 * n))
+            for j in (n - 2 * k - 1 - d,)
+            for term in ((c, ek, 2, j, 0), (c, ek, 0, j, 2), (2 * c, ek, 0, j, 0),
+                         (2 * c, ek - 2, 1, j - 1, 1))]
+
+
+def _x1_closed(n: int) -> Table:
+    if check_int(n) < 0:
+        raise ValueError("index must be nonnegative")
+    return _merge([(-1, 4 * n + 4, 0, n + 1, 0), (-1, -4 * n, 0, n - 1, 0),
+                   (1, 4 * n, 0, n - 1, 0), (1, -4 * n + 4, 0, n - 3, 0),
+                   (-1, 4 * n + 2, 1, n, 1), (1, -4 * n + 2, 1, n - 2, 1)] + _ksum(n, 0, 0))
 
 
 def x1_T_closed(n: int) -> HbElement:
     """Closed form for X1*T_n(y) in the Chebyshev basis.
 
-    The formula is stated for n >= 1.  At n = 0 the value is defined by
-    linearity (T_0 = 2), so the recursion seed is returned doubled; negative
-    indices are rejected.
+    At n = 0 the formula gives the value by linearity (T_0 = 2), twice the
+    recursion seed; negative indices are rejected.
     """
-    if n < 0:
+    return _element(_x1_closed(n))
+
+
+def _y1_closed(n: int) -> Table:
+    if check_int(n) < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return _X0 * 2
-    hom = 1 - t(4 * n)
-    terms = [(0, n + 1, 0, t(4 * n + 4, -1)), (0, n - 1, 0, t(-4 * n, -1)),
-             (0, n - 1, 0, t(4 * n)), (0, n - 3, 0, t(-4 * n + 4)),
-             (1, n, 1, t(4 * n + 2, -1)), (1, n - 2, 1, t(-4 * n + 2))]
-    for k in range(n):
-        terms += _xsq_zsq(n - 2 * k - 1, hom * t(-4 * k))
-        terms.append((1, n - 2 * k - 2, 1, hom * t(-4 * k - 2, 2)))
-    return HbElement.cheb_sum(terms)
+    return _merge([(-1, 4 * n + 2, 0, n, 0), (-1, -4 * n - 2, 0, n, 0),
+                   (1, -4 * n, 1, n - 1, 1), (-1, 4 * n, 1, n - 1, 1),
+                   (1, 4 * n - 2, 0, n - 2, 0), (1, -4 * n + 2, 0, n - 2, 0)] + _ksum(n, 1, -2))
 
 
 def y1_T_closed(n: int) -> HbElement:
-    """Closed form for Y1*T_n(y) in the Chebyshev basis.
-
-    Same domain convention as x1_T_closed: n = 0 falls back to twice the
-    recursion seed, negative indices are rejected.
-    """
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n == 0:
-        return _Y0 * 2
-    hom = 1 - t(4 * n)
-    terms = [(0, n, 0, -(t(4 * n + 2) + t(-4 * n - 2))),
-             (1, n - 1, 1, t(-4 * n) - t(4 * n)),
-             (0, n - 2, 0, t(4 * n - 2) + t(-4 * n + 2))]
-    for k in range(n):
-        terms += _xsq_zsq(n - 2 * k - 2, hom * t(-4 * k - 2))
-        terms.append((1, n - 2 * k - 3, 1, hom * t(-4 * k - 4, 2)))
-    return HbElement.cheb_sum(terms)
+    """Closed form for Y1*T_n(y) in the Chebyshev basis, n >= 0 as for x1_T_closed."""
+    return _element(_y1_closed(n))
 
 
 @ascending_memo
@@ -179,13 +179,17 @@ def big_x(i: int) -> HbElement:
     """X_i by the three-term recursion, Chebyshev basis."""
     if i < 0:
         raise ValueError("index must be nonnegative")
-    if i == 0:
-        return _Y0
-    if i == 1:
-        return _X0
-    return (big_x(i - 1).times_t_y(1) * t(2)
-            - big_x(i - 2) * t(4)
-            - _XZ * t(2, 2))
+    if i < 2:
+        return _element((_Y0, _X0)[i])
+    acc = _add({(1, 0, 1, 2): -2}, _table(big_x(i - 1)), {2: 1}, (1, -1))
+    return _element(_add(acc, _table(big_x(i - 2)), {4: -1}))
+
+
+def _big_x_closed(i: int) -> Table:
+    if check_int(i) < 0:
+        raise ValueError("index must be nonnegative")
+    return _merge([(-1, 2 * i + 2, 0, i, 0), (-1, 2 * i, 1, i - 1, 1), (1, 2 * i - 2, 0, i - 2, 0)]
+                  + [(-2, 2 * i - 2 - 2 * k, 1, i - k - 2, 1) for k in range(i - 1)])
 
 
 def big_x_closed(i: int) -> HbElement:
@@ -196,26 +200,27 @@ def big_x_closed(i: int) -> HbElement:
     with all t-exponents negated fails already at i = 1, and the test suite
     pins the distinction.
     """
-    if i < 0:
-        raise ValueError("index must be nonnegative")
-    return HbElement.cheb_sum(
-        [(0, i, 0, t(2 * i + 2, -1)), (1, i - 1, 1, t(2 * i, -1)), (0, i - 2, 0, t(2 * i - 2))]
-        + [(1, i - k - 2, 1, t(2 * i - 2 - 2 * k, -2)) for k in range(i - 1)])
+    return _element(_big_x_closed(i))
+
+
+def _sigma(n: int) -> Table:
+    if check_int(n) < 1:
+        raise ValueError("sigma is defined for n >= 1")
+    return _merge([(-1, 4 * n + 5, 0, n + 1, 0), (-1, -4 * n + 1, 0, n - 1, 0),
+                   (1, 4 * n + 1, 0, n - 1, 0), (1, -4 * n + 5, 0, n - 3, 0),
+                   (-1, 4 * n + 3, 1, n, 1), (1, -4 * n + 3, 1, n - 2, 1),
+                   (1, -1, 1, n, 1), (-1, -1, 1, n - 2, 1)] + _ksum(n, 0, 1))
 
 
 def sigma(n: int) -> HbElement:
     """Closed form for sigma_n = t X1*T_n(y) + t^-1 x z T_n(y), n >= 1."""
-    if n < 1:
+    return _element(_sigma(n))
+
+
+def _sigma_defining(n: int) -> Table:
+    if check_int(n) < 1:
         raise ValueError("sigma is defined for n >= 1")
-    hom = 1 - t(4 * n)
-    terms = [(0, n + 1, 0, t(4 * n + 5, -1)), (0, n - 1, 0, t(-4 * n + 1, -1)),
-             (0, n - 1, 0, t(4 * n + 1)), (0, n - 3, 0, t(-4 * n + 5)),
-             (1, n, 1, t(4 * n + 3, -1)), (1, n - 2, 1, t(-4 * n + 3)),
-             (1, n, 1, t(-1)), (1, n - 2, 1, t(-1, -1))]
-    for k in range(n):
-        terms += _xsq_zsq(n - 2 * k - 1, hom * t(-4 * k + 1))
-        terms.append((1, n - 2 * k - 2, 1, hom * t(-4 * k - 1, 2)))
-    return HbElement.cheb_sum(terms)
+    return _add(_merge([(1, -1, 1, n, 1), (1, -1, 1, -n, 1)]), _oracle(n)[0], {1: 1})
 
 
 def sigma_defining(n: int) -> HbElement:
@@ -224,26 +229,30 @@ def sigma_defining(n: int) -> HbElement:
     X1*T_n(y) comes from the recursion oracle, so the result is independent
     of every closed form and cross-checks :func:`sigma`.
     """
-    if n < 1:
-        raise ValueError("sigma is defined for n >= 1")
-    return x1_T_recursive(n) * t(1) + (_XZ * t(-1)).times_t_y(n)
+    return _element(_sigma_defining(n))
+
+
+def _residual(closed: Table, oracle: Table) -> HbElement:
+    """closed - oracle, added into closed; an element, monomial basis, only if nonzero."""
+    diff = _add(closed, oracle, {0: -1})
+    return _element(diff).to_basis(MONOMIAL) if any(diff.values()) else HbElement(MONOMIAL)
 
 
 def x1_T_residual(n: int) -> HbElement:
     """x1_T_closed(n) minus the oracle x1_T_recursive(n), monomial basis."""
-    return (x1_T_closed(n) - x1_T_recursive(n)).to_basis(MONOMIAL)
+    return _residual(_x1_closed(n), _oracle(n)[0])
 
 
 def y1_T_residual(n: int) -> HbElement:
     """y1_T_closed(n) minus the oracle y1_T_recursive(n), monomial basis."""
-    return (y1_T_closed(n) - y1_T_recursive(n)).to_basis(MONOMIAL)
+    return _residual(_y1_closed(n), _oracle(n)[1])
 
 
 def sigma_residual(n: int) -> HbElement:
     """sigma(n) minus its definition sigma_defining(n), monomial basis."""
-    return (sigma(n) - sigma_defining(n)).to_basis(MONOMIAL)
+    return _residual(_sigma(n), _sigma_defining(n))
 
 
 def big_x_residual(i: int) -> HbElement:
     """big_x_closed(i) minus the recursion big_x(i), monomial basis."""
-    return (big_x_closed(i) - big_x(i)).to_basis(MONOMIAL)
+    return _residual(_big_x_closed(i), _table(big_x(i)))

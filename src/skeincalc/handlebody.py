@@ -13,23 +13,26 @@ S_a S_b = sum_j S_{a+b-2j} (:func:`skeincalc.chebyshev.s_product`), and
 :meth:`HbElement.times_t_y` multiplies by T_n(y) through
 S_j T_n = S_{j+n} + S_{j-n}, two terms out per term in.  No product converts
 between bases: monomial coefficients of Chebyshev-basis elements grow
-exponentially with the index.  :meth:`HbElement.cheb_sum` is the one way
-a list of S-terms with arbitrary integer indices becomes an element.  The
-mirror map conjugates every coefficient by t -> t^-1 and fixes the basis curves.
+exponentially with the index.  Int terms c t^e S_m S_n S_k with any integer
+indices are summed by one merge into a flat table (m, n, k, e) -> c, built
+into an element once; :meth:`HbElement.cheb_sum`, :meth:`HbElement.times_t_y`
+and :mod:`skeincalc.families` use it.  The mirror map conjugates every
+coefficient by t -> t^-1 and fixes the basis curves.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .chebyshev import (monomial_to_S, normalize_s_index, s_product, s_times_t,
-                        s_to_monomial)
-from .coeffs import LaurentPoly, Sparse, add_into, as_laurent, check_key
+from .chebyshev import monomial_to_S, s_product, s_to_monomial
+from .coeffs import LaurentPoly, Sparse, add_into, as_laurent, check_int, check_key
 
 MONOMIAL = "monomial"
 CHEBYSHEV = "chebyshev"
 
 Key = tuple[int, int, int]
+Term = tuple[int, int, int, int, int]         # (c, e, m, n, k): c t^e S_m(x) S_n(y) S_k(z)
+Table = dict[tuple[int, int, int, int], int]  # (m, n, k, e) -> c, zeros not yet dropped
 
 # Per-axis change of basis, one index at a time: xi^m in S_j, or S_n in xi^j.
 _AXIS_TABLE = {CHEBYSHEV: monomial_to_S, MONOMIAL: s_to_monomial}
@@ -37,6 +40,41 @@ _AXIS_TABLE = {CHEBYSHEV: monomial_to_S, MONOMIAL: s_to_monomial}
 # Per-axis product of two basis indices: the indices of the product's terms,
 # each with coefficient 1.
 _AXIS_PRODUCT = {MONOMIAL: lambda a, b: (a + b,), CHEBYSHEV: s_product}
+
+
+def _merge(terms: Iterable[Term]) -> Table:
+    """The int terms summed into a table by folded (m, n, k, e), zeros kept:
+    S_{-1} = 0 and S_{-j} = -S_{j-2} on every axis."""
+    acc: Table = {}
+    get = acc.get
+    for c, e, m, n, k in terms:
+        if m == -1 or n == -1 or k == -1:
+            continue
+        if m < 0:
+            c, m = -c, -m - 2
+        if n < 0:
+            c, n = -c, -n - 2
+        if k < 0:
+            c, k = -c, -k - 2
+        key = (m, n, k, e)
+        acc[key] = get(key, 0) + c
+    return acc
+
+
+def _element(acc: Table) -> HbElement:
+    """The Chebyshev-basis element of a flat table: the one place its entries
+    are grouped by (m, n, k), zeros dropped and each coefficient built."""
+    grouped: dict[Key, dict[int, int]] = {}
+    for (m, n, k, e), c in acc.items():
+        if c:
+            grouped.setdefault((m, n, k), {})[e] = c
+    like = LaurentPoly()._like
+    return HbElement(CHEBYSHEV)._like({key: like(cs) for key, cs in grouped.items()})
+
+
+def _table(h: HbElement) -> Table:
+    """The flat table of a Chebyshev-basis element, the inverse of :func:`_element`."""
+    return {(m, n, k, e): c for (m, n, k), cf in h.terms.items() for e, c in cf.terms.items()}
 
 
 class HbElement(Sparse):
@@ -79,22 +117,17 @@ class HbElement(Sparse):
         """The sum of c S_m(x) S_n(y) S_k(z) over (m, n, k, c) terms, any integer indices.
 
         Negative indices are folded by S_{-1} = 0 and S_{-j} = -S_{j-2}, so
-        closed-form expressions can be written down verbatim.
+        closed-form expressions can be written down verbatim.  A Laurent
+        coefficient enters :func:`_merge` as one int term per monomial.
 
         >>> str(HbElement.cheb_sum([(1, 2, 0, 3), (0, -1, 5, 1), (-3, 2, 0, 1)]))
         '(2)*S_1(x)*S_2(y)'
         """
-        out: dict[Key, LaurentPoly] = {}
+        rows: list[Term] = []
         for *idx, c in terms:
-            c, key = as_laurent(c), []
-            for norm in map(normalize_s_index, idx):
-                if norm is None:
-                    break
-                c = c if norm[0] > 0 else -c
-                key.append(norm[1])
-            else:
-                add_into(out, tuple(key), c)
-        return HbElement(CHEBYSHEV, out)
+            m, n, k = check_key(tuple(idx), 3)
+            rows += [(v, e, m, n, k) for e, v in as_laurent(c).terms.items()]
+        return _element(_merge(rows))
 
     @staticmethod
     def cheb_term(m: int, n: int, k: int, coeff: LaurentPoly | int = 1) -> HbElement:
@@ -133,11 +166,9 @@ class HbElement(Sparse):
         """
         if self.basis != CHEBYSHEV:
             raise ValueError("times_t_y needs a Chebyshev-basis element")
-        out: dict[Key, LaurentPoly] = {}
-        for (m, j, k), c in self.terms.items():
-            for jj, s in s_times_t(j, n).items():
-                add_into(out, (m, jj, k), c * s)
-        return self._like(out)
+        n = abs(check_int(n))
+        return _element(_merge([(c, e, m, j + s, k) for (m, j, k), cf in self.terms.items()
+                                for e, c in cf.terms.items() for s in (n, -n)]))
 
     def to_basis(self, basis: str) -> HbElement:
         """Convert to the requested basis (identity when already there)."""

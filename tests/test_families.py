@@ -1,6 +1,8 @@
 """Family recursions versus their closed forms."""
 
+import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,12 +11,14 @@ from pathlib import Path
 import pytest
 
 import skeincalc
+from skeincalc import families
 from skeincalc.chebyshev import cheb_T
 from skeincalc.coeffs import LaurentPoly, t
-from skeincalc.families import (big_x, big_x_closed, sigma, sigma_defining,
-                                x1_T_closed, x1_T_recursive, x1y1_recursive,
-                                x1y1_T_recursive, y1_T_closed, y1_T_recursive)
-from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement
+from skeincalc.families import (big_x, big_x_closed, big_x_residual, sigma, sigma_defining,
+                                sigma_residual, x1_T_closed, x1_T_recursive, x1_T_residual,
+                                x1y1_recursive, x1y1_T_recursive, y1_T_closed, y1_T_recursive,
+                                y1_T_residual)
+from skeincalc.handlebody import MONOMIAL, HbElement, _element, _table
 
 
 class TestRecursionSeeds:
@@ -71,11 +75,11 @@ class TestChebyshevOracle:
 
 class TestClosedForms:
     def test_x1_matches_recursion(self):
-        for n in range(1, 13):
+        for n in range(1, 41):
             assert x1_T_closed(n) == x1_T_recursive(n), n
 
     def test_y1_matches_recursion(self):
-        for n in range(1, 13):
+        for n in range(1, 41):
             assert y1_T_closed(n) == y1_T_recursive(n), n
 
     def test_n1_equals_first_family_member(self):
@@ -116,7 +120,7 @@ class TestBigX:
         assert big_x(2).to_basis(MONOMIAL) == expected
 
     def test_closed_matches_recursion(self):
-        for i in range(0, 13):
+        for i in range(0, 41):
             assert big_x_closed(i) == big_x(i), i
 
     def test_rejects_non_int_index(self):
@@ -140,17 +144,17 @@ class TestBigX:
 
 class TestSigma:
     def test_matches_defining_relation(self):
-        for n in range(1, 13):
+        for n in range(1, 41):
             assert sigma(n) == sigma_defining(n), n
 
     def test_matches_recursion_route(self):
         xz = HbElement.cheb({(1, 0, 1): t(-1)})
-        for n in range(1, 13):
+        for n in range(1, 41):
             via_recursion = x1_T_recursive(n) * t(1) + xz * HbElement.cheb_t_y(n)
             assert sigma(n) == via_recursion, n
 
     def test_s1_sn_s1_coefficient(self):
-        for n in range(2, 13):
+        for n in range(2, 41):
             assert sigma(n).terms.get((1, n, 1)) == t(4 * n + 3, -1) + t(-1), n
 
     def test_rejects_nonpositive(self):
@@ -158,6 +162,42 @@ class TestSigma:
             sigma(0)
         with pytest.raises(ValueError):
             sigma_defining(0)
+
+
+class TestTables:
+    def test_returned_elements_do_not_share_the_memo(self):
+        # every call builds a fresh element from the oracle's tables, so a
+        # caller that edits one cannot change a later residual
+        got = x1_T_recursive(3)
+        next(iter(got.terms.values())).terms[99] = 1
+        got.terms.clear()
+        x1y1_T_recursive(3).ypart.terms.clear()
+        assert x1_T_residual(3).is_zero()
+        assert y1_T_residual(3).is_zero()
+        assert x1_T_recursive(3) == x1_T_closed(3)
+
+    @pytest.mark.parametrize("fn, arg", [
+        (x1_T_closed, 2.0), (y1_T_closed, 2.5), (sigma, 2.0), (big_x_closed, 2.0),
+        (x1_T_residual, 2.0), (y1_T_residual, 2.5), (sigma_residual, 2.0),
+        (big_x_residual, 2.0)])
+    def test_non_int_index_names_the_argument(self, fn, arg):
+        with pytest.raises(TypeError, match=re.escape(f"got {arg!r}") + "$"):
+            fn(arg)
+
+    @pytest.mark.parametrize("closed, oracle, n", [
+        (families._x1_closed, x1_T_recursive, 5), (families._y1_closed, y1_T_recursive, 4),
+        (families._sigma, sigma_defining, 3), (families._big_x_closed, big_x, 6)])
+    def test_failure_report_matches_element_route(self, closed, oracle, n):
+        # one exponent of the closed form off by one: the table residual
+        # reports exactly what the element arithmetic gives
+        table = closed(n)
+        (m, j, k, e), c = next(item for item in sorted(table.items()) if item[1])
+        table[m, j, k, e] -= c
+        table[m, j, k, e + 1] = table.get((m, j, k, e + 1), 0) + c
+        expected = (_element(table) - oracle(n)).to_basis(MONOMIAL)
+        got = families._residual(dict(table), _table(oracle(n)))
+        assert not got.is_zero()
+        assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
 
 
 def test_cold_memos_need_no_deep_stack():

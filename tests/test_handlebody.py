@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skeincalc.chebyshev import normalize_s_index
 from skeincalc.coeffs import LaurentPoly, t
-from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement, X, Y, Z
+from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement, X, Y, Z, _element, _merge
 
 small_laurents = st.builds(
     LaurentPoly,
@@ -16,6 +17,10 @@ keys = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 terms = st.dictionaries(keys, small_laurents, max_size=4)
 mono_elems = st.builds(HbElement.mono, terms)
 cheb_elems = st.builds(HbElement.cheb, terms)
+
+# int terms (c, e, m, n, k) of c t^e S_m(x) S_n(y) S_k(z), negative indices included
+int_terms = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-4, 6),
+                               st.integers(-4, 6), st.integers(-4, 6)), max_size=12)
 
 
 class TestBasics:
@@ -83,6 +88,21 @@ class TestChebTermConstruction:
     def test_t_y_builder(self):
         assert HbElement.cheb_t_y(0) == HbElement.cheb({(0, 0, 0): 2})
         assert HbElement.cheb_t_y(2) == HbElement.cheb({(0, 2, 0): 1, (0, 0, 0): -1})
+
+
+class TestIntTermMerge:
+    @given(int_terms)
+    @settings(max_examples=60)
+    def test_matches_element_arithmetic(self, terms):
+        # reference: fold each term alone and add the elements up
+        expected = HbElement.cheb({})
+        for c, e, *idx in terms:
+            norms = [normalize_s_index(i) for i in idx]
+            if None not in norms:
+                sign = norms[0][0] * norms[1][0] * norms[2][0]
+                expected = expected + HbElement.cheb({tuple(j for _, j in norms): t(e, sign * c)})
+        assert _element(_merge(terms)) == expected
+        assert HbElement.cheb_sum([(m, n, k, t(e, c)) for c, e, m, n, k in terms]) == expected
 
 
 class TestProperties:
