@@ -7,8 +7,7 @@ verification in this package is exact.
 
 from .coeffs import AuxLaurent, LaurentPoly, Sparse, substitute_w, t
 from .chebyshev import (cheb_S, cheb_T, monomial_to_S, normalize_s_index,
-                        s_combo_to_monomial, s_product, s_times_t,
-                        s_to_monomial)
+                        s_product, s_to_monomial)
 from .handlebody import CHEBYSHEV, MONOMIAL, HbElement
 from .families import (FamilyPair, big_x, big_x_closed, big_x_residual,
                        sigma, sigma_defining, sigma_residual, x1_T_closed,

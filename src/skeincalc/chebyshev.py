@@ -11,8 +11,8 @@ Polynomials are returned as dense integer coefficient tuples, constant term
 first, which plug directly into :func:`skeincalc.coeffs.substitute_w`.
 S-basis combinations are dicts mapping a nonnegative S-index to its integer
 coefficient; :func:`monomial_to_S` and :func:`s_to_monomial` convert single
-basis elements both ways, and :func:`s_times_t` and :func:`s_product` (a range
-of S-indices, each with coefficient 1) multiply without leaving the S basis.
+basis elements both ways, and :func:`s_product` (a range of S-indices, each
+with coefficient 1) multiplies without leaving the S basis.
 
 The memoised tables are filled in ascending order (:func:`ascending_memo`),
 so no index, however large, deepens the stack.
@@ -21,7 +21,6 @@ so no index, however large, deepens the stack.
 from __future__ import annotations
 
 import functools
-from typing import Mapping
 
 from .coeffs import add_into, check_int
 
@@ -158,33 +157,6 @@ def s_to_monomial(n: int) -> dict[int, int]:
     {1: -2, 3: 1}
     """
     return {j: c for j, c in enumerate(cheb_S(n)) if c}
-
-
-def s_combo_to_monomial(combo: Mapping[int, int]) -> tuple[int, ...]:
-    """Expand an S-basis combination into dense monomial coefficients."""
-    out: tuple[int, ...] = ()
-    for j, c in combo.items():
-        coeffs = cheb_S(j)
-        out = _padd(out, tuple(c * v for v in coeffs))
-    return out
-
-
-def s_times_t(k: int, n: int) -> dict[int, int]:
-    """The product identity S_k * T_n = S_{k+n} + S_{k-n} in the S basis.
-
-    Valid for arbitrary integer k and n after index normalization.
-
-    >>> s_times_t(3, 2)
-    {5: 1, 1: 1}
-    >>> s_times_t(0, 1)
-    {1: 1}
-    """
-    out: dict[int, int] = {}
-    for idx in (k + abs(n), k - abs(n)):
-        norm = normalize_s_index(idx)
-        if norm is not None:
-            add_into(out, norm[1], norm[0])
-    return out
 
 
 def s_product(a: int, b: int) -> range:

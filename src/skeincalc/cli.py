@@ -8,7 +8,8 @@ Two subcommands:
 
 Checks run one after another in one process, so the memo caches filled by one
 grid point serve the next.  A check that raises is reported as a failed check
-with its error, and the run goes on.
+with its error, and the run goes on.  The --json report puts each check row
+on a line of its own, written by the C encoder of json.dumps.
 """
 
 from __future__ import annotations
@@ -126,6 +127,15 @@ def run_suite(suite: str, p_max: int, n_max: int) -> dict:
             "checks": checks, "elapsed_ms": round(elapsed_ms, 3)}
 
 
+def _report_body(report: dict) -> str:
+    """One suite's report as JSON text without its opening brace: the suite
+    header on one line, then each check row on a line of its own, then the
+    closing line with elapsed_ms.  Each line is written by the C encoder."""
+    head = json.dumps({"suite": report["suite"], "grid": report["grid"]})[1:-1]
+    rows = ",\n".join(map(json.dumps, report["checks"]))
+    return f'{head}, "checks": [\n{rows}\n], "elapsed_ms": {json.dumps(report["elapsed_ms"])}}}'
+
+
 def cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     reports = []
@@ -149,7 +159,10 @@ def cmd_verify(args) -> int:
                 else:
                     print(f"          residual: {json.dumps(check['residual'])}")
     if args.json:
-        text = json.dumps(reports[0] if len(reports) == 1 else reports, indent=2)
+        if len(reports) == 1:
+            text = "{\n" + _report_body(reports[0])
+        else:
+            text = "[\n" + ",\n".join("{" + _report_body(r) for r in reports) + "\n]"
         if args.json == "-":
             print(text)
         else:

@@ -34,10 +34,13 @@ keeps x^2 U of the latest [lo, hi] per (p, rule, slot), and reaches the next
 window by adding and subtracting the powers at its two ends when that
 reduces fewer powers than a fresh build.  Additivity holds for every
 sequence f, so under every rule.  The induction identity's x^2 A_n is one
-window.  The handle slide builds no handlebody element per (p, n): both
-sides embed to a few head terms plus geometric k-sums of f, two windows.
-The rest of each side is read off the family functions, so the residual
-stays the embed of the difference of the two sides even if a family changes.
+window, and the telescope's A_{n+1} - t^2 A_n is two runs, sums
+c t^{L-2N} S_i(x) f(N) over lo <= N <= hi, which _run_terms merges by their
+endpoints before any term is expanded.  The handle slide builds no
+handlebody element per (p, n): both sides embed to a few head terms plus
+geometric k-sums of f, two windows.  The rest of each side is read off the
+family functions, so the residual stays the embed of the difference of the
+two sides even if a family changes.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .handlebody import CHEBYSHEV, HbElement
 TkKey = tuple[int, int]
 Row = tuple[int, int, int, int]         # (m, n, e, c): c t^e S_m(x) S_n(y)
 Term = tuple[int, int, int, int]        # (c, e, i, N): c t^e S_i(x) f(N)
+Run = tuple[int, int, int, int, int]    # (c, L, i, lo, hi): c t^{L-2N} S_i(x) f(N), lo <= N <= hi
 Table = dict[tuple[int, int, int], int]  # (m, n, e) -> c, zeros not yet dropped
 
 
@@ -326,6 +330,29 @@ def _merge(terms: Iterable[Term]) -> dict[tuple[int, int, int], int]:
     return merged
 
 
+def _run_terms(runs: Iterable[Run]) -> list[Term]:
+    """The int terms of a sum of runs, expanded only where the runs leave a
+    nonzero coefficient.  A run's N <= -2 part folds by f(N) = -f(-N-2) into
+    a run of slope +2 in N' = -N-2, on e = L+4+2N'; N = -1 is dropped.  Runs
+    on one line (slope, L, i) are then summed by their endpoints."""
+    lines: dict[tuple[int, int, int], dict[int, int]] = {}
+    for c, L, i, lo, hi in runs:
+        for slope, base, s, a, b in ((-2, L, c, max(lo, 0), hi),
+                                     (2, L + 4, -c, -min(hi, -2) - 2, -lo - 2)):
+            if a <= b:
+                ends = lines.setdefault((slope, base, i), {})
+                ends[a] = ends.get(a, 0) + s
+                ends[b + 1] = ends.get(b + 1, 0) - s
+    terms: list[Term] = []
+    for (slope, base, i), ends in lines.items():
+        c, points = 0, sorted(ends)
+        for a, b in zip(points, points[1:]):
+            c += ends[a]
+            if c:
+                terms += [(c, base + slope * N, i, N) for N in range(a, b)]
+    return terms
+
+
 def _y_terms(p: int, r: ReductionRule, i: int, e: int, s: int) -> list[Term]:
     """s t^e S_i(x) Y as int terms of JonesSequence.sum, Y the y_shorthand bracket."""
     return [(s * r.s_pm1_sign, e + 1, i, p - 1), (s * r.s_p_sign, e - 1, i, p)]
@@ -512,10 +539,12 @@ def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
                        rule: ReductionRule | None = None) -> TkElement:
     """Residual of A_{n+1} - t^2 A_n = (-1)^{p+n-1} t^{2n-2p+3} S_{2n+2p-2}(x) Y.
 
-    One JonesSequence.sum of A_{n+1}'s defining terms, -t^2 times A_n's and
-    minus the right side's two basis terms.  The sum merges terms before it
-    reduces any, and all but t^{4-4p} S_{n+2p-1}(y) + t^{4n+2} S_{-n}(y) of
-    the left side cancel, so no A_n is built.
+    A_n = t^{2n} U(1-|n|, n+2p-2) (see induction_residual) is the one run
+    (1, 2n, 0, 1-|n|, n+2p-2), so the left side is two runs, which
+    _run_terms merges by their endpoints.  All but two terms of them cancel
+    there, t^{4-4p} S_{n+2p-1}(y) + t^{4n+2} S_{-n}(y) for n >= 0, and one JonesSequence sum adds
+    those to minus the right side's two basis terms: no A_n is built, and no
+    defining term of one is.
     The t-exponent on the right is 2n-2p+3, one higher than a naive
     bookkeeping of the defining sums suggests; the zero residual over the
     acceptance grid is what certifies the exponent.
@@ -523,7 +552,9 @@ def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
     f = JonesSequence(p, c, rule)
     p, n = f.p, check_int(n)
     sign = _parity_sign(p + n - 1)
-    return f._sum(_a_terms(p, n + 1) + _a_terms(p, n, 2, -1)
+    runs = [(s, 2 * k + e, 0, 1 - abs(k), k + 2 * p - 2)
+            for k, e, s in ((n + 1, 0, 1), (n, 2, -1))]
+    return f._sum(_run_terms(runs)
                   + _y_terms(p, f.rule, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
 
 

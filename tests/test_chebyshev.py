@@ -3,7 +3,7 @@
 import pytest
 
 from skeincalc.chebyshev import (cheb_S, cheb_T, monomial_to_S, normalize_s_index,
-                                 s_combo_to_monomial, s_product, s_times_t)
+                                 s_product)
 from skeincalc.coeffs import AuxLaurent, substitute_w, t
 
 
@@ -96,12 +96,6 @@ class TestNonIntIndices:
         with pytest.raises(TypeError):
             monomial_to_S(2.0)
 
-    def test_s_times_t(self):
-        with pytest.raises(TypeError):
-            s_times_t(1, 1.5)
-        with pytest.raises(TypeError):
-            s_times_t(1.0, 1)
-
 
 class TestBasisConversion:
     def test_examples(self):
@@ -110,14 +104,17 @@ class TestBasisConversion:
         assert monomial_to_S(3) == {3: 1, 1: 2}
 
     def test_round_trip(self):
-        for m in range(0, 31):
-            combo = monomial_to_S(m)
-            back = s_combo_to_monomial(combo)
-            expected = tuple(0 for _ in range(m)) + (1,)
-            assert back == expected
+        # S_j -> dense monomials -> S basis gives back S_j alone
+        for j in range(0, 31):
+            combo = {}
+            for m, c in enumerate(cheb_S(j)):
+                for k, d in monomial_to_S(m).items():
+                    combo[k] = combo.get(k, 0) + c * d
+            assert {k: c for k, c in combo.items() if c} == {j: 1}, j
 
     def test_expansion_matches_tables(self):
-        for m in range(0, 20):
+        # xi^m -> S basis -> dense monomials is the identity
+        for m in range(0, 31):
             dense = ()
             for j, c in monomial_to_S(m).items():
                 dense = _padd(dense, tuple(c * x for x in cheb_S(j)))
@@ -126,19 +123,6 @@ class TestBasisConversion:
 
 
 class TestProducts:
-    def test_s_times_t_examples(self):
-        assert s_times_t(1, 1) == {2: 1, 0: 1}
-        assert s_times_t(0, 4) == {4: 1, 2: -1}  # S_4 + S_{-4} = S_4 - S_2
-        assert s_times_t(3, 0) == {3: 2}
-
-    def test_s_times_t_against_expansion(self):
-        for k in range(-20, 21):
-            for n in range(-20, 21):
-                dense = ()
-                for j, c in s_times_t(k, n).items():
-                    dense = _padd(dense, tuple(c * x for x in cheb_S(j)))
-                assert dense == _pmul(cheb_S(k), cheb_T(n)), (k, n)
-
     def test_s_product_against_expansion(self):
         for a in range(0, 12):
             for b in range(0, 12):

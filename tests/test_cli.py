@@ -159,6 +159,51 @@ class TestVerify:
             assert exc.value.code == 2
 
 
+def _t1_fails_and_raises(p, n):
+    """A stand-in check: zero at p = 1, a nonzero residual at p = 2, raises at p = 3."""
+    if p == 3:
+        raise ZeroDivisionError("no inverse")
+    return CommutativePoly({(0, 1, 0): 1} if p == 2 else {})
+
+
+class TestReportLayout:
+    # case -> (suite, p_max, n_max, the check that replaces t1_factorization or None)
+    CASES = {"single": ("telescope", 2, 3, None),
+             "all": ("all", 1, 2, None),
+             "failing": ("t1-factor", 2, 1, _t1_fails_and_raises),
+             "raising": ("t1-factor", 3, 1, _t1_fails_and_raises)}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_line_per_check_row(self, capsys, monkeypatch, tmp_path, case):
+        suite, p_max, n_max, check = self.CASES[case]
+        if check is not None:
+            monkeypatch.setitem(cli._CHECKS, "t1_factorization", check)
+        # the suites run once, so both reports below print the same dicts
+        reports = [cli.run_suite(s, p_max, n_max) for s in (SUITES if suite == "all" else (suite,))]
+        by_suite = {r["suite"]: r for r in reports}
+        monkeypatch.setattr(cli, "run_suite", lambda s, p, n: by_suite[s])
+        capsys.readouterr()
+        argv = ["verify", "--suite", suite, "--p-max", str(p_max), "--n-max", str(n_max)]
+        target = tmp_path / "report.json"
+        code, summary, _ = run(capsys, argv + ["--json", str(target)])
+        text = target.read_text()
+        assert code == (1 if check else 0)
+        # --json - prints the file's text after the summary lines
+        assert run(capsys, argv + ["--json", "-"]) == (code, summary + text, "")
+        lines = text.splitlines()
+        assert lines[0] == ("[" if suite == "all" else "{")
+        # besides the rows: the first line, a header and a closing line per
+        # suite, and the closing "]" of an array
+        assert len(lines) == 1 + sum(len(r["checks"]) + 2 for r in reports) + (suite == "all")
+        rows = [json.loads(line.rstrip(",")) for line in lines if line.startswith('{"check"')]
+        assert rows == [row for r in reports for row in r["checks"]]
+        assert json.loads(text) == (reports if suite == "all" else reports[0])
+        if check is not None:
+            assert rows[1]["residual"] == {"terms": [[0, 1, 0, "1"]]}
+        if case == "raising":
+            assert rows[2]["error"] == "ZeroDivisionError: no inverse"
+
+
 class TestExpand:
     def test_family_seed_json(self, capsys):
         code, out, _ = run(capsys, ["expand", "X", "-i", "0",
@@ -204,6 +249,15 @@ class TestExpand:
         code, _, err = run(capsys, ["expand", "wibble", "-i", "1"])
         assert code == 2
         assert "unknown family" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    for argv, code in ((["verify", "--suite", "t1-factor", "--p-max", "1"], 0),
+                       (["verify", "--jobs", "2"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "skeincalc", *argv], capture_output=True,
+                              text=True, env=_ENV, timeout=60)
+        assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith("unrecognized arguments: --jobs 2")
 
 
 @pytest.mark.skipif(shutil.which("skeincalc") is None,

@@ -14,7 +14,8 @@ from skeincalc.coeffs import LaurentPoly, as_laurent, t
 from skeincalc.families import big_x, x1_T_closed
 from skeincalc.handlebody import HbElement, X, Z
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
-                                 _merge, _reduce_items, _u_terms, _window, a_element, embed,
+                                 _a_terms, _merge, _reduce_items, _run_terms, _u_terms,
+                                 _window, _y_terms, a_element, embed,
                                  handle_slide_residual, induction_residual, reduce_sy,
                                  relation_residual, rt_recursion_residual,
                                  telescope_residual, y_shorthand)
@@ -266,6 +267,18 @@ class TestJonesSum:
         _reduce_items.cache_clear()
         assert telescope_residual(40, 84).is_zero()
         assert _reduce_items.cache_info().currsize <= 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(-2, 2), st.integers(-4, 4), st.integers(-3, 4),
+                                   st.integers(-8, 8), st.integers(-8, 8)), max_size=6),
+           p=st.integers(1, 3))
+    def test_merged_runs_are_their_expanded_terms(self, runs, p):
+        # a run (c, L, i, lo, hi) is sum_{N=lo}^{hi} c t^{L-2N} S_i(x) f(N),
+        # empty for hi < lo; few lines (L, i), so runs overlap and cancel,
+        # on both sides of the N <= -2 fold
+        f = JonesSequence(p, KBSM)
+        expanded = [(c, L - 2 * N, i, N) for c, L, i, lo, hi in runs for N in range(lo, hi + 1)]
+        assert f._table(_run_terms(runs)) == f._table(expanded)
 
     def test_no_terms_give_zero_in_context(self):
         got = JonesSequence(2, RT).sum([])
@@ -617,6 +630,18 @@ class TestTelescope:
                 for n in range(15):
                     assert (telescope_residual(p, n, KBSM, r)
                             == relation_residual(p, n + p - 1, KBSM, r) * t(2 * n - 2 * p + 3)), (r, p, n)
+
+    @pytest.mark.parametrize("c, rule", ALL_RULES)
+    def test_runs_are_the_defining_sums(self, c, rule):
+        # the residual from two runs is the one from A_{n+1}'s and A_n's
+        # defining terms, byte for byte, under every rule and for n < 0
+        for p in range(1, 9):
+            f = JonesSequence(p, c, rule)
+            for n in range(-6, 2 * p + 8):
+                sign = -1 if (p + n - 1) % 2 else 1
+                expected = f.sum(_a_terms(p, n + 1) + _a_terms(p, n, 2, -1)
+                                 + _y_terms(p, rule, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
+                assert telescope_residual(p, n, c, rule).to_json() == expected.to_json(), (p, n)
 
     def test_induction_identity_samples(self):
         assert induction_residual(1, 2).is_zero()
