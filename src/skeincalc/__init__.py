@@ -16,11 +16,11 @@ from .families import (FamilyPair, big_x, big_x_closed, big_x_residual,
 from .torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
                         a_element, embed, handle_slide_residual,
                         induction_residual, reduce_sy, relation_residual,
-                        rt_recursion_residual, telescope_residual, y_shorthand)
+                        telescope_residual, y_shorthand)
 from .qtorus import (CommutativePoly, QtElement, base_relation_op,
                      homogenization_residual, inhomog_recurrence,
-                     mixed_operator_residual, product_identity_residual,
-                     product_multiplier, qt_apply, qt_mul, recurrence_poly,
-                     recurrence_poly_residual, t1_factor_residual)
+                     product_identity_residual, product_multiplier, qt_apply,
+                     qt_mul, recurrence_poly, recurrence_poly_residual,
+                     rt_recursion_residual, t1_factor_residual)
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ Two subcommands:
 Checks run one after another in one process, so the memo caches filled by one
 grid point serve the next.  A check that raises is reported as a failed check
 with its error, and the run goes on.  The --json report puts each check row
-on a line of its own, written by the C encoder of json.dumps.
+on a line of its own, encoded by the C encoder of json.dumps and written as
+soon as it is encoded.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ _CHECKS = {
     "handle_slide": lambda p, n: torusknot.handle_slide_residual(p, n),
     "a_n_telescope": lambda p, n: torusknot.telescope_residual(p, n),
     "induction_identity": lambda p, n: torusknot.induction_residual(p, n),
-    "rt_recursion": lambda p, n: torusknot.rt_recursion_residual(p, n),
-    "mixed_operator_annihilates": lambda p, n: qtorus.mixed_operator_residual(p, n),
+    "rt_recursion": lambda p, n: qtorus.rt_recursion_residual(p, n),
+    "mixed_operator_annihilates": lambda p, n: qtorus.rt_recursion_residual(p, n),
     "recurrence_poly_annihilates": lambda p, n: qtorus.recurrence_poly_residual(p, n),
     "product_identity": lambda p, n: qtorus.product_identity_residual(p),
     "homogenization": lambda p, n: qtorus.homogenization_residual(p),
@@ -61,14 +62,9 @@ def _run_check(name, p, n):
 
 
 def _families_tasks(p_max, n_max):
-    tasks = []
-    for n in range(1, n_max + 1):
-        tasks.append(("x1_T_closed_vs_recursion", None, n))
-        tasks.append(("y1_T_closed_vs_recursion", None, n))
-        tasks.append(("sigma_closed_vs_defining", None, n))
-    for i in range(0, n_max + 1):
-        tasks.append(("big_x_closed_vs_recursion", None, i))
-    return tasks
+    pair = ("x1_T_closed_vs_recursion", "y1_T_closed_vs_recursion", "sigma_closed_vs_defining")
+    return ([(name, None, n) for n in range(1, n_max + 1) for name in pair]
+            + [("big_x_closed_vs_recursion", None, i) for i in range(0, n_max + 1)])
 
 
 def _handle_slide_tasks(p_max, n_max):
@@ -78,12 +74,9 @@ def _handle_slide_tasks(p_max, n_max):
 
 
 def _telescope_tasks(p_max, n_max):
-    tasks = []
-    for p in range(1, p_max + 1):
-        for n in range(0, min(2 * p + 4, n_max) + 1):
-            tasks.append(("a_n_telescope", p, n))
-            tasks.append(("induction_identity", p, n))
-    return tasks
+    return [(name, p, n) for p in range(1, p_max + 1)
+            for n in range(0, min(2 * p + 4, n_max) + 1)
+            for name in ("a_n_telescope", "induction_identity")]
 
 
 def _rt_recursion_tasks(p_max, n_max):
@@ -127,13 +120,19 @@ def run_suite(suite: str, p_max: int, n_max: int) -> dict:
             "checks": checks, "elapsed_ms": round(elapsed_ms, 3)}
 
 
-def _report_body(report: dict) -> str:
-    """One suite's report as JSON text without its opening brace: the suite
-    header on one line, then each check row on a line of its own, then the
-    closing line with elapsed_ms.  Each line is written by the C encoder."""
-    head = json.dumps({"suite": report["suite"], "grid": report["grid"]})[1:-1]
-    rows = ",\n".join(map(json.dumps, report["checks"]))
-    return f'{head}, "checks": [\n{rows}\n], "elapsed_ms": {json.dumps(report["elapsed_ms"])}}}'
+def _write_report(out, reports: list[dict]) -> None:
+    """Write the --json text: a lone "{" line for one suite, or "[" for all,
+    then per suite a header line, a line per check row and a closing line
+    with elapsed_ms, each encoded by the C encoder and written at once."""
+    one = len(reports) == 1
+    out.write("{\n" if one else "[\n{")
+    for k, report in enumerate(reports):
+        head = json.dumps({"suite": report["suite"], "grid": report["grid"]})[1:-1]
+        out.write((",\n{" if k else "") + head + ', "checks": [\n')
+        for j, row in enumerate(report["checks"]):
+            out.write(",\n" + json.dumps(row) if j else json.dumps(row))
+        out.write(f'\n], "elapsed_ms": {json.dumps(report["elapsed_ms"])}}}')
+    out.write("\n" if one else "\n]\n")
 
 
 def cmd_verify(args) -> int:
@@ -158,21 +157,15 @@ def cmd_verify(args) -> int:
                     print(f"          error: {check['error']}")
                 else:
                     print(f"          residual: {json.dumps(check['residual'])}")
-    if args.json:
-        if len(reports) == 1:
-            text = "{\n" + _report_body(reports[0])
-        else:
-            text = "[\n" + ",\n".join("{" + _report_body(r) for r in reports) + "\n]"
-        if args.json == "-":
-            print(text)
-        else:
-            try:  # exit 1 means a check failed, so a failed write exits 2
-                with open(args.json, "w") as fh:
-                    fh.write(text + "\n")
-            except OSError as exc:
-                print(f"error: cannot write --json {args.json}: {exc.strerror}",
-                      file=sys.stderr)
-                return 2
+    if args.json == "-":
+        _write_report(sys.stdout, reports)
+    elif args.json:
+        try:  # exit 1 means a check failed, so a failed write exits 2
+            with open(args.json, "w") as fh:
+                _write_report(fh, reports)
+        except OSError as exc:
+            print(f"error: cannot write --json {args.json}: {exc.strerror}", file=sys.stderr)
+            return 2
     return 0 if failed == 0 else 1
 
 

@@ -248,14 +248,6 @@ class LaurentPoly(Sparse):
 
     _key = _coeff = staticmethod(check_int)
 
-    @staticmethod
-    def zero() -> LaurentPoly:
-        return LaurentPoly()
-
-    @staticmethod
-    def one() -> LaurentPoly:
-        return LaurentPoly({0: 1})
-
     def _peer(self, other) -> LaurentPoly | None:
         if other.__class__ is LaurentPoly:
             return other

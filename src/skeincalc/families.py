@@ -31,8 +31,10 @@ an independent cross-check and for ``skeincalc expand x1y``.  All else adds
 ints on flat Chebyshev-basis tables (m, n, k, e) -> c, merged as in
 :mod:`skeincalc.handlebody`: each closed form is a list of int terms, and the
 oracles (the pair's, behind :func:`x1y1_T_recursive`, and :func:`big_x`) step
-tables.  Public functions build fresh elements; a ``*_residual`` builds one,
-in the monomial basis, only when closed form and oracle differ.
+tables: :func:`big_x` keeps an element per index, but its recursion and
+every residual read the private table memo behind it.  Other public
+functions build fresh elements; a ``*_residual`` builds one, in the monomial
+basis, only when closed form and oracle differ.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 from .chebyshev import ascending_memo
 from .coeffs import check_int, t
-from .handlebody import MONOMIAL, HbElement, Table, Term, _element, _merge, _table
+from .handlebody import MONOMIAL, HbElement, Table, Term, _element, _merge
 
 
 @dataclass(frozen=True)
@@ -175,14 +177,22 @@ def y1_T_closed(n: int) -> HbElement:
 
 
 @ascending_memo
-def big_x(i: int) -> HbElement:
-    """X_i by the three-term recursion, Chebyshev basis."""
+def _big_x_table(i: int) -> Table:
+    """X_i's table by the three-term recursion, zeros dropped: the memo that the
+    recursion and the residuals read, out of reach of big_x's callers."""
     if i < 0:
         raise ValueError("index must be nonnegative")
     if i < 2:
-        return _element((_Y0, _X0)[i])
-    acc = _add({(1, 0, 1, 2): -2}, _table(big_x(i - 1)), {2: 1}, (1, -1))
-    return _element(_add(acc, _table(big_x(i - 2)), {4: -1}))
+        return (_Y0, _X0)[i]
+    acc = _add({(1, 0, 1, 2): -2}, _big_x_table(i - 1), {2: 1}, (1, -1))
+    _add(acc, _big_x_table(i - 2), {4: -1})
+    return {k: c for k, c in acc.items() if c}
+
+
+@ascending_memo
+def big_x(i: int) -> HbElement:
+    """X_i by the three-term recursion, Chebyshev basis."""
+    return _element(_big_x_table(i))
 
 
 def _big_x_closed(i: int) -> Table:
@@ -255,4 +265,4 @@ def sigma_residual(n: int) -> HbElement:
 
 def big_x_residual(i: int) -> HbElement:
     """big_x_closed(i) minus the recursion big_x(i), monomial basis."""
-    return _residual(_big_x_closed(i), _table(big_x(i)))
+    return _residual(_big_x_closed(i), _big_x_table(i))

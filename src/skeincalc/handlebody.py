@@ -101,10 +101,6 @@ class HbElement(Sparse):
         return key
 
     @staticmethod
-    def one(basis: str = MONOMIAL) -> HbElement:
-        return HbElement(basis, {(0, 0, 0): 1})
-
-    @staticmethod
     def mono(terms: Mapping[Key, LaurentPoly | int]) -> HbElement:
         return HbElement(MONOMIAL, terms)
 
@@ -128,16 +124,6 @@ class HbElement(Sparse):
             m, n, k = check_key(tuple(idx), 3)
             rows += [(v, e, m, n, k) for e, v in as_laurent(c).terms.items()]
         return _element(_merge(rows))
-
-    @staticmethod
-    def cheb_term(m: int, n: int, k: int, coeff: LaurentPoly | int = 1) -> HbElement:
-        """S_m(x) S_n(y) S_k(z), any integer indices: a one-term :meth:`cheb_sum`."""
-        return HbElement.cheb_sum([(m, n, k, coeff)])
-
-    @staticmethod
-    def cheb_t_y(n: int, coeff: LaurentPoly | int = 1) -> HbElement:
-        """T_n(y) = S_n(y) - S_{n-2}(y) as a Chebyshev-basis element; T_{-n} = T_n."""
-        return HbElement.cheb_sum([(0, abs(n), 0, coeff), (0, abs(n) - 2, 0, -coeff)])
 
     def __mul__(self, other: HbElement | LaurentPoly | int) -> HbElement:
         if isinstance(other, (LaurentPoly, int)):

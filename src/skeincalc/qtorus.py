@@ -7,7 +7,9 @@ normal form costs L^b M^c = t^{2bc} M^c L^b.  The action on a sequence f is
 
     (M^a L^b f)(n) = t^{2an} f(n + b)
 
-with x acting by multiplication inside the torus-knot module.
+with x acting by multiplication inside the torus-knot module.  The operators
+here annihilate the rt-reduced sequence; as f_rt(n) = (-1)^n iota(f_kbsm(n))
+(see torusknot), P kills f_rt exactly when P(M, -L) kills f_kbsm.
 
 A printed operator word such as t^3 L^{-p} M names its shift part (the
 L-power) and its weight part (the M-power); it is stored here directly as the
@@ -21,11 +23,13 @@ t^{2p+5} L^{p+2} M, which normal-orders to t^{4p+9} M L^{p+2}.
 from __future__ import annotations
 
 import functools
+from itertools import repeat
+from operator import add, mul
 
 from .chebyshev import monomial_to_S
 from .coeffs import (AuxLaurent, LaurentPoly, Sparse, add_into, check_int,
                      check_key, decode_int, t)
-from .torusknot import Convention, JonesSequence, TkElement, _context
+from .torusknot import Convention, JonesSequence, ReductionRule, TkElement, _context
 
 QtKey = tuple[int, int]
 
@@ -40,7 +44,7 @@ class QtElement(Sparse):
     elements with nonnegative x-degrees.
     """
 
-    __slots__ = ()
+    __slots__ = ("_int_terms",)
     _coeff_from_json = AuxLaurent.from_json
 
     @staticmethod
@@ -54,10 +58,6 @@ class QtElement(Sparse):
         if any(xd < 0 for xd in c.terms):
             raise ValueError("quantum-torus coefficients must have nonnegative x-degrees")
         return c
-
-    @staticmethod
-    def one() -> QtElement:
-        return QtElement({(0, 0): 1})
 
     @staticmethod
     def monomial(a: int, b: int, coeff: AuxLaurent | LaurentPoly | int = 1) -> QtElement:
@@ -94,40 +94,58 @@ def qt_mul(a: QtElement, b: QtElement) -> QtElement:
     return a._like(out)
 
 
+def _expand(P: QtElement) -> tuple[tuple[int, ...], ...]:
+    """P's n-independent int terms c t^e S_j(x) M^a L^b as five columns
+    (c, e, 2a, j, b): powers of x expanded into S_j(x), Laurent coefficients
+    into monomials, equal keys merged."""
+    merged: dict[tuple[int, int, int, int], int] = {}
+    for (a, b), coeff in P.terms.items():
+        for xd, lp in coeff.terms.items():
+            for j, cnt in monomial_to_S(xd).items():
+                for e, c in lp.terms.items():
+                    merged[e, 2 * a, j, b] = merged.get((e, 2 * a, j, b), 0) + c * cnt
+    return tuple(zip(*((c, *key) for key, c in merged.items() if c))) or ((),) * 5
+
+
+def _with_int_terms(P: QtElement) -> QtElement:
+    """P carrying _expand(P), for an lru_cached builder: expanded once per p."""
+    P._int_terms = _expand(P)
+    return P
+
+
 def qt_apply(P: QtElement, f: JonesSequence, n: int) -> TkElement:
     """Apply an operator to a sequence at the point n.
 
-    Each term c(x) M^a L^b contributes t^{2an} c(x) f(n+b), with powers of x
-    expanded into S_j(x) and c(x)'s Laurent coefficients into monomials: one
-    JonesSequence.sum over all the int terms, n checked once.
+    Each term c(x) M^a L^b contributes t^{2an} c(x) f(n+b): one
+    JonesSequence.sum of the int terms (c, e + 2an, j, n + b), n checked
+    once.  An operator from a cached builder brings its int terms, fixed when
+    it was built, and they are shifted column by column, with no Python loop.
     """
     n = check_int(n)
-    return f._sum((c * cnt, e + 2 * a * n, sj, n + b)
-                  for (a, b), coeff in P.terms.items()
-                  for xd, lp in coeff.terms.items()
-                  for sj, cnt in monomial_to_S(xd).items()
-                  for e, c in lp.terms.items())
+    c, e, a2, j, b = getattr(P, "_int_terms", None) or _expand(P)
+    return f._sum(zip(c, map(add, e, map(mul, a2, repeat(n))), j, map(add, b, repeat(n))))
 
 
 @functools.lru_cache(maxsize=None)
 def inhomog_recurrence(p: int) -> QtElement:
-    """The mixed-M operator annihilating the reduced sequence.
+    """The mixed-M operator annihilating the rt-reduced sequence.
 
-    Its six terms are t^{-3} M^{-1} L^{p+1} + t^3 M L^{-p}
-    - t^{-1} (x^2-2) M^{-1} L^p - t (x^2-2) M L^{-p-1}
-    + t M^{-1} L^{p-1} + t^{-1} M L^{-p-2}.  Applied at n this is exactly the
-    six-term homogeneous recursion of torusknot.rt_recursion_residual.
+    This is the one statement of the paper's six-term recursion, which
+    rt_recursion_residual checks: applied at n, the terms below give
+
+        t^{-2n-3} S_{n+p+1} + t^{2n+3} S_{n-p} - t^{-2n-1} (x^2-2) S_{n+p}
+          - t^{2n+1} (x^2-2) S_{n-p-1} + t^{-2n+1} S_{n+p-1} + t^{2n-1} S_{n-p-2} = 0.
     """
     p, _ = _context(p, Convention.RT)
     neg = -X2_MINUS_2
-    return QtElement({
+    return _with_int_terms(QtElement({
         (-1, p + 1): t(-3),
         (1, -p): t(3),
         (-1, p): neg * t(-1),
         (1, -p - 1): neg * t(1),
         (-1, p - 1): t(1),
         (1, -p - 2): t(-1),
-    })
+    }))
 
 
 def base_relation_op(p: int) -> QtElement:
@@ -169,14 +187,14 @@ def recurrence_poly(p: int) -> QtElement:
     """
     p, _ = _context(p, Convention.RT)
     neg = -X2_MINUS_2
-    return QtElement({
+    return _with_int_terms(QtElement({
         (0, 2 * p + 3): t(2 * p + 2),
         (0, 2 * p + 2): neg * t(2 * p + 4),
         (0, 2 * p + 1): t(2 * p + 6),
         (2, 2): t(6 * p + 16),
         (2, 1): neg * t(6 * p + 14),
         (2, 0): t(6 * p + 12),
-    })
+    }))
 
 
 def product_identity_residual(p: int) -> QtElement:
@@ -184,9 +202,11 @@ def product_identity_residual(p: int) -> QtElement:
     return qt_mul(product_multiplier(p), inhomog_recurrence(p)) - recurrence_poly(p)
 
 
-def mixed_operator_residual(p: int, n: int) -> TkElement:
-    """inhomog_recurrence(p) applied to the rt-reduced sequence at n; zero when it annihilates."""
-    return qt_apply(inhomog_recurrence(p), JonesSequence(p, Convention.RT), n)
+def rt_recursion_residual(p: int, n: int,
+                          rule: ReductionRule | None = None) -> TkElement:
+    """inhomog_recurrence(p) applied to the rt-reduced sequence at n, zero when
+    it annihilates; the rule lets sign mutants show that the check can fail."""
+    return qt_apply(inhomog_recurrence(p), JonesSequence(p, Convention.RT, rule), n)
 
 
 def recurrence_poly_residual(p: int, n: int) -> TkElement:

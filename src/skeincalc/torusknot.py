@@ -9,38 +9,43 @@ reduction rule; two rule conventions are supported and never mixed:
     rt:    S_{p+n}(y) = t^{2n+1} S_{2n}(x) (t^{-1} S_p(y) - t S_{p-1}(y))
                         + t^{4n+2} S_{p-n-1}(y)
 
-for n >= 1, with negative indices folded by S_{-n} = -S_{n-2} first.  Each
-application strictly lowers the offending y-index, so reduction is one loop
-down the chain N -> p-n-1, memoised as int rows (m, n, e, sign): every
+for n >= 1, with negative indices folded by S_{-n} = -S_{n-2} first.  The
+rt rule is the kbsm rule under y -> -y: with iota the sign map
+S_m(x) S_n(y) -> (-1)^n S_m(x) S_n(y), f_rt(N) = (-1)^N iota(f_kbsm(N)), so
+one ReductionRule, read in the kbsm picture, and one memo serve both.
+Each application strictly lowers the offending y-index, so reduction is one
+loop down the chain N -> p-n-1, memoised as int rows (m, n, e, sign): every
 coefficient it produces is a monomial.  JonesSequence.sum takes int terms
 (c, e, i, N) for c t^e S_i(x) f(N), merges them by folded (i, N, e) and
 adds the rows of each surviving f(N), read from the memo once per N, times
 S_i(x) into a flat int table (m, n, e) -> c: the layer's one accumulation
 loop.  embed and times_sx are such sums, of reduced powers times S(x).
 Tables are added to tables by _add and _add_x2, and _element alone turns a
-table into an element.  So each residual is one table of both sides' terms,
-terms that cancel are never reduced, and no coefficient object is built
-before the result.  The module has no product of its own: the x-subalgebra
-acts on it through times_sx, and * takes scalars.
+table into an element, applying iota under rt.  So each residual is one
+table of both sides' terms, terms that cancel are never reduced, and no
+coefficient object is built before the result.  The module has no product
+of its own: the x-subalgebra acts on it through times_sx, and * takes
+scalars.
 
 The checks at the bottom of the module (handle slide, telescoping sum,
-induction identity, homogeneous recursion) each return a residual element;
-a check passes exactly when its residual is zero.  Every one of them accepts
-an explicit ReductionRule so that deliberately perturbed rules can demonstrate
-the checks have discriminating power.  Every running sum of the layer is a
-window of one weighted sequence, U(lo, hi) = sum_{N=lo}^{hi} t^{-2N} f(N),
-oriented so that U(a, b) + U(b+1, c) = U(a, c) for all a, b, c.  _window
-keeps x^2 U of the latest [lo, hi] per (p, rule, slot), and reaches the next
-window by adding and subtracting the powers at its two ends when that
-reduces fewer powers than a fresh build.  Additivity holds for every
-sequence f, so under every rule.  The induction identity's x^2 A_n is one
-window, and the telescope's A_{n+1} - t^2 A_n is two runs, sums
-c t^{L-2N} S_i(x) f(N) over lo <= N <= hi, which _run_terms merges by their
-endpoints before any term is expanded.  The handle slide builds no
-handlebody element per (p, n): both sides embed to a few head terms plus
-geometric k-sums of f, two windows.  The rest of each side is read off the
-family functions, so the residual stays the embed of the difference of the
-two sides even if a family changes.
+induction identity) each return a residual element; a check passes exactly
+when its residual is zero.  Every one of them accepts an explicit
+ReductionRule so that deliberately perturbed rules can demonstrate the
+checks have discriminating power.  The six-term rt recursion is an
+operator, qtorus.inhomog_recurrence, applied by qtorus.rt_recursion_residual.
+Every running sum of the layer is a window of one weighted sequence,
+U(lo, hi) = sum_{N=lo}^{hi} t^{-2N} f(N), oriented so that
+U(a, b) + U(b+1, c) = U(a, c) for all a, b, c.  _window keeps x^2 U of the
+latest [lo, hi] per (p, rule, convention, slot), and reaches the next window
+by adding and subtracting the powers at its two ends when that reduces fewer
+powers than a fresh build.  Additivity holds for every sequence f, so under
+every rule.  The induction identity's x^2 A_n is one window, and the
+telescope's A_{n+1} - t^2 A_n is two runs, sums c t^{L-2N} S_i(x) f(N) over
+lo <= N <= hi, which _run_terms merges by their endpoints before any term is
+expanded.  The handle slide builds no handlebody element per (p, n): both
+sides embed to a few head terms plus geometric k-sums of f, two windows.
+The rest of each side is read off the family functions, so the residual
+stays the embed of the difference of the two sides even if a family changes.
 """
 
 from __future__ import annotations
@@ -52,14 +57,15 @@ from collections.abc import Iterable, Mapping
 
 from .chebyshev import normalize_s_index, s_product
 from .coeffs import LaurentPoly, Sparse, check_int, check_key
-from .families import big_x, x1_T_closed
-from .handlebody import CHEBYSHEV, HbElement
+from .families import _big_x_table, x1_T_closed
+from .handlebody import CHEBYSHEV, HbElement, _element as _hb_element
 
 TkKey = tuple[int, int]
 Row = tuple[int, int, int, int]         # (m, n, e, c): c t^e S_m(x) S_n(y)
 Term = tuple[int, int, int, int]        # (c, e, i, N): c t^e S_i(x) f(N)
 Run = tuple[int, int, int, int, int]    # (c, L, i, lo, hi): c t^{L-2N} S_i(x) f(N), lo <= N <= hi
 Table = dict[tuple[int, int, int], int]  # (m, n, e) -> c, zeros not yet dropped
+_poly = LaurentPoly()._like  # a LaurentPoly of canonical int terms, unchecked
 
 
 class Convention(enum.Enum):
@@ -73,34 +79,30 @@ class Convention(enum.Enum):
 class ReductionRule:
     """Sign data of the reduction rewriting, kept explicit for mutation tests.
 
-    The rewriting has the shape
+    A rule is read in the kbsm picture, where it rewrites
 
-        S_{p+n}(y) -> lead_sign * a(n) * t^{2n+1} S_{2n}(x) *
+        S_{p+n}(y) -> lead_sign * (-1)^n * t^{2n+1} S_{2n}(x) *
                           (s_pm1_sign * t * S_{p-1}(y) + s_p_sign * t^{-1} * S_p(y))
                       + tail_sign * t^{4n+2} S_{p-n-1}(y)
 
-    where a(n) = (-1)^n when ``alternating`` and 1 otherwise.  Each sign is
-    an int +1 or -1 and ``alternating`` a bool, else TypeError or ValueError.
-    A rule is part of every memo key of the module, so its hash is computed
+    for n >= 1.  Under rt it rewrites by the slot map: no (-1)^n, and
+    s_pm1_sign and tail_sign negated, which is the kbsm rewriting under
+    y -> -y.  Each sign is an int +1 or -1, else TypeError or ValueError.  A
+    rule is part of every memo key of the module, so its hash is computed
     once, kept outside the fields.
     """
 
     lead_sign: int
-    alternating: bool
     s_pm1_sign: int
     s_p_sign: int
     tail_sign: int
 
-    _SIGNS = ("lead_sign", "s_pm1_sign", "s_p_sign", "tail_sign")
-
     def __post_init__(self):
-        for field in self._SIGNS:
-            sign = check_int(getattr(self, field))
+        for field in dataclasses.fields(self):
+            sign = check_int(getattr(self, field.name))
             if sign not in (1, -1):
-                raise ValueError(f"{field} must be 1 or -1, got {sign}")
-            object.__setattr__(self, field, sign)
-        if not isinstance(self.alternating, bool):
-            raise TypeError(f"alternating must be a bool, got {self.alternating!r}")
+                raise ValueError(f"{field.name} must be 1 or -1, got {sign}")
+            object.__setattr__(self, field.name, sign)
         object.__setattr__(self, "_hash", hash(dataclasses.astuple(self)))
 
     def __hash__(self) -> int:
@@ -108,17 +110,17 @@ class ReductionRule:
 
     @staticmethod
     def for_convention(c: Convention) -> ReductionRule:
-        """The convention's rule, one shared instance per convention."""
-        return _BASE_RULES[Convention(c)]
+        """The convention's rule: one shared instance, the same for both."""
+        Convention(c)  # an unknown convention raises ValueError
+        return _BASE_RULE
 
     def single_sign_mutations(self) -> tuple[ReductionRule, ...]:
         """All rules obtained by flipping exactly one of the four sign slots."""
-        return tuple(dataclasses.replace(self, **{field: -getattr(self, field)})
-                     for field in self._SIGNS)
+        return tuple(dataclasses.replace(self, **{field.name: -getattr(self, field.name)})
+                     for field in dataclasses.fields(self))
 
 
-_BASE_RULES = {Convention.KBSM: ReductionRule(1, True, 1, 1, -1),
-               Convention.RT: ReductionRule(1, False, -1, 1, 1)}
+_BASE_RULE = ReductionRule(1, 1, 1, -1)
 
 
 def _context(p: int, convention: Convention | str) -> tuple[int, Convention]:
@@ -132,15 +134,12 @@ def _context(p: int, convention: Convention | str) -> tuple[int, Convention]:
     return p, convention
 
 
-def _parity_sign(n: int) -> int:
-    return 1 if n % 2 == 0 else -1
-
-
 @functools.lru_cache(maxsize=None)
 def _reduce_items(N: int, p: int, rule: ReductionRule) -> tuple[Row, ...]:
     """S_N(y) reduced, as int rows (m, n, e, sign) for sign t^e S_m(x) S_n(y), by
     one loop down the chain N -> p-n-1 that folds negative indices as it goes.
-    The rule alone fixes the rows; the caller has checked p >= 1."""
+    The rows are the kbsm picture of the rule, whatever the convention; the
+    caller has checked p >= 1."""
     rows: list[Row] = []
     sign, texp = 1, 0
     while N > p or N < -1:
@@ -148,7 +147,7 @@ def _reduce_items(N: int, p: int, rule: ReductionRule) -> tuple[Row, ...]:
             sign, N = -sign, -N - 2
             continue
         n = N - p
-        s = sign * rule.lead_sign * (_parity_sign(n) if rule.alternating else 1)
+        s = sign * rule.lead_sign * (-1 if n & 1 else 1)
         rows += ((2 * n, p - 1, texp + 2 * n + 2, s * rule.s_pm1_sign),
                  (2 * n, p, texp + 2 * n, s * rule.s_p_sign))
         sign, texp, N = sign * rule.tail_sign, texp + 4 * n + 2, p - n - 1
@@ -181,10 +180,6 @@ class TkElement(Sparse):
         if m < 0 or not 0 <= n <= self.p:
             raise ValueError(f"key ({m}, {n}) outside the basis for p={self.p}")
         return (m, n)
-
-    @staticmethod
-    def one(p: int, convention: Convention) -> TkElement:
-        return TkElement(p, convention, {(0, 0): 1})
 
     def __mul__(self, other: LaurentPoly | int) -> TkElement:
         if isinstance(other, (LaurentPoly, int)):
@@ -220,13 +215,17 @@ def reduce_sy(N: int, p: int, c: Convention,
 
 def _element(p: int, c: Convention, acc: Table) -> TkElement:
     """The element of a flat table: the one place its entries are grouped by
-    (m, n), zeros dropped and each coefficient built, without re-validation."""
+    (m, n), zeros dropped and each coefficient built, without re-validation
+    of the checked context (p, c).  Under rt, iota negates the surviving
+    entries of odd n."""
+    iota = c is Convention.RT
     grouped: dict[TkKey, dict[int, int]] = {}
     for (m, n, e), v in acc.items():
         if v:
-            grouped.setdefault((m, n), {})[e] = v
-    like = LaurentPoly()._like
-    return TkElement(p, c)._like({k: like(cs) for k, cs in grouped.items()})
+            grouped.setdefault((m, n), {})[e] = -v if iota and n & 1 else v
+    res = object.__new__(TkElement)
+    res._ctx, res.terms = (p, c), {k: _poly(cs) for k, cs in grouped.items()}
+    return res
 
 
 def embed(h: HbElement, p: int, c: Convention,
@@ -246,7 +245,9 @@ class JonesSequence:
     """The sequence n -> reduced S_n(y), defined for every integer n.
 
     For 0 <= n <= p the value is the basis element itself; outside that window
-    the reduction rule produces the general term.
+    the reduction rule produces the general term.  As f_rt(N) =
+    (-1)^N iota(f_kbsm(N)), tables hold the kbsm picture: under rt, _table
+    negates each merged term of odd N, and _element applies iota at the end.
     """
 
     __slots__ = ("p", "convention", "rule")
@@ -255,7 +256,7 @@ class JonesSequence:
                  rule: ReductionRule | None = None):
         self.p, self.convention = _context(p, convention)
         if rule is None:
-            rule = _BASE_RULES[self.convention]
+            rule = _BASE_RULE
         elif not isinstance(rule, ReductionRule):
             raise TypeError(f"expected a ReductionRule, got {rule!r}")
         self.rule = rule
@@ -288,26 +289,30 @@ class JonesSequence:
     def _table(self, terms: Iterable[Term]) -> Table:
         """The sum of the terms as a flat table, the layer's one accumulation
         loop: merged by folded (i, N, e), then each nonzero entry adds the
-        rows of f(N), read from the memo once per N, times S_i(x).  It prunes
+        rows of f(N), read from the memo once per N, times S_i(x), in the
+        kbsm picture: under rt a term of odd N is negated.  It prunes
         nothing; _element drops the zeros at the end.  The x-indices are
         s_product(i, m), inlined: this loop is the layer's hot spot."""
         acc: Table = {}
         get = acc.get
         p, rule = self.p, self.rule
+        rt = self.convention is Convention.RT
         reduced: dict[int, tuple[Row, ...]] = {}
         for (i, N, se), sc in _merge(terms).items():
             if not sc:
                 continue
+            if rt and N & 1:
+                sc = -sc
             rows = reduced.get(N)
             if rows is None:
                 rows = reduced[N] = _reduce_items(N, p, rule)
             for m, n, e, c in rows:
-                e += se
-                c *= sc
                 if i == 0 or m == 0:
-                    key = (i + m, n, e)
-                    acc[key] = get(key, 0) + c
+                    key = (i + m, n, e + se)
+                    acc[key] = get(key, 0) + c * sc
                 else:
+                    e += se
+                    c *= sc
                     for mf in range(abs(i - m), i + m + 1, 2):
                         key = (mf, n, e)
                         acc[key] = get(key, 0) + c
@@ -353,9 +358,11 @@ def _run_terms(runs: Iterable[Run]) -> list[Term]:
     return terms
 
 
-def _y_terms(p: int, r: ReductionRule, i: int, e: int, s: int) -> list[Term]:
-    """s t^e S_i(x) Y as int terms of JonesSequence.sum, Y the y_shorthand bracket."""
-    return [(s * r.s_pm1_sign, e + 1, i, p - 1), (s * r.s_p_sign, e - 1, i, p)]
+def _y_terms(f: JonesSequence, i: int, e: int, s: int) -> list[Term]:
+    """s t^e S_i(x) Y as int terms of f.sum, Y the y_shorthand bracket; the
+    rt slot map negates s_pm1_sign."""
+    s_pm1 = -s if f.convention is Convention.RT else s
+    return [(s_pm1 * f.rule.s_pm1_sign, e + 1, i, f.p - 1), (s * f.rule.s_p_sign, e - 1, i, f.p)]
 
 
 def y_shorthand(p: int, c: Convention, rule: ReductionRule | None = None) -> TkElement:
@@ -365,7 +372,7 @@ def y_shorthand(p: int, c: Convention, rule: ReductionRule | None = None) -> TkE
     coefficient flips sign.
     """
     f = JonesSequence(p, c, rule)
-    return f._sum(_y_terms(f.p, f.rule, 0, 0, 1))
+    return f._sum(_y_terms(f, 0, 0, 1))
 
 
 def relation_residual(p: int, n: int, c: Convention,
@@ -374,20 +381,23 @@ def relation_residual(p: int, n: int, c: Convention,
 
     The relation solved by the reduction is
     t^{-2n-1} S_{p+n}(y) - tail_sign t^{2n+1} S_{p-n-1}(y)
-      = lead_sign a(n) S_{2n}(x) (s_pm1_sign t S_{p-1}(y) + s_p_sign t^{-1} S_p(y)).
-    Near-tautological for n >= 1 by construction; the negative-n window checks
-    the index-folding conventions agree with it.  Both sides are one sum.
+      = lead_sign a(n) S_{2n}(x) (s_pm1_sign t S_{p-1}(y) + s_p_sign t^{-1} S_p(y)),
+    with a(n) = (-1)^n under kbsm, and under rt a(n) = 1 and the slot map
+    of ReductionRule applied.  Near-tautological for n >= 1 by construction;
+    the negative-n window checks the index-folding conventions agree with
+    it.  Both sides are one sum.
     """
     f = JonesSequence(p, c, rule)
-    p, n = f.p, check_int(n)
-    r = f.rule
-    alt = r.lead_sign * (_parity_sign(n) if r.alternating else 1)
-    return f._sum([(1, -2 * n - 1, 0, p + n), (-r.tail_sign, 2 * n + 1, 0, p - n - 1)]
-                  + _y_terms(p, r, 2 * n, 0, -alt))
+    p, n, r = f.p, check_int(n), f.rule
+    rt = f.convention is Convention.RT
+    lead = -r.lead_sign if n % 2 and not rt else r.lead_sign
+    minus_tail = r.tail_sign if rt else -r.tail_sign
+    return f._sum([(1, -2 * n - 1, 0, p + n), (minus_tail, 2 * n + 1, 0, p - n - 1)]
+                  + _y_terms(f, 2 * n, 0, -lead))
 
 
-# (p, rule, slot) -> ((lo, hi), x^2 U(lo, hi)): the latest window of each slot
-_windows: dict[tuple[int, ReductionRule, str], tuple[tuple[int, int], Table]] = {}
+# (p, rule, convention, slot) -> ((lo, hi), x^2 U(lo, hi)): each slot's latest window
+_windows: dict[tuple[int, ReductionRule, Convention, str], tuple[tuple[int, int], Table]] = {}
 
 
 def _u_terms(lo: int, hi: int, e: int, s: int) -> list[Term]:
@@ -402,15 +412,16 @@ def _u_terms(lo: int, hi: int, e: int, s: int) -> list[Term]:
 def _window(f: JonesSequence, slot: str, lo: int, hi: int) -> Table:
     """x^2 U(lo, hi) as a table, zeros dropped, with x^2 = S_2(x) + S_0(x).
 
-    Only the latest [lo, hi] is kept per (p, rule, slot): under a rule for
-    which an identity fails, a window can have O(n^2) entries.  The window
-    [lo', hi'] kept is brought to [lo, hi] in place by adding U(hi'+1, hi) and
+    Only the latest [lo, hi] is kept per (p, rule, convention, slot), the
+    convention too as one rule serves both: under a rule for which an
+    identity fails, a window can have O(n^2) entries.  The window [lo', hi']
+    kept is brought to [lo, hi] in place by adding U(hi'+1, hi) and
     subtracting U(lo', lo-1) when those reduce fewer powers than U(lo, hi);
     else U(lo, hi) is built afresh.  Additivity holds for every sequence f,
     so under every rule, and x^2 touches only the powers that enter.  The
     table returned is the one kept, so the next call of its slot changes it.
     """
-    key = (f.p, f.rule, slot)
+    key = (f.p, f.rule, f.convention, slot)
     # no entry yet reads as the empty window [lo, lo-1], which never steps
     (lo0, hi0), table = _windows.get(key, ((lo, lo - 1), {}))
     if abs(hi - hi0) + abs(lo - lo0) < abs(hi - lo + 1):
@@ -444,8 +455,9 @@ def _x1_rest(n: int) -> tuple[Term, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _big_x_rest(p: int) -> tuple[Term, ...]:
-    """mirror(big_x(2p)) embedded, less -2 t^{-2} x^2 U(0, 2p-2)."""
-    return _embedded_rest(big_x(2 * p), _x2(_u_terms(0, 2 * p - 2, -2, -2)))
+    """mirror(X_{2p}) embedded, less -2 t^{-2} x^2 U(0, 2p-2); X_{2p} is read
+    off the recursion's table memo, which no caller of big_x can change."""
+    return _embedded_rest(_hb_element(_big_x_table(2 * p)), _x2(_u_terms(0, 2 * p - 2, -2, -2)))
 
 
 def _add(acc: Table, table: Table, scalar: Mapping[int, int]) -> Table:
@@ -492,8 +504,9 @@ def handle_slide_residual(p: int, n: int,
     where, for J = 2p - 2 and U the oriented window sum of _u_terms,
     G(n) = t^{2n-2} U(-n, n-1) is X1*T_n(y)'s k-sum, and P(n) = t^{2n} U(n, n+J)
     and Q(n) = t^{-2n} U(-n, J-n) are T_n(y) times X_{2p}'s.  The rests
-    R1(n) and R2 are read off x1_T_closed(n) and big_x(2p), once per n and
-    once per p, as the embedded terms outside the k-sums: their heads while
+    R1(n) and R2 are read off x1_T_closed(n) and the X_i recursion's private
+    table memo at i = 2p, not off the element big_x(2p) that callers share,
+    once per n and once per p, as the embedded terms outside the k-sums: their heads while
     the families have their closed forms, and whatever else a family holds
     if one changes, so the residual is always the one embed would give.
     By additivity the k-sums of the difference are two windows,
@@ -551,11 +564,10 @@ def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
     """
     f = JonesSequence(p, c, rule)
     p, n = f.p, check_int(n)
-    sign = _parity_sign(p + n - 1)
+    sign = -1 if (p + n - 1) % 2 else 1
     runs = [(s, 2 * k + e, 0, 1 - abs(k), k + 2 * p - 2)
             for k, e, s in ((n + 1, 0, 1), (n, 2, -1))]
-    return f._sum(_run_terms(runs)
-                  + _y_terms(p, f.rule, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
+    return f._sum(_run_terms(runs) + _y_terms(f, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
 
 
 def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
@@ -569,32 +581,14 @@ def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
 
         A_n = t^{2n} U(1-|n|, n+2p-2),
 
-    one _window, kept per (p, rule): a sweep over n ascending reduces two
-    powers per n, not 2n+2p-2, under every ReductionRule, mutants included.
+    one _window, kept per (p, rule, convention): a sweep over n ascending
+    reduces two powers per n, not 2n+2p-2, under every rule, mutants included.
     The identity being checked, which does depend on the rule, is still
     checked in full at every n.
     """
     f = JonesSequence(p, c, rule)
     p, n = f.p, check_int(n)
-    acc = f._table(_y_terms(p, f.rule, 2 * p + 2 * n - 2, 0, 1)
-                   + _y_terms(p, f.rule, 2 * p + 2 * n - 4, 0, 1))
+    acc = f._table(_y_terms(f, 2 * p + 2 * n - 2, 0, 1) + _y_terms(f, 2 * p + 2 * n - 4, 0, 1))
     _add(acc, _window(f, "induction", 1 - abs(n), n + 2 * p - 2),
-         {2 * p - 1: -_parity_sign(p + n)})
+         {2 * p - 1: 1 if (p + n) % 2 else -1})
     return _element(p, f.convention, acc)
-
-
-def rt_recursion_residual(p: int, n: int,
-                          rule: ReductionRule | None = None) -> TkElement:
-    """Residual of the six-term homogeneous recursion under the rt convention.
-
-    t^{-2n-3} S_{n+p+1} + t^{2n+3} S_{n-p} - t^{-2n-1} (x^2-2) S_{n+p}
-      - t^{2n+1} (x^2-2) S_{n-p-1} + t^{-2n+1} S_{n+p-1} + t^{2n-1} S_{n-p-2} = 0
-    with every S taken from the rt-reduced sequence, and x^2 - 2 = S_2(x) - S_0(x).
-    """
-    f = JonesSequence(p, Convention.RT, rule)
-    p, n = f.p, check_int(n)
-    return f._sum([
-        (1, -2 * n - 3, 0, n + p + 1), (1, 2 * n + 3, 0, n - p),
-        (-1, -2 * n - 1, 2, n + p), (1, -2 * n - 1, 0, n + p),
-        (-1, 2 * n + 1, 2, n - p - 1), (1, 2 * n + 1, 0, n - p - 1),
-        (1, -2 * n + 1, 0, n + p - 1), (1, 2 * n - 1, 0, n - p - 2)])

@@ -17,10 +17,11 @@ from skeincalc.families import (big_x, big_x_closed, sigma, sigma_defining,
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement
 from skeincalc.qtorus import (QtElement, inhomog_recurrence,
                               product_identity_residual, qt_apply, qt_mul,
-                              recurrence_poly, t1_factor_residual)
+                              recurrence_poly, rt_recursion_residual,
+                              t1_factor_residual)
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule,
                                  handle_slide_residual, induction_residual,
-                                 rt_recursion_residual, telescope_residual)
+                                 telescope_residual)
 
 
 def _finish(num, start, failures):
@@ -48,7 +49,8 @@ def test_criterion_02_sigma_closed_form():
     for n in range(1, 13):
         if sigma(n) != sigma_defining(n):
             failures.append(("defining", n))
-        via_recursion = x1_T_recursive(n) * t(1) + xz * HbElement.cheb_t_y(n)
+        t_n = HbElement.cheb_sum([(0, n, 0, 1), (0, n - 2, 0, -1)])
+        via_recursion = x1_T_recursive(n) * t(1) + xz * t_n
         if sigma(n) != via_recursion:
             failures.append(("recursion", n))
     _finish(2, start, failures)

@@ -26,7 +26,7 @@ class TestLaurentPoly:
         assert ((t(2) + t(-2)) + (-t(2) - t(-2))).is_zero()
 
     def test_exponent_law(self):
-        assert t(2) * t(-2) == LaurentPoly.one()
+        assert t(2) * t(-2) == t(0)
 
     def test_schoolbook_product(self):
         # (t^-2 - t^6)(-t^2 - t^-2) expanded by hand
@@ -51,8 +51,8 @@ class TestLaurentPoly:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a * LaurentPoly.one() == a
-        assert (a + LaurentPoly.zero()) == a
+        assert a * t(0) == a
+        assert (a + LaurentPoly()) == a
 
     @given(laurents, laurents)
     def test_bar_is_ring_involution(self, a, b):
@@ -74,7 +74,7 @@ class TestLaurentPoly:
 
     def test_str_ascending(self):
         assert str(t(2) - t(-2)) == "-t^-2 + t^2"
-        assert str(LaurentPoly.zero()) == "0"
+        assert str(LaurentPoly()) == "0"
 
 
 class TestAuxLaurent:
@@ -111,7 +111,7 @@ class TestWSubstitution:
 
     def test_laurent_coefficients(self):
         w = AuxLaurent({1: t(1)}) + AuxLaurent({-1: t(-1)})
-        got = substitute_w([LaurentPoly.zero(), LaurentPoly.one()], w)
+        got = substitute_w([LaurentPoly(), t(0)], w)
         assert got == AuxLaurent({1: t(1), -1: t(-1)})
 
 
@@ -133,7 +133,7 @@ class TestKernelContract:
         lambda: t(1.5, 0),
         lambda: HbElement.mono({(0, 0, 0): 1.5}),
         lambda: HbElement.mono({(0, 0.0, 0): 1}),
-        lambda: HbElement.cheb_term(0, 1, 0, 2.0),
+        lambda: HbElement.cheb_sum([(0, 1, 0, 2.0)]),
         lambda: HbElement.cheb_sum([(0, 1, 0, 1), (0, 2, 0, 2.0)]),
         lambda: HbElement.cheb_sum([(0, -1, 0, 2.0)]),
         lambda: HbElement.cheb_sum([(0, 1.0, 0, 1)]),
@@ -162,7 +162,7 @@ class TestKernelContract:
 
     def test_bool_counts_as_int(self):
         assert LaurentPoly({0: True}) == 1
-        assert HbElement.mono({(0, 0, 0): True}) == HbElement.one()
+        assert HbElement.mono({(0, 0, 0): True}) == HbElement.mono({(0, 0, 0): 1})
 
     @pytest.mark.parametrize("cls, data", [
         (LaurentPoly, {"x": 1}),

@@ -12,13 +12,13 @@ from skeincalc import torusknot
 from skeincalc.chebyshev import normalize_s_index, s_product
 from skeincalc.coeffs import LaurentPoly, as_laurent, t
 from skeincalc.families import big_x, x1_T_closed
-from skeincalc.handlebody import HbElement, X, Z
+from skeincalc.handlebody import HbElement, X, Z, _table
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
                                  _a_terms, _merge, _reduce_items, _run_terms, _u_terms,
                                  _window, _y_terms, a_element, embed,
                                  handle_slide_residual, induction_residual, reduce_sy,
-                                 relation_residual, rt_recursion_residual,
-                                 telescope_residual, y_shorthand)
+                                 relation_residual, telescope_residual, y_shorthand)
+from skeincalc.qtorus import inhomog_recurrence, qt_apply, rt_recursion_residual
 
 KBSM = Convention.KBSM
 RT = Convention.RT
@@ -39,7 +39,7 @@ def induction_formula(p, n, c, rule):
 
 
 def basis_vec(p, c, m, n):
-    return TkElement(p, c, {(m, n): LaurentPoly.one()})
+    return TkElement(p, c, {(m, n): t(0)})
 
 
 KBSM_RULES = [ReductionRule.for_convention(KBSM),
@@ -121,8 +121,8 @@ class TestYShorthand:
 class TestArithmetic:
     def test_sx_square(self):
         e = basis_vec(2, KBSM, 1, 0)
-        assert e.times_sx(1).terms == {(2, 0): LaurentPoly.one(),
-                                       (0, 0): LaurentPoly.one()}
+        assert e.times_sx(1).terms == {(2, 0): t(0),
+                                       (0, 0): t(0)}
 
     def test_unit(self):
         e = TkElement(2, KBSM, {(3, 1): t(2) - t(-2)})
@@ -133,7 +133,7 @@ class TestArithmetic:
         # y-products are formed in the handlebody, then embedded
         for p in (1, 2, 3):
             f = JonesSequence(p, KBSM)
-            h = HbElement.cheb_term(0, 1, 0) * HbElement.cheb_term(0, p, 0)
+            h = HbElement.cheb_sum([(0, 1, 0, 1)]) * HbElement.cheb_sum([(0, p, 0, 1)])
             assert embed(h, p, KBSM) == f(p + 1) + f(p - 1), p
 
     def test_times_sx_folding(self):
@@ -153,9 +153,9 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             TkElement(0, KBSM, {})
         with pytest.raises(ValueError):
-            TkElement(1, KBSM, {(-1, 0): LaurentPoly.one()})
+            TkElement(1, KBSM, {(-1, 0): t(0)})
         with pytest.raises(ValueError):
-            TkElement(1, KBSM, {(0, 2): LaurentPoly.one()})
+            TkElement(1, KBSM, {(0, 2): t(0)})
 
     def test_json_round_trip(self):
         e = TkElement(2, RT, {(2, 1): t(4, -1) + t(0, 3), (0, 0): t(-6)})
@@ -289,7 +289,9 @@ class TestJonesSum:
 def literal_reduce(N, p, c, rule):
     """S_N(y) rewritten by the rule exactly as the ReductionRule docstring
     states it, in element arithmetic: fold S_{-1} = 0 and S_{-n} = -S_{n-2},
-    keep 0 <= N <= p, and rewrite S_{p+n}(y) for n >= 1, recursing on the tail."""
+    keep 0 <= N <= p, and rewrite S_{p+n}(y) for n >= 1, recursing on the tail.
+    Under rt the rule is rewritten by the rt slot map, as the rt rule is
+    written: no (-1)^n, s_pm1_sign and tail_sign negated, and no iota."""
     if N == -1:
         return TkElement(p, c)
     if N < -1:
@@ -297,11 +299,14 @@ def literal_reduce(N, p, c, rule):
     if N <= p:
         return basis_vec(p, c, 0, N)
     n = N - p
-    a = (-1) ** n if rule.alternating else 1
-    bracket = (TkElement(p, c, {(2 * n, p - 1): t(1, rule.s_pm1_sign)})
+    if c is RT:
+        a, s_pm1, tail = 1, -rule.s_pm1_sign, -rule.tail_sign
+    else:
+        a, s_pm1, tail = (-1) ** n, rule.s_pm1_sign, rule.tail_sign
+    bracket = (TkElement(p, c, {(2 * n, p - 1): t(1, s_pm1)})
                + TkElement(p, c, {(2 * n, p): t(-1, rule.s_p_sign)}))
     return (bracket * t(2 * n + 1, rule.lead_sign * a)
-            + literal_reduce(p - n - 1, p, c, rule) * t(4 * n + 2, rule.tail_sign))
+            + literal_reduce(p - n - 1, p, c, rule) * t(4 * n + 2, tail))
 
 
 def literal_times_sx(elem, i):
@@ -386,7 +391,7 @@ class TestMemoIsolation:
         got = induction_residual(2, 3, RT)
         for coeff in got.terms.values():
             coeff.terms[99] = 7
-        got.terms[(0, 0)] = LaurentPoly.one()
+        got.terms[(0, 0)] = t(0)
         assert str(induction_residual(2, 3, RT)) == before != "0"
 
     def test_bool_p_shares_no_corrupt_memo_entry(self):
@@ -435,8 +440,8 @@ class TestTermContract:
 class TestEmbed:
     def test_xz_monomial(self):
         h = HbElement.mono({(1, 0, 1): 1})
-        assert embed(h, 2, KBSM).terms == {(2, 0): LaurentPoly.one(),
-                                           (0, 0): LaurentPoly.one()}
+        assert embed(h, 2, KBSM).terms == {(2, 0): t(0),
+                                           (0, 0): t(0)}
 
     def test_x_sq_plus_z_sq(self):
         h = HbElement.mono({(2, 0, 0): 1, (0, 0, 2): 1})
@@ -444,12 +449,12 @@ class TestEmbed:
         assert embed(h, 1, KBSM).terms == {(2, 0): two, (0, 0): two}
 
     def test_unit(self):
-        assert embed(HbElement.one(), 3, RT) == TkElement.one(3, RT)
+        assert embed(HbElement.mono({(0, 0, 0): 1}), 3, RT) == TkElement(3, RT, {(0, 0): 1})
 
     def test_pure_y_powers_agree_with_reduction(self):
         for p in (1, 2):
             for n in range(0, 2 * p + 4):
-                h = HbElement.cheb_term(0, n, 0, LaurentPoly.one())
+                h = HbElement.cheb_sum([(0, n, 0, t(0))])
                 assert embed(h, p, KBSM) == reduce_sy(n, p, KBSM), (p, n)
 
     def test_commutes_with_x_and_z(self):
@@ -518,13 +523,16 @@ class TestHandleSlide:
 
     @pytest.mark.parametrize("family", ["x1_T_closed", "big_x"])
     def test_follows_a_changed_family(self, family, monkeypatch):
-        # the terms outside the k-sums are read off the family functions, so
-        # a family with one more term gives the embed of the changed
-        # difference, and the check fails
+        # the terms outside the k-sums are read off x1_T_closed and the X_i
+        # recursion's table memo, so a family with one more term gives the
+        # embed of the changed difference, and the check fails
         extra = HbElement.cheb({(1, 3, 2): t(5, 3)})
         sides = {"x1_T_closed": x1_T_closed, "big_x": big_x}
         sides[family] = lambda i, unchanged=sides[family]: unchanged(i) + extra
-        monkeypatch.setattr(torusknot, family, sides[family])
+        if family == "big_x":
+            monkeypatch.setattr(torusknot, "_big_x_table", lambda i: _table(sides["big_x"](i)))
+        else:
+            monkeypatch.setattr(torusknot, family, sides[family])
         clear_handle_slide_state()
         try:
             for p in range(1, 4):
@@ -548,7 +556,8 @@ class TestHandleSlide:
             return lambda *a: log.append((name, a)) or fn(*a)
 
         monkeypatch.setattr(torusknot, "x1_T_closed", logged(built, "x1", x1_T_closed))
-        monkeypatch.setattr(torusknot, "big_x", logged(built, "big_x", big_x))
+        monkeypatch.setattr(torusknot, "_big_x_table",
+                            logged(built, "big_x", torusknot._big_x_table))
         monkeypatch.setattr(torusknot, "embed", logged(other, "embed", embed))
         for name in ("mirror", "times_t_y"):
             monkeypatch.setattr(HbElement, name, logged(other, name, getattr(HbElement, name)))
@@ -577,30 +586,28 @@ class TestHandleSlide:
                 assert got == embed(a, p, KBSM, r) - embed(b, p, KBSM, r), (r, p)
 
     def test_mutations_differ_in_one_slot(self):
-        slots = ("lead_sign", "alternating", "s_pm1_sign", "s_p_sign", "tail_sign")
-        for c in (KBSM, RT):
-            # one shared base rule per convention, so memo keys share it too
-            assert ReductionRule.for_convention(c) is ReductionRule.for_convention(c)
-            base = ReductionRule.for_convention(c)
-            muts = base.single_sign_mutations()
-            assert len(muts) == 4 and len(set(muts)) == 4
-            for m in muts:
-                diffs = [s for s in slots if getattr(m, s) != getattr(base, s)]
-                assert len(diffs) == 1, (c, m)
+        slots = ("lead_sign", "s_pm1_sign", "s_p_sign", "tail_sign")
+        # one shared base rule for both conventions, so memo keys share it too
+        base = ReductionRule.for_convention(KBSM)
+        assert ReductionRule.for_convention(RT) is base
+        muts = base.single_sign_mutations()
+        assert len(muts) == 4 and len(set(muts)) == 4
+        for m in muts:
+            diffs = [s for s in slots if getattr(m, s) != getattr(base, s)]
+            assert len(diffs) == 1, m
 
     def test_rule_hash_is_cached_outside_the_fields(self):
         # the hash is computed once per rule; the fields, which mutation
-        # checks compare one by one, are the five sign slots alone
-        slots = ("lead_sign", "alternating", "s_pm1_sign", "s_p_sign", "tail_sign")
+        # checks compare one by one, are the four sign slots alone
+        slots = ("lead_sign", "s_pm1_sign", "s_p_sign", "tail_sign")
         assert tuple(f.name for f in dataclasses.fields(ReductionRule)) == slots
-        for c in (KBSM, RT):
-            base = ReductionRule.for_convention(c)
-            copy = ReductionRule(*(getattr(base, s) for s in slots))
-            assert copy == base and copy is not base and hash(copy) == hash(base)
-            for m in base.single_sign_mutations():
-                back = dataclasses.replace(m, **{s: getattr(base, s) for s in slots})
-                assert back == base and hash(back) == hash(base)
-                assert {base: 1, m: 2}[back] == 1
+        base = ReductionRule.for_convention(KBSM)
+        copy = ReductionRule(*(getattr(base, s) for s in slots))
+        assert copy == base and copy is not base and hash(copy) == hash(base)
+        for m in base.single_sign_mutations():
+            back = dataclasses.replace(m, **{s: getattr(base, s) for s in slots})
+            assert back == base and hash(back) == hash(base)
+            assert {base: 1, m: 2}[back] == 1
 
 
 class TestTelescope:
@@ -608,7 +615,7 @@ class TestTelescope:
         assert a_element(1, 0).is_zero()
 
     def test_a1_for_p1(self):
-        assert a_element(1, 1).terms == {(0, 1): LaurentPoly.one(), (0, 0): t(2)}
+        assert a_element(1, 1).terms == {(0, 1): t(0), (0, 0): t(2)}
 
     def test_range_form(self):
         for p, n_max in ((1, 6), (2, 8)):
@@ -640,7 +647,7 @@ class TestTelescope:
             for n in range(-6, 2 * p + 8):
                 sign = -1 if (p + n - 1) % 2 else 1
                 expected = f.sum(_a_terms(p, n + 1) + _a_terms(p, n, 2, -1)
-                                 + _y_terms(p, rule, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
+                                 + _y_terms(f, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
                 assert telescope_residual(p, n, c, rule).to_json() == expected.to_json(), (p, n)
 
     def test_induction_identity_samples(self):
@@ -697,8 +704,8 @@ class TestTelescope:
             induction_residual(1, n, KBSM, tail)
             sizes.append(len(kept_window()))
         assert sizes[60] > 50 * sizes[4]
-        assert list(torusknot._windows) == [(1, tail, "induction")]
-        assert torusknot._windows[(1, tail, "induction")][0] == (-59, 60)
+        assert list(torusknot._windows) == [(1, tail, KBSM, "induction")]
+        assert torusknot._windows[(1, tail, KBSM, "induction")][0] == (-59, 60)
 
     def test_base_rule_memo_holds_the_left_side(self):
         # under the base rule x^2 A_n is the left side up to a monomial:
@@ -782,18 +789,13 @@ class TestRuleChecks:
     def test_signs_are_int_plus_or_minus_one(self):
         base = ReductionRule.for_convention(KBSM)
         with pytest.raises(TypeError, match="1.5"):
-            ReductionRule(1.5, True, 1, 1, -1)
+            ReductionRule(1.5, 1, 1, -1)
         for field in ("lead_sign", "s_pm1_sign", "s_p_sign", "tail_sign"):
             for bad in (2, 0, -2):
                 with pytest.raises(ValueError, match=field):
                     dataclasses.replace(base, **{field: bad})
             with pytest.raises(TypeError):
                 dataclasses.replace(base, **{field: "1"})
-
-    def test_alternating_is_a_bool(self):
-        for bad in ("yes", 1, None):
-            with pytest.raises(TypeError, match="alternating"):
-                ReductionRule(1, bad, 1, 1, -1)
 
     def test_rule_is_checked_before_any_memo_is_read(self):
         # a rule that is not a ReductionRule raises, inside the basis window
@@ -814,7 +816,74 @@ class TestRuleChecks:
         assert torusknot._windows == {}
 
 
+class TestOneRule:
+    def test_four_sign_slots_and_one_base_rule(self):
+        assert [f.name for f in dataclasses.fields(ReductionRule)] == [
+            "lead_sign", "s_pm1_sign", "s_p_sign", "tail_sign"]
+        assert ReductionRule.for_convention(KBSM) is ReductionRule.for_convention(RT)
+        assert ReductionRule.for_convention("rt") is ReductionRule.for_convention(KBSM)
+        with pytest.raises(ValueError):
+            ReductionRule.for_convention("kbs")
+
+    @pytest.mark.parametrize("c, rule", ALL_RULES)
+    def test_conventions_differ_by_the_involution(self, c, rule):
+        # f_rt(N) = (-1)^N iota(f_kbsm(N)), iota negating the terms of odd
+        # y-index, and back: iota is an involution
+        other = RT if c is KBSM else KBSM
+        for p in range(1, 9):
+            for N in range(-30, 60):
+                seen = reduce_sy(N, p, other, rule)
+                flipped = {(m, n): cf.scale(-1 if (N + n) % 2 else 1)
+                           for (m, n), cf in seen.terms.items()}
+                assert reduce_sy(N, p, c, rule).terms == flipped, (p, N)
+
+    def test_both_conventions_share_one_memo(self):
+        # the memo holds kbsm rows; rt reads them through iota, so running
+        # both conventions leaves as many entries as kbsm alone
+        _reduce_items.cache_clear()
+        grid = [(p, n) for p in range(1, 5) for n in range(-p - 4, 3 * p + 6)]
+        for p, n in grid:
+            relation_residual(p, n, KBSM)
+            qt_apply(inhomog_recurrence(p), JonesSequence(p, KBSM), n)
+        kbsm_only = _reduce_items.cache_info()
+        for p, n in grid:
+            relation_residual(p, n, RT)
+            rt_recursion_residual(p, n)
+        both = _reduce_items.cache_info()
+        assert both.currsize == kbsm_only.currsize > 0
+        assert both.misses == kbsm_only.misses
+
+    def test_interleaved_conventions_keep_their_own_windows(self):
+        # one rule serves both conventions, so a window is kept per
+        # convention: an rt call never steps the kbsm window, nor back
+        cold = {}
+        for c in (KBSM, RT):
+            for n in range(9):
+                torusknot._windows.clear()
+                cold[c, n] = induction_residual(2, n, c).to_json()
+        torusknot._windows.clear()
+        for n in range(9):
+            for c in (KBSM, RT):
+                assert induction_residual(2, n, c).to_json() == cold[c, n], (c, n)
+        assert not induction_residual(2, 3, RT).is_zero()
+
+
 class TestRtRecursion:
+    @pytest.mark.parametrize("rule", KBSM_RULES)
+    def test_is_the_six_term_recursion(self, rule):
+        # the six terms are stated once, in inhomog_recurrence; this is the
+        # recursion written out as sum terms, with x^2 - 2 = S_2(x) - S_0(x)
+        for p in range(1, 7):
+            f = JonesSequence(p, RT, rule)
+            for n in range(-p - 4, 2 * p + 8):
+                literal = f.sum([
+                    (1, -2 * n - 3, 0, n + p + 1), (1, 2 * n + 3, 0, n - p),
+                    (-1, -2 * n - 1, 2, n + p), (1, -2 * n - 1, 0, n + p),
+                    (-1, 2 * n + 1, 2, n - p - 1), (1, 2 * n + 1, 0, n - p - 1),
+                    (1, -2 * n + 1, 0, n + p - 1), (1, 2 * n - 1, 0, n - p - 2)])
+                got = rt_recursion_residual(p, n, rule)
+                assert got.to_json() == literal.to_json(), (p, n)
+
     def test_sample_points(self):
         for n in range(-3, 6):
             assert rt_recursion_residual(1, n).is_zero(), n
