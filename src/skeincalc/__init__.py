@@ -5,7 +5,7 @@ equality of elements is structural equality of canonical sparse forms, so every
 verification in this package is exact.
 """
 
-from .coeffs import AuxLaurent, LaurentPoly, Sparse, substitute_w, t
+from .coeffs import AuxLaurent, LaurentPoly, Sparse, t
 from .chebyshev import (cheb_S, cheb_T, monomial_to_S, normalize_s_index,
                         s_product, s_to_monomial)
 from .handlebody import CHEBYSHEV, MONOMIAL, HbElement
@@ -14,9 +14,8 @@ from .families import (FamilyPair, big_x, big_x_closed, big_x_residual,
                        x1_T_recursive, x1_T_residual, x1y1_T_recursive,
                        x1y1_recursive, y1_T_closed, y1_T_recursive, y1_T_residual)
 from .torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
-                        a_element, embed, handle_slide_residual,
-                        induction_residual, reduce_sy, relation_residual,
-                        telescope_residual, y_shorthand)
+                        handle_slide_residual, induction_residual, reduce_sy,
+                        relation_residual, telescope_residual)
 from .qtorus import (CommutativePoly, QtElement, base_relation_op,
                      homogenization_residual, inhomog_recurrence,
                      product_identity_residual, product_multiplier, qt_apply,

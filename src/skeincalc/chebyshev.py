@@ -8,7 +8,7 @@ T_{-n} = T_n; every function here accepts arbitrary integer indices and
 normalizes internally.
 
 Polynomials are returned as dense integer coefficient tuples, constant term
-first, which plug directly into :func:`skeincalc.coeffs.substitute_w`.
+first.
 S-basis combinations are dicts mapping a nonnegative S-index to its integer
 coefficient; :func:`monomial_to_S` and :func:`s_to_monomial` convert single
 basis elements both ways, and :func:`s_product` (a range of S-indices, each

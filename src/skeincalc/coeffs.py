@@ -13,8 +13,7 @@ context two operands must share, and its product rule.  Two types live here:
 * :class:`LaurentPoly` -- Z[t, t^-1], the ground ring (int coefficients).
 * :class:`AuxLaurent`  -- Laurent polynomials in one auxiliary variable over
                           the ground ring: the x-coefficients of quantum-torus
-                          operators, and the variable w of the substitution
-                          identities that certify the Chebyshev tables.
+                          operators.
 
 All types are canonical (zero coefficients are pruned eagerly), immutable by
 convention, and compare by structural equality; comparing, like combining,
@@ -24,18 +23,15 @@ coefficient raises TypeError, and :func:`as_laurent` is the one place an int
 becomes a LaurentPoly.
 
 JSON forms use decimal strings for integer coefficients and sorted term lists,
-giving deterministic, arbitrary-precision round trips:
+so they are deterministic and lose no digit in any JSON parser:
 
     LaurentPoly  {"t": [[exp, "coeff"], ...]}   ascending exp
     AuxLaurent   [[exp, {laurent}], ...]        ascending exp
-
-Malformed JSON raises ValueError.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 def add_into(out: dict, key, c) -> None:
@@ -64,32 +60,6 @@ def check_key(key, width: int) -> tuple[int, ...]:
     if not isinstance(key, tuple) or len(key) != width:
         raise TypeError(f"expected a key of {width} ints, got {key!r}")
     return tuple(check_int(i) for i in key)
-
-
-def _json_reader(parse):
-    """Classmethod decorator for from_json: any malformed input raises ValueError."""
-    @functools.wraps(parse)
-    def from_json(cls, data):
-        try:
-            return parse(cls, data)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed {cls.__name__} JSON: {exc}") from exc
-    return classmethod(from_json)
-
-
-def _rows_to_terms(rows, decode) -> dict:
-    """Inverse of :meth:`Sparse._json_rows`: {key: decode(coeff)} from [*key, coeff] rows."""
-    terms = {}
-    for *key, c in rows:
-        terms[key[0] if len(key) == 1 else tuple(key)] = decode(c)
-    return terms
-
-
-def decode_int(s) -> int:
-    """An integer coefficient from its JSON form, a decimal string."""
-    if not isinstance(s, str):
-        raise TypeError(f"expected a decimal string coefficient, got {s!r}")
-    return int(s)
 
 
 def _laurent_product(a: Sparse, b: Sparse) -> Sparse:
@@ -127,10 +97,6 @@ class Sparse:
     @staticmethod
     def _coeff(c):
         return as_laurent(c)
-
-    @staticmethod
-    def _coeff_from_json(data):
-        return LaurentPoly.from_json(data)
 
     def _like(self, terms: dict) -> Sparse:
         """An element of self's type and context holding the canonical terms."""
@@ -217,12 +183,6 @@ class Sparse:
     def to_json(self) -> dict:
         return {"terms": self._json_rows()}
 
-    @_json_reader
-    def from_json(cls, data: dict) -> Sparse:
-        """Inverse of to_json: the context fields, then the "terms" rows."""
-        terms = _rows_to_terms(data["terms"], cls._coeff_from_json)
-        return cls(*(data[name] for name in cls._CONTEXT), terms)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -268,20 +228,12 @@ class LaurentPoly(Sparse):
 
     __rmul__ = __mul__
 
-    def bar(self) -> LaurentPoly:
-        """The mirror involution t -> t^-1."""
-        return self._like({-e: c for e, c in self.terms.items()})
-
     def substitute_one(self) -> int:
         """Evaluate at t = 1."""
         return sum(self.terms.values())
 
     def to_json(self) -> dict:
         return {"t": self._json_rows()}
-
-    @_json_reader
-    def from_json(cls, data: dict) -> LaurentPoly:
-        return cls(_rows_to_terms(data["t"], decode_int))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -335,23 +287,7 @@ class AuxLaurent(Sparse):
     def to_json(self) -> list:
         return self._json_rows()
 
-    @_json_reader
-    def from_json(cls, data: list) -> AuxLaurent:
-        return cls(_rows_to_terms(data, LaurentPoly.from_json))
-
     @staticmethod
     def _monomial(e: int) -> str:
         return f"*x^{e}" if e else ""
 
-
-def substitute_w(coeffs: Iterable[int | LaurentPoly], value: AuxLaurent) -> AuxLaurent:
-    """Evaluate a univariate polynomial at an AuxLaurent argument.
-
-    `coeffs` lists the polynomial's coefficients from the constant term up
-    (the convention used by the Chebyshev tables in :mod:`skeincalc.chebyshev`).
-    Evaluation is Horner's scheme in the exact coefficient ring.
-    """
-    result = AuxLaurent()
-    for c in reversed(list(coeffs)):
-        result = result * value + AuxLaurent({0: c})
-    return result

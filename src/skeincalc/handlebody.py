@@ -9,15 +9,12 @@ space of triples (m, n, k):
 
 Products stay in their operands' basis.  Exponents add in the monomial basis;
 in the Chebyshev basis each axis multiplies by the product-to-sum rule
-S_a S_b = sum_j S_{a+b-2j} (:func:`skeincalc.chebyshev.s_product`), and
-:meth:`HbElement.times_t_y` multiplies by T_n(y) through
-S_j T_n = S_{j+n} + S_{j-n}, two terms out per term in.  No product converts
-between bases: monomial coefficients of Chebyshev-basis elements grow
-exponentially with the index.  Int terms c t^e S_m S_n S_k with any integer
-indices are summed by one merge into a flat table (m, n, k, e) -> c, built
-into an element once; :meth:`HbElement.cheb_sum`, :meth:`HbElement.times_t_y`
-and :mod:`skeincalc.families` use it.  The mirror map conjugates every
-coefficient by t -> t^-1 and fixes the basis curves.
+S_a S_b = sum_j S_{a+b-2j} (:func:`skeincalc.chebyshev.s_product`).  No
+product converts between bases: monomial coefficients of Chebyshev-basis
+elements grow exponentially with the index.  Int terms c t^e S_m S_n S_k
+with any integer indices are summed by one merge into a flat table
+(m, n, k, e) -> c, built into an element once; :meth:`HbElement.cheb_sum`
+and :mod:`skeincalc.families` use it.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .chebyshev import monomial_to_S, s_product, s_to_monomial
-from .coeffs import LaurentPoly, Sparse, add_into, as_laurent, check_int, check_key
+from .coeffs import LaurentPoly, Sparse, add_into, as_laurent, check_key
 
 MONOMIAL = "monomial"
 CHEBYSHEV = "chebyshev"
@@ -72,11 +69,6 @@ def _element(acc: Table) -> HbElement:
     return HbElement(CHEBYSHEV)._like({key: like(cs) for key, cs in grouped.items()})
 
 
-def _table(h: HbElement) -> Table:
-    """The flat table of a Chebyshev-basis element, the inverse of :func:`_element`."""
-    return {(m, n, k, e): c for (m, n, k), cf in h.terms.items() for e, c in cf.terms.items()}
-
-
 class HbElement(Sparse):
     """An element of the genus-two handlebody skein module."""
 
@@ -103,10 +95,6 @@ class HbElement(Sparse):
     @staticmethod
     def mono(terms: Mapping[Key, LaurentPoly | int]) -> HbElement:
         return HbElement(MONOMIAL, terms)
-
-    @staticmethod
-    def cheb(terms: Mapping[Key, LaurentPoly | int]) -> HbElement:
-        return HbElement(CHEBYSHEV, terms)
 
     @staticmethod
     def cheb_sum(terms: Iterable[tuple[int, int, int, LaurentPoly | int]]) -> HbElement:
@@ -144,18 +132,6 @@ class HbElement(Sparse):
 
     __rmul__ = __mul__
 
-    def times_t_y(self, n: int) -> HbElement:
-        """T_n(y) times this Chebyshev-basis element, any integer n.
-
-        Uses S_j T_n = S_{j+n} + S_{j-n} on the y axis, so each term gives at
-        most two; T_0 = 2 and T_{-n} = T_n.
-        """
-        if self.basis != CHEBYSHEV:
-            raise ValueError("times_t_y needs a Chebyshev-basis element")
-        n = abs(check_int(n))
-        return _element(_merge([(c, e, m, j + s, k) for (m, j, k), cf in self.terms.items()
-                                for e, c in cf.terms.items() for s in (n, -n)]))
-
     def to_basis(self, basis: str) -> HbElement:
         """Convert to the requested basis (identity when already there)."""
         if basis not in (MONOMIAL, CHEBYSHEV):
@@ -172,10 +148,6 @@ class HbElement(Sparse):
                     for jk, ck in zs.items():
                         add_into(out, (jm, jn, jk), c * (w * ck))
         return HbElement(basis)._like(out)
-
-    def mirror(self) -> HbElement:
-        """Apply the bar involution t -> t^-1 to every coefficient."""
-        return self._like({k: c.bar() for k, c in self.terms.items()})
 
     def to_json(self) -> dict:
         return {"basis": self.basis, "terms": self._json_rows()}

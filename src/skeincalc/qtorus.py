@@ -28,7 +28,7 @@ from operator import add, mul
 
 from .chebyshev import monomial_to_S
 from .coeffs import (AuxLaurent, LaurentPoly, Sparse, add_into, check_int,
-                     check_key, decode_int, t)
+                     check_key, t)
 from .torusknot import Convention, JonesSequence, ReductionRule, TkElement, _context
 
 QtKey = tuple[int, int]
@@ -45,7 +45,6 @@ class QtElement(Sparse):
     """
 
     __slots__ = ("_int_terms",)
-    _coeff_from_json = AuxLaurent.from_json
 
     @staticmethod
     def _key(key) -> QtKey:
@@ -223,7 +222,6 @@ class CommutativePoly(Sparse):
 
     __slots__ = ()
     _coeff = staticmethod(check_int)
-    _coeff_from_json = staticmethod(decode_int)
 
     @staticmethod
     def _key(key) -> tuple[int, int, int]:

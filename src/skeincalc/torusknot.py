@@ -19,7 +19,7 @@ coefficient it produces is a monomial.  JonesSequence.sum takes int terms
 (c, e, i, N) for c t^e S_i(x) f(N), merges them by folded (i, N, e) and
 adds the rows of each surviving f(N), read from the memo once per N, times
 S_i(x) into a flat int table (m, n, e) -> c: the layer's one accumulation
-loop.  embed and times_sx are such sums, of reduced powers times S(x).
+loop.  times_sx is such a sum, of reduced powers times S(x).
 Tables are added to tables by _add and _add_x2, and _element alone turns a
 table into an element, applying iota under rt.  So each residual is one
 table of both sides' terms, terms that cancel are never reduced, and no
@@ -35,17 +35,18 @@ checks have discriminating power.  The six-term rt recursion is an
 operator, qtorus.inhomog_recurrence, applied by qtorus.rt_recursion_residual.
 Every running sum of the layer is a window of one weighted sequence,
 U(lo, hi) = sum_{N=lo}^{hi} t^{-2N} f(N), oriented so that
-U(a, b) + U(b+1, c) = U(a, c) for all a, b, c.  _window keeps x^2 U of the
-latest [lo, hi] per (p, rule, convention, slot), and reaches the next window
-by adding and subtracting the powers at its two ends when that reduces fewer
-powers than a fresh build.  Additivity holds for every sequence f, so under
-every rule.  The induction identity's x^2 A_n is one window, and the
-telescope's A_{n+1} - t^2 A_n is two runs, sums c t^{L-2N} S_i(x) f(N) over
-lo <= N <= hi, which _run_terms merges by their endpoints before any term is
-expanded.  The handle slide builds no handlebody element per (p, n): both
-sides embed to a few head terms plus geometric k-sums of f, two windows.
-The rest of each side is read off the family functions, so the residual
-stays the embed of the difference of the two sides even if a family changes.
+U(a, b) + U(b+1, c) = U(a, c) for all a, b, c.  So one window reaches
+another by the powers that enter and leave at its two ends, _step_terms.
+_window keeps x^2 U of the latest [lo, hi] per (p, rule, convention, slot),
+and steps it when that reduces fewer powers than a fresh build.  Additivity
+holds for every sequence f, so under every rule.  The induction identity's
+x^2 A_n is one window, and the telescope's A_{n+1} - t^2 A_n is one step of
+the window of A_n.  The handle slide compares images im(h) of handlebody
+elements, z sent to x and every S_N(y) reduced, and builds no handlebody
+element per (p, n): each side's image is a few head terms plus geometric
+k-sums of f, two windows.  The rest of each side is read off the family
+functions, so the residual stays the image of the difference of the two
+sides even if a family changes.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .handlebody import CHEBYSHEV, HbElement, _element as _hb_element
 TkKey = tuple[int, int]
 Row = tuple[int, int, int, int]         # (m, n, e, c): c t^e S_m(x) S_n(y)
 Term = tuple[int, int, int, int]        # (c, e, i, N): c t^e S_i(x) f(N)
-Run = tuple[int, int, int, int, int]    # (c, L, i, lo, hi): c t^{L-2N} S_i(x) f(N), lo <= N <= hi
 Table = dict[tuple[int, int, int], int]  # (m, n, e) -> c, zeros not yet dropped
 _poly = LaurentPoly()._like  # a LaurentPoly of canonical int terms, unchecked
 
@@ -228,19 +228,6 @@ def _element(p: int, c: Convention, acc: Table) -> TkElement:
     return res
 
 
-def embed(h: HbElement, p: int, c: Convention,
-          rule: ReductionRule | None = None) -> TkElement:
-    """Image of a handlebody element: z maps to x, then y-indices are reduced.
-
-    Reduction commutes with multiplication by x (embed(S_j(x) h) is
-    embed(h).times_sx(j)) but not with multiplication by y, so a product with
-    y-content is formed in the handlebody before it is embedded.
-    """
-    return JonesSequence(p, c, rule)._sum(
-        (v, e, i, n) for (m, n, k), cf in h.to_basis(CHEBYSHEV).terms.items()
-        for e, v in cf.terms.items() for i in s_product(m, k))
-
-
 class JonesSequence:
     """The sequence n -> reduced S_n(y), defined for every integer n.
 
@@ -335,44 +322,12 @@ def _merge(terms: Iterable[Term]) -> dict[tuple[int, int, int], int]:
     return merged
 
 
-def _run_terms(runs: Iterable[Run]) -> list[Term]:
-    """The int terms of a sum of runs, expanded only where the runs leave a
-    nonzero coefficient.  A run's N <= -2 part folds by f(N) = -f(-N-2) into
-    a run of slope +2 in N' = -N-2, on e = L+4+2N'; N = -1 is dropped.  Runs
-    on one line (slope, L, i) are then summed by their endpoints."""
-    lines: dict[tuple[int, int, int], dict[int, int]] = {}
-    for c, L, i, lo, hi in runs:
-        for slope, base, s, a, b in ((-2, L, c, max(lo, 0), hi),
-                                     (2, L + 4, -c, -min(hi, -2) - 2, -lo - 2)):
-            if a <= b:
-                ends = lines.setdefault((slope, base, i), {})
-                ends[a] = ends.get(a, 0) + s
-                ends[b + 1] = ends.get(b + 1, 0) - s
-    terms: list[Term] = []
-    for (slope, base, i), ends in lines.items():
-        c, points = 0, sorted(ends)
-        for a, b in zip(points, points[1:]):
-            c += ends[a]
-            if c:
-                terms += [(c, base + slope * N, i, N) for N in range(a, b)]
-    return terms
-
-
 def _y_terms(f: JonesSequence, i: int, e: int, s: int) -> list[Term]:
-    """s t^e S_i(x) Y as int terms of f.sum, Y the y_shorthand bracket; the
-    rt slot map negates s_pm1_sign."""
+    """s t^e S_i(x) Y as int terms of f.sum, Y = t S_{p-1}(y) + t^{-1} S_p(y)
+    the bracket of the rule, signs from its slots; the rt slot map negates
+    s_pm1_sign."""
     s_pm1 = -s if f.convention is Convention.RT else s
     return [(s_pm1 * f.rule.s_pm1_sign, e + 1, i, f.p - 1), (s * f.rule.s_p_sign, e - 1, i, f.p)]
-
-
-def y_shorthand(p: int, c: Convention, rule: ReductionRule | None = None) -> TkElement:
-    """The bracket the reduction multiplies S_{2n}(x) by, as a module element.
-
-    Under kbsm this is t S_{p-1}(y) + t^{-1} S_p(y); under rt the S_{p-1}
-    coefficient flips sign.
-    """
-    f = JonesSequence(p, c, rule)
-    return f._sum(_y_terms(f, 0, 0, 1))
 
 
 def relation_residual(p: int, n: int, c: Convention,
@@ -409,23 +364,30 @@ def _u_terms(lo: int, hi: int, e: int, s: int) -> list[Term]:
     return [(s, e - 2 * N, 0, N) for N in range(lo, hi + 1)]
 
 
+def _step_terms(lo0: int, hi0: int, lo: int, hi: int, e: int) -> list[Term]:
+    """t^e (U(lo, hi) - U(lo0, hi0)) as int terms: by additivity, the powers
+    that enter at the window's ends, U(hi0+1, hi), less those that leave,
+    U(lo0, lo-1), a few terms when the windows are close."""
+    return _u_terms(hi0 + 1, hi, e, 1) + _u_terms(lo0, lo - 1, e, -1)
+
+
 def _window(f: JonesSequence, slot: str, lo: int, hi: int) -> Table:
     """x^2 U(lo, hi) as a table, zeros dropped, with x^2 = S_2(x) + S_0(x).
 
     Only the latest [lo, hi] is kept per (p, rule, convention, slot), the
     convention too as one rule serves both: under a rule for which an
     identity fails, a window can have O(n^2) entries.  The window [lo', hi']
-    kept is brought to [lo, hi] in place by adding U(hi'+1, hi) and
-    subtracting U(lo', lo-1) when those reduce fewer powers than U(lo, hi);
-    else U(lo, hi) is built afresh.  Additivity holds for every sequence f,
-    so under every rule, and x^2 touches only the powers that enter.  The
-    table returned is the one kept, so the next call of its slot changes it.
+    kept is brought to [lo, hi] in place by its _step_terms when those
+    reduce fewer powers than U(lo, hi); else U(lo, hi) is built afresh.
+    Additivity holds for every sequence f, so under every rule, and x^2
+    touches only the powers that enter.  The table returned is the one
+    kept, so the next call of its slot changes it.
     """
     key = (f.p, f.rule, f.convention, slot)
     # no entry yet reads as the empty window [lo, lo-1], which never steps
     (lo0, hi0), table = _windows.get(key, ((lo, lo - 1), {}))
     if abs(hi - hi0) + abs(lo - lo0) < abs(hi - lo + 1):
-        terms = _u_terms(hi0 + 1, hi, 0, 1) + _u_terms(lo0, lo - 1, 0, -1)
+        terms = _step_terms(lo0, hi0, lo, hi, 0)
     else:
         table, terms = {}, _u_terms(lo, hi, 0, 1)
     _windows[key] = ((lo, hi), table)
@@ -438,7 +400,8 @@ def _x2(terms: Iterable[Term]) -> list[Term]:
 
 
 def _embedded_rest(h: HbElement, ksum: list[Term]) -> tuple[Term, ...]:
-    """The int terms, before reduction, of embed(mirror(h)) minus the k-sum's."""
+    """The int terms, before reduction, of im(bar h) minus the k-sum's, bar h
+    being h under t -> t^-1."""
     merged = _merge([(c, -e, i, N)
                      for (m, N, k), cf in h.to_basis(CHEBYSHEV).terms.items()
                      for e, c in cf.terms.items() for i in s_product(m, k)]
@@ -448,14 +411,14 @@ def _embedded_rest(h: HbElement, ksum: list[Term]) -> tuple[Term, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _x1_rest(n: int) -> tuple[Term, ...]:
-    """mirror(x1_T_closed(n)) embedded, less 2 (1 - t^{-4n}) x^2 t^{2n-2} U(-n, n-1)."""
+    """im(bar x1_T_closed(n)), less 2 (1 - t^{-4n}) x^2 t^{2n-2} U(-n, n-1)."""
     return _embedded_rest(x1_T_closed(n), _x2(_u_terms(-n, n - 1, 2 * n - 2, 2)
                                              + _u_terms(-n, n - 1, -2 * n - 2, -2)))
 
 
 @functools.lru_cache(maxsize=None)
 def _big_x_rest(p: int) -> tuple[Term, ...]:
-    """mirror(X_{2p}) embedded, less -2 t^{-2} x^2 U(0, 2p-2); X_{2p} is read
+    """im(bar X_{2p}), less -2 t^{-2} x^2 U(0, 2p-2); X_{2p} is read
     off the recursion's table memo, which no caller of big_x can change."""
     return _embedded_rest(_hb_element(_big_x_table(2 * p)), _x2(_u_terms(0, 2 * p - 2, -2, -2)))
 
@@ -494,10 +457,10 @@ def handle_slide_residual(p: int, n: int,
                           rule: ReductionRule | None = None) -> TkElement:
     """Difference of the two sides of the handle-slide identity, n >= 0.
 
-    The residual is embed(mirror(X1*T_n(y)) - T_n(y) * mirror(X_{2p})) under
-    the kbsm convention; the identity asserts it vanishes.  With f(N) the
-    reduced S_N(y) and x^2 = S_2(x) + S_0(x), the image of xz and of
-    (x^2 + z^2)/2, the two sides embed to
+    The residual is im(bar(X1*T_n(y)) - T_n(y) * bar X_{2p}) under the kbsm
+    convention, bar the mirror t -> t^-1; the identity asserts it vanishes.
+    With f(N) the reduced S_N(y) and x^2 = S_2(x) + S_0(x), the image of xz
+    and of (x^2 + z^2)/2, the images of the two sides are
 
         2 (1 - t^{-4n}) x^2 G(n) + R1(n)  and  -2 t^{-2} x^2 (P(n) + Q(n)) + T_n(y) R2
 
@@ -506,9 +469,10 @@ def handle_slide_residual(p: int, n: int,
     and Q(n) = t^{-2n} U(-n, J-n) are T_n(y) times X_{2p}'s.  The rests
     R1(n) and R2 are read off x1_T_closed(n) and the X_i recursion's private
     table memo at i = 2p, not off the element big_x(2p) that callers share,
-    once per n and once per p, as the embedded terms outside the k-sums: their heads while
-    the families have their closed forms, and whatever else a family holds
-    if one changes, so the residual is always the one embed would give.
+    once per n and once per p, as the image's terms outside the k-sums: their
+    heads while the families have their closed forms, and whatever else a
+    family holds if one changes, so the residual is always the image of the
+    difference.
     By additivity the k-sums of the difference are two windows,
 
         x^2 (2 t^{2n-2} U(-n, n+J) + 2 t^{-2n-2} U(n, J-n)),
@@ -528,36 +492,15 @@ def handle_slide_residual(p: int, n: int,
     return _element(p, f.convention, acc)
 
 
-def _a_terms(p: int, n: int, e: int = 0, s: int = 1) -> list[Term]:
-    """s t^e A_n as its defining int terms of JonesSequence.sum."""
-    return ([(s, 2 * k + e, 0, n - k) for k in range(2 * n)]
-            + [(s, e - 2 * k, 0, n + k) for k in range(1, 2 * p - 1)])
-
-
-def a_element(p: int, n: int, c: Convention = Convention.KBSM,
-              rule: ReductionRule | None = None) -> TkElement:
-    """The telescoping sum A_n, fully reduced.
-
-    A_n = sum_{k=0}^{2n-1} t^{2k} S_{n-k}(y) + sum_{k=1}^{2p-2} t^{-2k} S_{n+k}(y),
-    one JonesSequence.sum of these 2n+2p-2 terms.
-    The first sum starts at k = 0: with a k = 1 start the telescoping identity
-    below fails already at p = 1, n = 1, and the test suite pins this down.
-    """
-    f = JonesSequence(p, c, rule)
-    p, n = f.p, check_int(n)
-    return f._sum(_a_terms(p, n))
-
-
 def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
                        rule: ReductionRule | None = None) -> TkElement:
     """Residual of A_{n+1} - t^2 A_n = (-1)^{p+n-1} t^{2n-2p+3} S_{2n+2p-2}(x) Y.
 
-    A_n = t^{2n} U(1-|n|, n+2p-2) (see induction_residual) is the one run
-    (1, 2n, 0, 1-|n|, n+2p-2), so the left side is two runs, which
-    _run_terms merges by their endpoints.  All but two terms of them cancel
-    there, t^{4-4p} S_{n+2p-1}(y) + t^{4n+2} S_{-n}(y) for n >= 0, and one JonesSequence sum adds
-    those to minus the right side's two basis terms: no A_n is built, and no
-    defining term of one is.
+    A_n = t^{2n} U(1-|n|, n+2p-2) (see induction_residual), so the left side
+    is t^{2n+2} times one step of that window: two _step_terms,
+    t^{4-4p} f(n+2p-1) + t^{4n+2} f(-n) for n >= 0.  One JonesSequence sum
+    adds those to minus the right side's two basis terms: no A_n is built,
+    and no defining term of one is.
     The t-exponent on the right is 2n-2p+3, one higher than a naive
     bookkeeping of the defining sums suggests; the zero residual over the
     acceptance grid is what certifies the exponent.
@@ -565,9 +508,8 @@ def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
     f = JonesSequence(p, c, rule)
     p, n = f.p, check_int(n)
     sign = -1 if (p + n - 1) % 2 else 1
-    runs = [(s, 2 * k + e, 0, 1 - abs(k), k + 2 * p - 2)
-            for k, e, s in ((n + 1, 0, 1), (n, 2, -1))]
-    return f._sum(_run_terms(runs) + _y_terms(f, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
+    step = _step_terms(1 - abs(n), n + 2 * p - 2, 1 - abs(n + 1), n + 2 * p - 1, 2 * n + 2)
+    return f._sum(step + _y_terms(f, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
 
 
 def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,

@@ -10,7 +10,7 @@ import random
 import time
 
 from skeincalc.chebyshev import cheb_S, cheb_T, monomial_to_S
-from skeincalc.coeffs import AuxLaurent, LaurentPoly, substitute_w, t
+from skeincalc.coeffs import AuxLaurent, LaurentPoly, t
 from skeincalc.families import (big_x, big_x_closed, sigma, sigma_defining,
                                 x1_T_closed, x1_T_recursive, x1y1_recursive,
                                 y1_T_closed, y1_T_recursive)
@@ -22,6 +22,8 @@ from skeincalc.qtorus import (QtElement, inhomog_recurrence,
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule,
                                  handle_slide_residual, induction_residual,
                                  telescope_residual)
+
+from oracles import bar, substitute_w
 
 
 def _finish(num, start, failures):
@@ -45,7 +47,7 @@ def test_criterion_01_family_closed_forms():
 def test_criterion_02_sigma_closed_form():
     start = time.perf_counter()
     failures = []
-    xz = HbElement.cheb({(1, 0, 1): t(-1)})
+    xz = HbElement(CHEBYSHEV, {(1, 0, 1): t(-1)})
     for n in range(1, 13):
         if sigma(n) != sigma_defining(n):
             failures.append(("defining", n))
@@ -184,7 +186,7 @@ def test_criterion_09_structural_properties():
 
     for trial in range(60):
         a, b = rand_laurent(), rand_laurent()
-        if (a * b).bar() != a.bar() * b.bar() or a.bar().bar() != a:
+        if bar(a * b) != bar(a) * bar(b) or bar(bar(a)) != a:
             failures.append(("bar", trial))
         h1, h2, h3 = rand_hb(), rand_hb(), rand_hb()
         if h1 * h2 != h2 * h1:

@@ -4,10 +4,12 @@ w-substitution, and the sparse kernel's input contract."""
 import pytest
 from hypothesis import given, strategies as st
 
-from skeincalc.coeffs import AuxLaurent, LaurentPoly, substitute_w, t
-from skeincalc.handlebody import HbElement
+from skeincalc.coeffs import AuxLaurent, LaurentPoly, t
+from skeincalc.handlebody import CHEBYSHEV, HbElement
 from skeincalc.qtorus import QtElement
 from skeincalc.torusknot import Convention, TkElement
+
+from oracles import bar, from_json, substitute_w
 
 
 laurents = st.builds(
@@ -56,17 +58,17 @@ class TestLaurentPoly:
 
     @given(laurents, laurents)
     def test_bar_is_ring_involution(self, a, b):
-        assert a.bar().bar() == a
-        assert (a * b).bar() == a.bar() * b.bar()
-        assert (a + b).bar() == a.bar() + b.bar()
+        assert bar(bar(a)) == a
+        assert bar(a * b) == bar(a) * bar(b)
+        assert bar(a + b) == bar(a) + bar(b)
 
     def test_bar_examples(self):
-        assert t(4, -1).bar() == t(-4, -1)
-        assert (t(2) + t(-2)).bar() == t(2) + t(-2)
+        assert bar(t(4, -1)) == t(-4, -1)
+        assert bar(t(2) + t(-2)) == t(2) + t(-2)
 
     @given(laurents)
     def test_json_round_trip(self, a):
-        assert LaurentPoly.from_json(a.to_json()) == a
+        assert from_json(LaurentPoly, a.to_json()) == a
 
     def test_json_is_sorted_with_string_coeffs(self):
         data = (t(3, 7) + t(-1, -2)).to_json()
@@ -90,7 +92,7 @@ class TestAuxLaurent:
 
     @given(aux_polys)
     def test_json_round_trip(self, a):
-        assert AuxLaurent.from_json(a.to_json()) == a
+        assert from_json(AuxLaurent, a.to_json()) == a
 
 
 class TestWSubstitution:
@@ -148,7 +150,7 @@ class TestKernelContract:
             build()
 
     @pytest.mark.parametrize("a, b", [
-        (HbElement.mono({(1, 0, 0): 1}), HbElement.cheb({(1, 0, 0): 1})),
+        (HbElement.mono({(1, 0, 0): 1}), HbElement(CHEBYSHEV, {(1, 0, 0): 1})),
         (TkElement(1, Convention.KBSM), TkElement(2, Convention.KBSM)),
         (TkElement(1, Convention.KBSM, {(0, 1): 1}),
          TkElement(1, Convention.RT, {(0, 1): 1})),
@@ -191,4 +193,4 @@ class TestKernelContract:
     ])
     def test_from_json_rejects_malformed(self, cls, data):
         with pytest.raises(ValueError):
-            cls.from_json(data)
+            from_json(cls, data)

@@ -12,13 +12,14 @@ from skeincalc import torusknot
 from skeincalc.chebyshev import normalize_s_index, s_product
 from skeincalc.coeffs import LaurentPoly, as_laurent, t
 from skeincalc.families import big_x, x1_T_closed
-from skeincalc.handlebody import HbElement, X, Z, _table
+from skeincalc.handlebody import CHEBYSHEV, HbElement, X, Z
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
-                                 _a_terms, _merge, _reduce_items, _run_terms, _u_terms,
-                                 _window, _y_terms, a_element, embed,
-                                 handle_slide_residual, induction_residual, reduce_sy,
-                                 relation_residual, telescope_residual, y_shorthand)
+                                 _merge, _reduce_items, _step_terms, _u_terms, _window,
+                                 _y_terms, handle_slide_residual, induction_residual,
+                                 reduce_sy, relation_residual, telescope_residual)
 from skeincalc.qtorus import inhomog_recurrence, qt_apply, rt_recursion_residual
+
+from oracles import a_element, a_terms, embed, from_json, hb_table, mirror, times_t_y
 
 KBSM = Convention.KBSM
 RT = Convention.RT
@@ -29,10 +30,16 @@ ALL_RULES = [(c, r) for c in (KBSM, RT)
                        *ReductionRule.for_convention(c).single_sign_mutations())]
 
 
+def y_bracket(p, c, rule=None):
+    """Y, the bracket the reduction multiplies S_{2n}(x) by, as an element."""
+    f = JonesSequence(p, c, rule)
+    return f.sum(_y_terms(f, 0, 0, 1))
+
+
 def induction_formula(p, n, c, rule):
     """The induction residual as element arithmetic: the left side minus
     (-1)^{p+n} t^{2p-2n-1} x^2 A_n, with x^2 = S_2(x) + S_0(x)."""
-    ybr = y_shorthand(p, c, rule)
+    ybr = y_bracket(p, c, rule)
     a = a_element(p, n, c, rule)
     return (ybr.times_sx(2 * p + 2 * n - 2) + ybr.times_sx(2 * p + 2 * n - 4)
             - (a.times_sx(2) + a) * t(2 * p - 2 * n - 1, -1 if (p + n) % 2 else 1))
@@ -62,8 +69,8 @@ def clear_handle_slide_state():
 def direct_handle_slide():
     """(rule, p, n) -> the JSON of embed(mirror(X1*T_n(y)) - T_n(y) mirror(X_{2p})),
     formed in the handlebody, for every kbsm rule, p <= 8 and 0 <= n <= 2p+4."""
-    return {(rule, p, n): json.dumps(embed(x1_T_closed(n).mirror()
-                                           - big_x(2 * p).mirror().times_t_y(n),
+    return {(rule, p, n): json.dumps(embed(mirror(x1_T_closed(n))
+                                           - times_t_y(mirror(big_x(2 * p)), n),
                                            p, KBSM, rule).to_json())
             for rule in KBSM_RULES for p in range(1, 9) for n in range(2 * p + 5)}
 
@@ -111,11 +118,12 @@ class TestReduce:
 
 
 class TestYShorthand:
+    # t S_{p-1}(y) + t^{-1} S_p(y) under kbsm; under rt the S_{p-1} term flips
     def test_kbsm(self):
-        assert y_shorthand(1, KBSM).terms == {(0, 0): t(1), (0, 1): t(-1)}
+        assert y_bracket(1, KBSM).terms == {(0, 0): t(1), (0, 1): t(-1)}
 
     def test_rt_flips_lower_term(self):
-        assert y_shorthand(1, RT).terms == {(0, 0): t(1, -1), (0, 1): t(-1)}
+        assert y_bracket(1, RT).terms == {(0, 0): t(1, -1), (0, 1): t(-1)}
 
 
 class TestArithmetic:
@@ -161,7 +169,7 @@ class TestArithmetic:
         e = TkElement(2, RT, {(2, 1): t(4, -1) + t(0, 3), (0, 0): t(-6)})
         data = e.to_json()
         assert set(data) == {"p", "convention", "terms"}
-        assert TkElement.from_json(data) == e
+        assert from_json(TkElement, data) == e
 
 
 small_laurents = st.dictionaries(
@@ -269,16 +277,15 @@ class TestJonesSum:
         assert _reduce_items.cache_info().currsize <= 4
 
     @settings(max_examples=200, deadline=None)
-    @given(runs=st.lists(st.tuples(st.integers(-2, 2), st.integers(-4, 4), st.integers(-3, 4),
-                                   st.integers(-8, 8), st.integers(-8, 8)), max_size=6),
+    @given(bounds=st.tuples(*[st.integers(-8, 8)] * 4), e=st.integers(-4, 4),
            p=st.integers(1, 3))
-    def test_merged_runs_are_their_expanded_terms(self, runs, p):
-        # a run (c, L, i, lo, hi) is sum_{N=lo}^{hi} c t^{L-2N} S_i(x) f(N),
-        # empty for hi < lo; few lines (L, i), so runs overlap and cancel,
-        # on both sides of the N <= -2 fold
+    def test_step_terms_are_the_window_difference(self, bounds, e, p):
+        # t^e (U(lo, hi) - U(lo0, hi0)) for any two windows, empty and
+        # reversed ones included, on both sides of the N <= -2 fold
+        lo0, hi0, lo, hi = bounds
         f = JonesSequence(p, KBSM)
-        expanded = [(c, L - 2 * N, i, N) for c, L, i, lo, hi in runs for N in range(lo, hi + 1)]
-        assert f._table(_run_terms(runs)) == f._table(expanded)
+        expanded = _u_terms(lo, hi, e, 1) + _u_terms(lo0, hi0, e, -1)
+        assert f.sum(_step_terms(lo0, hi0, lo, hi, e)) == f.sum(expanded)
 
     def test_no_terms_give_zero_in_context(self):
         got = JonesSequence(2, RT).sum([])
@@ -368,7 +375,7 @@ class TestLiteralReduction:
                 for (m, n, k), coeff in keys.items():
                     expected = expected + literal_times_sx(
                         literal_times_sx(literal_reduce(n, p, c, rule), m), k) * coeff
-                assert embed(HbElement.cheb(keys), p, c, rule) == expected, (p, keys)
+                assert embed(HbElement(CHEBYSHEV, keys), p, c, rule) == expected, (p, keys)
 
 
 class TestMemoIsolation:
@@ -479,6 +486,14 @@ class TestHandleSlide:
         assert handle_slide_residual(1, 5).is_zero()
         assert handle_slide_residual(2, 3).is_zero()
 
+    def test_n_zero(self):
+        # the CLI grid starts at n = 1, so n = 0 is checked here: zero under
+        # the base rule, and nonzero at p = 2 under each sign mutant (at
+        # p = 1, tail_sign gives zero)
+        assert all(handle_slide_residual(p, 0).is_zero() for p in range(1, 31))
+        for mutant in KBSM_RULES[1:]:
+            assert not handle_slide_residual(2, 0, mutant).is_zero(), mutant
+
     def test_arguments_are_checked_before_the_running_state(self):
         torusknot._windows.clear()
         with pytest.raises(TypeError, match=r"2\.0"):
@@ -526,19 +541,19 @@ class TestHandleSlide:
         # the terms outside the k-sums are read off x1_T_closed and the X_i
         # recursion's table memo, so a family with one more term gives the
         # embed of the changed difference, and the check fails
-        extra = HbElement.cheb({(1, 3, 2): t(5, 3)})
+        extra = HbElement(CHEBYSHEV, {(1, 3, 2): t(5, 3)})
         sides = {"x1_T_closed": x1_T_closed, "big_x": big_x}
         sides[family] = lambda i, unchanged=sides[family]: unchanged(i) + extra
         if family == "big_x":
-            monkeypatch.setattr(torusknot, "_big_x_table", lambda i: _table(sides["big_x"](i)))
+            monkeypatch.setattr(torusknot, "_big_x_table", lambda i: hb_table(sides["big_x"](i)))
         else:
             monkeypatch.setattr(torusknot, family, sides[family])
         clear_handle_slide_state()
         try:
             for p in range(1, 4):
                 for n in range(2 * p + 5):
-                    want = embed(sides["x1_T_closed"](n).mirror()
-                                 - sides["big_x"](2 * p).mirror().times_t_y(n), p, KBSM)
+                    want = embed(mirror(sides["x1_T_closed"](n))
+                                 - times_t_y(mirror(sides["big_x"](2 * p)), n), p, KBSM)
                     got = handle_slide_residual(p, n)
                     assert not got.is_zero() and got == want, (p, n)
         finally:
@@ -547,7 +562,7 @@ class TestHandleSlide:
 
     def test_sweep_builds_each_family_once(self, monkeypatch):
         # a sweep reads x1_T_closed once per n and big_x(2p) once per p, and
-        # embeds, mirrors or multiplies by T_n(y) nothing per (p, n)
+        # adds, subtracts or multiplies no handlebody element
         for i in range(13):
             big_x(i)
         built, other = [], []
@@ -558,8 +573,7 @@ class TestHandleSlide:
         monkeypatch.setattr(torusknot, "x1_T_closed", logged(built, "x1", x1_T_closed))
         monkeypatch.setattr(torusknot, "_big_x_table",
                             logged(built, "big_x", torusknot._big_x_table))
-        monkeypatch.setattr(torusknot, "embed", logged(other, "embed", embed))
-        for name in ("mirror", "times_t_y"):
+        for name in ("__add__", "__sub__", "__mul__"):
             monkeypatch.setattr(HbElement, name, logged(other, name, getattr(HbElement, name)))
         clear_handle_slide_state()
         try:
@@ -577,8 +591,8 @@ class TestHandleSlide:
         # handle_slide_residual embeds each side's heads and k-sums apart and
         # adds the results, which is the embed of the difference of the two
         # sides only if embed is linear, for the mutant rules too
-        a = HbElement.cheb({(1, 3, 2): t(2), (0, 4, 1): -1, (2, 0, 0): t(-1, 3)})
-        b = HbElement.cheb({(1, 3, 2): t(2), (3, 5, 0): t(1), (0, 2, 2): 2})
+        a = HbElement(CHEBYSHEV, {(1, 3, 2): t(2), (0, 4, 1): -1, (2, 0, 0): t(-1, 3)})
+        b = HbElement(CHEBYSHEV, {(1, 3, 2): t(2), (3, 5, 0): t(1), (0, 2, 2): 2})
         base = ReductionRule.for_convention(KBSM)
         for r in (base, *base.single_sign_mutations()):
             for p in (1, 2):
@@ -640,13 +654,13 @@ class TestTelescope:
 
     @pytest.mark.parametrize("c, rule", ALL_RULES)
     def test_runs_are_the_defining_sums(self, c, rule):
-        # the residual from two runs is the one from A_{n+1}'s and A_n's
-        # defining terms, byte for byte, under every rule and for n < 0
+        # the residual from one window step is the one from A_{n+1}'s and
+        # A_n's defining terms, byte for byte, under every rule and for n < 0
         for p in range(1, 9):
             f = JonesSequence(p, c, rule)
             for n in range(-6, 2 * p + 8):
                 sign = -1 if (p + n - 1) % 2 else 1
-                expected = f.sum(_a_terms(p, n + 1) + _a_terms(p, n, 2, -1)
+                expected = f.sum(a_terms(p, n + 1) + a_terms(p, n, 2, -1)
                                  + _y_terms(f, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
                 assert telescope_residual(p, n, c, rule).to_json() == expected.to_json(), (p, n)
 
