@@ -16,10 +16,10 @@ from .families import (FamilyPair, big_x, big_x_closed, big_x_residual,
 from .torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
                         handle_slide_residual, induction_residual, reduce_sy,
                         relation_residual, telescope_residual)
-from .qtorus import (CommutativePoly, QtElement, base_relation_op,
-                     homogenization_residual, inhomog_recurrence,
-                     product_identity_residual, product_multiplier, qt_apply,
-                     qt_mul, recurrence_poly, recurrence_poly_residual,
-                     rt_recursion_residual, t1_factor_residual)
+from .qtorus import (QtElement, base_relation_op, homogenization_residual,
+                     inhomog_recurrence, product_identity_residual,
+                     product_multiplier, qt_apply, qt_mul, recurrence_poly,
+                     recurrence_poly_residual, rt_recursion_residual,
+                     t1_factor_residual)
 
 __version__ = "0.1.0"

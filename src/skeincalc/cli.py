@@ -10,7 +10,8 @@ Checks run one after another in one process, so the memo caches filled by one
 grid point serve the next.  A check that raises is reported as a failed check
 with its error, and the run goes on.  The --json report puts each check row
 on a line of its own, encoded by the C encoder of json.dumps and written as
-soon as it is encoded.
+soon as it is encoded.  With --json -, standard output holds the report alone
+and the summary lines go to standard error.
 """
 
 from __future__ import annotations
@@ -139,6 +140,7 @@ def cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     reports = []
     failed = 0
+    log = sys.stderr if args.json == "-" else None  # stdout is the report's alone
     for suite in suites:
         report = run_suite(suite, args.p_max, args.n_max)
         reports.append(report)
@@ -146,17 +148,17 @@ def cmd_verify(args) -> int:
         total = len(report["checks"])
         status = "ok" if npass == total else "FAIL"
         print(f"{status:4} {suite:12} {npass}/{total} checks passed "
-              f"({report['elapsed_ms']:.0f} ms)")
+              f"({report['elapsed_ms']:.0f} ms)", file=log)
         for check in report["checks"]:
             if not check["pass"]:
                 failed += 1
                 loc = " ".join(f"{k}={check[k]}" for k in ("p", "n")
                                if check[k] is not None)
-                print(f"     FAIL {check['check']} {loc}")
+                print(f"     FAIL {check['check']} {loc}", file=log)
                 if "error" in check:
-                    print(f"          error: {check['error']}")
+                    print(f"          error: {check['error']}", file=log)
                 else:
-                    print(f"          residual: {json.dumps(check['residual'])}")
+                    print(f"          residual: {json.dumps(check['residual'])}", file=log)
     if args.json == "-":
         _write_report(sys.stdout, reports)
     elif args.json:

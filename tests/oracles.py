@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from skeincalc.chebyshev import s_product
 from skeincalc.coeffs import AuxLaurent, LaurentPoly, Sparse, check_int
 from skeincalc.handlebody import CHEBYSHEV, HbElement, _element, _merge
-from skeincalc.qtorus import CommutativePoly, QtElement
+from skeincalc.qtorus import QtElement
 from skeincalc.torusknot import Convention, JonesSequence, ReductionRule, TkElement
 
 
@@ -111,9 +111,6 @@ def _aux(data) -> AuxLaurent:
     return AuxLaurent(_rows(data, _laurent))
 
 
-_COEFF = {QtElement: _aux, CommutativePoly: _decimal}
-
-
 def from_json(cls: type, data) -> Sparse:
     """The element of type cls whose to_json is data: the context fields,
     then the "terms" rows.  Any malformed input raises ValueError."""
@@ -122,7 +119,7 @@ def from_json(cls: type, data) -> Sparse:
             return _laurent(data)
         if cls is AuxLaurent:
             return _aux(data)
-        terms = _rows(data["terms"], _COEFF.get(cls, _laurent))
+        terms = _rows(data["terms"], _aux if cls is QtElement else _laurent)
         return cls(*(data[name] for name in cls._CONTEXT), terms)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {cls.__name__} JSON: {exc}") from exc

@@ -15,7 +15,7 @@ from skeincalc.families import (big_x, big_x_closed, sigma, sigma_defining,
                                 x1_T_closed, x1_T_recursive, x1y1_recursive,
                                 y1_T_closed, y1_T_recursive)
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement
-from skeincalc.qtorus import (QtElement, inhomog_recurrence,
+from skeincalc.qtorus import (_operator, inhomog_recurrence,
                               product_identity_residual, qt_apply, qt_mul,
                               recurrence_poly, rt_recursion_residual,
                               t1_factor_residual)
@@ -197,8 +197,10 @@ def test_criterion_09_structural_properties():
             failures.append(("hb_round_trip", trial))
 
     def rand_qt():
-        return QtElement.monomial(rng.randint(-2, 2), rng.randint(-2, 2),
-                                  t(rng.randint(-4, 4), rng.randint(1, 5)))
+        # up to three int terms c t^e S_j(x) M^a L^b
+        return _operator([(rng.randint(-5, 5), rng.randint(-4, 4), rng.randint(0, 2),
+                           rng.randint(-2, 2), rng.randint(-2, 2))
+                          for _ in range(rng.randint(1, 3))])
 
     for trial in range(60):
         q1, q2, q3 = rand_qt(), rand_qt(), rand_qt()

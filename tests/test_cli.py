@@ -13,7 +13,8 @@ import pytest
 from skeincalc import cli
 from skeincalc.cli import SUITES, main
 from skeincalc.families import big_x
-from skeincalc.qtorus import CommutativePoly
+from skeincalc.coeffs import AuxLaurent
+from skeincalc.qtorus import QtElement
 
 
 # a child interpreter that imports this checkout's package
@@ -24,6 +25,11 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the residual of a failing t1_factorization row: L, at t^0
+L_AT_T1 = QtElement({(0, 1): AuxLaurent({0: 1})})
+L_AT_T1_JSON = {"terms": [[0, 1, [[0, {"t": [[0, "1"]]}]]]]}
 
 
 class TestVerify:
@@ -80,20 +86,19 @@ class TestVerify:
         assert ran == []
 
     def test_failing_check_reports_its_residual(self, capsys, monkeypatch):
-        nonzero = CommutativePoly({(0, 1, 0): 1})
-        monkeypatch.setitem(cli._CHECKS, "t1_factorization", lambda p, n: nonzero)
+        monkeypatch.setitem(cli._CHECKS, "t1_factorization", lambda p, n: L_AT_T1)
         code, out, _ = run(capsys, ["verify", "--suite", "t1-factor",
                                     "--p-max", "1", "--json", "-"])
         assert code == 1
         row = json.loads(out[out.index("{\n"):])["checks"][0]
         assert row["pass"] is False
-        assert row["residual"] == {"terms": [[0, 1, 0, "1"]]}
+        assert row["residual"] == L_AT_T1_JSON
 
     def test_raising_check_is_recorded(self, capsys, monkeypatch):
         def boom(p, n):
             if p == 2:
                 raise ZeroDivisionError("no inverse")
-            return CommutativePoly()
+            return QtElement()
         monkeypatch.setitem(cli._CHECKS, "t1_factorization", boom)
         code, out, err = run(capsys, ["verify", "--suite", "t1-factor",
                                       "--p-max", "3", "--json", "-"])
@@ -104,7 +109,8 @@ class TestVerify:
         assert rows[1] == {"check": "t1_factorization", "p": 2, "n": None,
                            "pass": False, "error": "ZeroDivisionError: no inverse",
                            "residual": None}
-        assert "error: ZeroDivisionError: no inverse" in out
+        # the summary lines go to stderr, as the report takes stdout
+        assert "error: ZeroDivisionError: no inverse" in err
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # verify runs in one process, so nothing loads concurrent.futures
@@ -143,8 +149,10 @@ class TestVerify:
         finally:
             os.close(write_end)
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == ["error: cannot write standard output: "
-                                            + os.strerror(errno.EPIPE)]
+        # the summary line goes to stderr before the report fails to write
+        summary, *rest = proc.stderr.splitlines()
+        assert summary.startswith("ok   t1-factor")
+        assert rest == ["error: cannot write standard output: " + os.strerror(errno.EPIPE)]
 
     def test_rejects_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -163,7 +171,7 @@ def _t1_fails_and_raises(p, n):
     """A stand-in check: zero at p = 1, a nonzero residual at p = 2, raises at p = 3."""
     if p == 3:
         raise ZeroDivisionError("no inverse")
-    return CommutativePoly({(0, 1, 0): 1} if p == 2 else {})
+    return L_AT_T1 if p == 2 else QtElement()
 
 
 class TestReportLayout:
@@ -188,8 +196,8 @@ class TestReportLayout:
         code, summary, _ = run(capsys, argv + ["--json", str(target)])
         text = target.read_text()
         assert code == (1 if check else 0)
-        # --json - prints the file's text after the summary lines
-        assert run(capsys, argv + ["--json", "-"]) == (code, summary + text, "")
+        # --json - prints the file's text alone, and the summary lines to stderr
+        assert run(capsys, argv + ["--json", "-"]) == (code, text, summary)
         lines = text.splitlines()
         assert lines[0] == ("[" if suite == "all" else "{")
         # besides the rows: the first line, a header and a closing line per
@@ -199,7 +207,7 @@ class TestReportLayout:
         assert rows == [row for r in reports for row in r["checks"]]
         assert json.loads(text) == (reports if suite == "all" else reports[0])
         if check is not None:
-            assert rows[1]["residual"] == {"terms": [[0, 1, 0, "1"]]}
+            assert rows[1]["residual"] == L_AT_T1_JSON
         if case == "raising":
             assert rows[2]["error"] == "ZeroDivisionError: no inverse"
 

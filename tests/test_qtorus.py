@@ -1,17 +1,20 @@
-"""Noncommutative operator algebra and the recurrence it encodes."""
+"""Noncommutative operator algebra and the recurrence it encodes.
+
+Operators are tuples of int terms (c, e, j, a, b) for c t^e S_j(x) M^a L^b;
+_operator merges a list of terms into that canonical form.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeincalc.chebyshev import monomial_to_S
-from skeincalc.coeffs import AuxLaurent, LaurentPoly, t
+from skeincalc import qtorus
+from skeincalc.coeffs import AuxLaurent, t
 from skeincalc.handlebody import Z
-from skeincalc.qtorus import (L, L_INV, M, M_INV, X2_MINUS_2, CommutativePoly,
-                              QtElement, base_relation_op, homogenization_residual,
-                              inhomog_recurrence, product_identity_residual,
-                              product_multiplier, qt_apply, qt_mul,
-                              recurrence_poly, t1_factor_residual)
+from skeincalc.qtorus import (QtElement, _operator, _residual, base_relation_op,
+                              homogenization_residual, inhomog_recurrence,
+                              product_identity_residual, product_multiplier, qt_apply,
+                              qt_mul, recurrence_poly, t1_factor_residual)
 from skeincalc.torusknot import Convention, JonesSequence, ReductionRule, TkElement
 
 from oracles import from_json
@@ -20,31 +23,53 @@ KBSM = Convention.KBSM
 RT = Convention.RT
 
 
+def mono(a, b, e=0, c=1, j=0):
+    """The operator c t^e S_j(x) M^a L^b."""
+    return ((c, e, j, a, b),)
+
+
+ONE, L, L_INV, M, M_INV = mono(0, 0), mono(0, 1), mono(0, -1), mono(1, 0), mono(-1, 0)
+
+
+def x2m2(c=1, e=0, a=0, b=0):
+    """c t^e (x^2-2) M^a L^b, as x^2 - 2 = S_2(x) - S_0(x)."""
+    return _operator([(c, e, 2, a, b), (-c, e, 0, a, b)])
+
+
+def plus(*ops):
+    return _operator(term for op in ops for term in op)
+
+
 class TestNormalOrdering:
     def test_l_past_m(self):
-        assert qt_mul(L, M).terms == {(1, 1): AuxLaurent({0: t(2)})}
+        assert qt_mul(L, M) == mono(1, 1, e=2)
 
     def test_m_past_l_is_free(self):
-        assert qt_mul(M, L).terms == {(1, 1): AuxLaurent({0: t(0)})}
+        assert qt_mul(M, L) == mono(1, 1)
 
     def test_inverses(self):
-        assert qt_mul(L, L_INV) == QtElement.monomial(0, 0)
-        assert qt_mul(M_INV, M) == QtElement.monomial(0, 0)
+        assert qt_mul(L, L_INV) == ONE
+        assert qt_mul(M_INV, M) == ONE
 
     def test_weighted_word_product(self):
         # t^{2p+5} L^{p+2} M times t^{-3} L^{p+1} M^{-1} collapses to L^{2p+3}
         for p in range(1, 5):
-            lhs = qt_mul(QtElement.monomial(0, p + 2, t(2 * p + 5)), M)
-            rhs = qt_mul(QtElement.monomial(0, p + 1, t(-3)), M_INV)
-            assert qt_mul(lhs, rhs) == QtElement.monomial(0, 2 * p + 3), p
+            lhs = qt_mul(mono(0, p + 2, e=2 * p + 5), M)
+            rhs = qt_mul(mono(0, p + 1, e=-3), M_INV)
+            assert qt_mul(lhs, rhs) == mono(0, 2 * p + 3), p
 
     def test_unweighted_word_product(self):
         # without the scalar prefactors the same product picks up t^{-2p-2}
         for p in range(1, 4):
-            lhs = qt_mul(QtElement.monomial(0, p + 2), M)
-            rhs = qt_mul(QtElement.monomial(0, p + 1), M_INV)
-            expected = QtElement.monomial(0, 2 * p + 3, t(-2 * p - 2))
-            assert qt_mul(lhs, rhs) == expected, p
+            lhs = qt_mul(mono(0, p + 2), M)
+            rhs = qt_mul(mono(0, p + 1), M_INV)
+            assert qt_mul(lhs, rhs) == mono(0, 2 * p + 3, e=-2 * p - 2), p
+
+    def test_chebyshev_coefficients_multiply_by_s_product(self):
+        # S_1(x)^2 = S_2(x) + S_0(x), and (x^2-2)^2 = (S_2 - S_0)^2 = S_4 - S_2 + 2 S_0
+        assert qt_mul(mono(0, 0, j=1), mono(0, 0, j=1)) == plus(mono(0, 0, j=2), ONE)
+        assert qt_mul(x2m2(), x2m2()) == _operator([(1, 0, 4, 0, 0), (-1, 0, 2, 0, 0),
+                                                   (2, 0, 0, 0, 0)])
 
     def test_coefficients_must_be_z_free(self):
         # a coefficient is a polynomial in x alone; a handlebody element
@@ -56,78 +81,93 @@ class TestNormalOrdering:
         with pytest.raises(ValueError):
             QtElement({(0, 0): AuxLaurent({-1: t(0)})})
         with pytest.raises(ValueError):
-            QtElement.monomial(1, 0, AuxLaurent({2: 1, -1: 3}))
+            QtElement({(1, 0): AuxLaurent({2: 1, -1: 3})})
 
     def test_json_round_trip(self):
         e = QtElement({(1, -2): AuxLaurent({2: t(3, -1), 0: t(3, 2)}),
                        (-1, 0): AuxLaurent({0: t(-5)})})
         assert from_json(QtElement, e.to_json()) == e
 
+    def test_view_writes_powers_of_x(self):
+        # 3 t^2 S_2(x) M L^-1 = 3 t^2 (x^2 - 1) M L^-1; the view merges equal keys
+        got = _residual(_operator([(3, 2, 2, 1, -1), (1, 0, 0, 0, 0)]), ONE)
+        assert got == QtElement({(1, -1): AuxLaurent({2: t(2, 3), 0: t(2, -3)})})
+        assert _residual(recurrence_poly(2), recurrence_poly(2)).is_zero()
 
-qt_coeffs = st.builds(
-    lambda xd, e, c: AuxLaurent({xd: t(e, c)}),
-    st.integers(min_value=0, max_value=2),
-    st.integers(min_value=-3, max_value=3),
-    st.integers(min_value=-3, max_value=3).filter(bool))
 
-qt_elems = st.dictionaries(
-    st.tuples(st.integers(min_value=-2, max_value=2),
-              st.integers(min_value=-2, max_value=2)),
-    qt_coeffs,
-    max_size=2).map(QtElement)
+int_terms = st.tuples(st.integers(min_value=-3, max_value=3).filter(bool),
+                      st.integers(min_value=-3, max_value=3),
+                      st.integers(min_value=0, max_value=3),
+                      st.integers(min_value=-2, max_value=2),
+                      st.integers(min_value=-2, max_value=2))
+
+# operators with up to three int terms, several S_j(x) and several t-powers
+qt_ops = st.lists(int_terms, max_size=3).map(_operator)
+
+
+def view_product(A, B):
+    """The product of the x-power views of A and B, by AuxLaurent arithmetic:
+    an independent route to the normal-ordering rule."""
+    out = QtElement()
+    for (a1, b1), c1 in _residual(A, ()).terms.items():
+        for (a2, b2), c2 in _residual(B, ()).terms.items():
+            out = out + QtElement({(a1 + a2, b1 + b2): c1 * c2 * t(2 * b1 * a2)})
+    return out
 
 
 class TestRingProperties:
     @settings(max_examples=50, deadline=None)
-    @given(qt_elems, qt_elems, qt_elems)
+    @given(qt_ops, qt_ops, qt_ops)
     def test_associative(self, a, b, c):
         assert qt_mul(qt_mul(a, b), c) == qt_mul(a, qt_mul(b, c))
 
     @settings(max_examples=50, deadline=None)
-    @given(qt_elems)
+    @given(qt_ops)
     def test_unit(self, a):
-        assert qt_mul(a, QtElement.monomial(0, 0)) == a
-        assert qt_mul(QtElement.monomial(0, 0), a) == a
+        assert qt_mul(a, ONE) == a
+        assert qt_mul(ONE, a) == a
 
     @settings(max_examples=40, deadline=None)
-    @given(qt_elems, qt_elems, qt_elems)
+    @given(qt_ops, qt_ops, qt_ops)
     def test_distributive(self, a, b, c):
-        assert qt_mul(a, b + c) == qt_mul(a, b) + qt_mul(a, c)
+        assert qt_mul(a, plus(b, c)) == plus(qt_mul(a, b), qt_mul(a, c))
 
+    @settings(max_examples=40, deadline=None)
+    @given(qt_ops, qt_ops)
+    def test_matches_the_x_power_product(self, a, b):
+        assert _residual(qt_mul(a, b), ()) == view_product(a, b)
 
-multi_laurents = st.dictionaries(
-    st.integers(min_value=-3, max_value=3),
-    st.integers(min_value=-3, max_value=3).filter(bool),
-    min_size=1, max_size=3).map(LaurentPoly)
+    @settings(max_examples=40, deadline=None)
+    @given(qt_ops)
+    def test_operators_are_canonical(self, a):
+        # merged, zero-free and sorted, so equal operators are equal tuples
+        assert a == tuple(sorted(a))
+        assert all(c for c, *_ in a)
+        assert len({tuple(key) for _, *key in a}) == len(a)
 
-# operators whose x-coefficients have several x-degrees and several t-terms
-multi_term_ops = st.dictionaries(
-    st.tuples(st.integers(min_value=-2, max_value=2),
-              st.integers(min_value=-2, max_value=2)),
-    st.dictionaries(st.integers(min_value=0, max_value=3), multi_laurents,
-                    min_size=1, max_size=3).map(AuxLaurent),
-    max_size=3).map(QtElement)
 
 all_rules = [(c, r) for c in (KBSM, RT)
              for r in (ReductionRule.for_convention(c),
                        *ReductionRule.for_convention(c).single_sign_mutations())]
 
 
+def apply_term_by_term(P, g, n, f):
+    """P applied at n to the sequence g, by TkElement arithmetic: each term
+    c t^e S_j(x) M^a L^b adds c t^{e+2an} S_j(x) g(n+b)."""
+    out = TkElement(f.p, f.convention)
+    for c, e, j, a, b in P:
+        out = out + g(n + b).times_sx(j) * t(e + 2 * a * n, c)
+    return out
+
+
 class TestApply:
     @pytest.mark.parametrize("c, rule", all_rules)
     @settings(max_examples=25, deadline=None)
-    @given(P=multi_term_ops, n=st.integers(min_value=-4, max_value=6),
+    @given(P=qt_ops, n=st.integers(min_value=-4, max_value=6),
            p=st.integers(min_value=1, max_value=3))
     def test_matches_element_arithmetic(self, c, rule, P, n, p):
-        # qt_apply expands every coefficient into int terms; this is the
-        # element arithmetic those terms stand for
         f = JonesSequence(p, c, rule)
-        expected = TkElement(p, c)
-        for (a, b), coeff in P.terms.items():
-            for xd, lp in coeff.terms.items():
-                for j, cnt in monomial_to_S(xd).items():
-                    expected = expected + f(n + b).times_sx(j) * (lp * t(2 * a * n) * cnt)
-        assert qt_apply(P, f, n) == expected
+        assert qt_apply(P, f, n) == apply_term_by_term(P, f, n, f)
 
     def test_float_point_raises(self):
         with pytest.raises(TypeError):
@@ -146,30 +186,23 @@ class TestApply:
 
     def test_x_coefficient_expands(self):
         f = JonesSequence(2, KBSM)
-        op = QtElement.monomial(0, 0, X2_MINUS_2)
         for n in (0, 1, 4):
-            assert qt_apply(op, f, n) == f(n).times_sx(2) - f(n)
+            assert qt_apply(x2m2(), f, n) == f(n).times_sx(2) - f(n)
 
     def test_linear_in_operator(self):
         f = JonesSequence(1, RT)
-        a = QtElement.monomial(1, 2, t(3))
-        b = QtElement.monomial(-1, 0, X2_MINUS_2)
+        a = mono(1, 2, e=3)
+        b = x2m2(a=-1)
         for n in (-2, 0, 3):
-            assert qt_apply(a + b, f, n) == qt_apply(a, f, n) + qt_apply(b, f, n)
+            assert qt_apply(plus(a, b), f, n) == qt_apply(a, f, n) + qt_apply(b, f, n)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=-2, max_value=2),
-           st.integers(min_value=-2, max_value=2),
-           st.integers(min_value=-2, max_value=2),
-           st.integers(min_value=-2, max_value=2),
-           st.integers(min_value=-3, max_value=4))
-    def test_action_respects_product(self, a1, b1, a2, b2, n):
+    @given(qt_ops, qt_ops, st.integers(min_value=-3, max_value=4))
+    def test_action_respects_product(self, P, Q, n):
+        # (PQ) f = P (Q f): the product is the composition of the actions
         f = JonesSequence(1, RT)
-        P = QtElement.monomial(a1, b1, t(1))
-        Q = QtElement.monomial(a2, b2, t(-2))
         lhs = qt_apply(qt_mul(P, Q), f, n)
-        rhs = f(n + b1 + b2) * t(1 - 2 + 2 * b1 * a2 + 2 * (a1 + a2) * n)
-        assert lhs == rhs
+        assert lhs == apply_term_by_term(P, lambda m: qt_apply(Q, f, m), n, f)
 
 
 class TestRecurrenceOperators:
@@ -180,37 +213,33 @@ class TestRecurrenceOperators:
         # P itself does not kill f_kbsm
         for p in range(1, 6):
             P = build(p)
-            flipped = QtElement({(a, b): cf.scale(-1 if b % 2 else 1)
-                                 for (a, b), cf in P.terms.items()})
+            flipped = _operator((-c if b % 2 else c, e, j, a, b) for c, e, j, a, b in P)
             f = JonesSequence(p, KBSM)
             points = range(-3 * p - 6, 3 * p + 7)
             for n in points:
                 assert qt_apply(flipped, f, n).is_zero(), (p, n)
             assert any(not qt_apply(P, f, n).is_zero() for n in points), p
 
-    def test_cached_int_terms_are_the_expansion(self):
-        # a builder's operator brings its int terms; a copy brings none and
-        # is expanded on every call, with the same result under every rule
-        base = ReductionRule.for_convention(RT)
-        for p in (1, 3):
-            for P in (inhomog_recurrence(p), recurrence_poly(p)):
-                copy = QtElement(dict(P.terms))
-                for rule in (base, *base.single_sign_mutations()):
-                    f = JonesSequence(p, RT, rule)
-                    for n in range(-p - 3, 2 * p + 4):
-                        assert qt_apply(P, f, n) == qt_apply(copy, f, n), (p, rule, n)
+    @pytest.mark.parametrize("build", [inhomog_recurrence, recurrence_poly])
+    def test_cached_operators_are_immutable(self, build):
+        # a cached operator is a tuple of int tuples: no caller can change
+        # what a later residual reads
+        P = build(2)
+        assert type(P) is tuple
+        assert all(type(term) is tuple and len(term) == 5
+                   and all(type(v) is int for v in term) for term in P)
+        with pytest.raises(TypeError):
+            P[0] = (0, 0, 0, 0, 0)
+        assert build(2) is P
+        assert homogenization_residual(2).is_zero()
+        assert product_identity_residual(2).is_zero()
 
     def test_mixed_operator_terms(self):
-        w = X2_MINUS_2
-        expected = {
-            (-1, 2): AuxLaurent({0: t(-3)}),
-            (1, -1): AuxLaurent({0: t(3)}),
-            (-1, 1): w * t(-1, -1),
-            (1, -2): w * t(1, -1),
-            (-1, 0): AuxLaurent({0: t(1)}),
-            (1, -3): AuxLaurent({0: t(-1)}),
-        }
-        assert inhomog_recurrence(1).terms == expected
+        expected = [(1, -3, 0, -1, 2), (1, 3, 0, 1, -1),
+                    (-1, -1, 2, -1, 1), (1, -1, 0, -1, 1),
+                    (-1, 1, 2, 1, -2), (1, 1, 0, 1, -2),
+                    (1, 1, 0, -1, 0), (1, -1, 0, 1, -3)]
+        assert inhomog_recurrence(1) == tuple(sorted(expected))
 
     def test_mixed_operator_rejects_bad_p(self):
         with pytest.raises(ValueError):
@@ -227,32 +256,38 @@ class TestRecurrenceOperators:
                 build(0)
 
     def test_base_relation_terms(self):
-        assert base_relation_op(2).terms == {(-1, 2): AuxLaurent({0: t(-1)}),
-                                             (1, -3): AuxLaurent({0: t(1)})}
+        assert base_relation_op(2) == ((1, -1, 0, -1, 2), (1, 1, 0, 1, -3))
 
     def test_homogenization(self):
         for p in range(1, 7):
             assert homogenization_residual(p).is_zero(), p
 
     def test_multiplier(self):
-        assert product_multiplier(3).terms == {(1, 5): AuxLaurent({0: t(21)})}
+        assert product_multiplier(3) == ((1, 21, 0, 1, 5),)
 
     def test_recurrence_poly_terms(self):
-        w2 = X2_MINUS_2
-        got = recurrence_poly(1)
-        expected = {
-            (0, 5): AuxLaurent({0: t(4)}),
-            (0, 4): w2 * t(6, -1),
-            (0, 3): AuxLaurent({0: t(8)}),
-            (2, 2): AuxLaurent({0: t(22)}),
-            (2, 1): w2 * t(20, -1),
-            (2, 0): AuxLaurent({0: t(18)}),
-        }
-        assert got.terms == expected
+        expected = [(1, 4, 0, 0, 5), (-1, 6, 2, 0, 4), (1, 6, 0, 0, 4),
+                    (1, 8, 0, 0, 3), (1, 22, 0, 2, 2), (-1, 20, 2, 2, 1),
+                    (1, 20, 0, 2, 1), (1, 18, 0, 2, 0)]
+        assert recurrence_poly(1) == tuple(sorted(expected))
 
     def test_product_identity(self):
         for p in range(1, 7):
             assert product_identity_residual(p).is_zero(), p
+
+    def test_perturbed_product_prints_powers_of_x(self, monkeypatch):
+        # one t-exponent of recurrence_poly off by one: the residual names that
+        # term, its x^2 - 2 coefficient written in powers of x
+        p = 2
+
+        def perturbed(q):  # t^{2q+4} (x^2-2) L^{2q+2} -> t^{2q+5} (x^2-2) L^{2q+2}
+            return _operator((c, e + ((a, b) == (0, 2 * q + 2)), j, a, b)
+                             for c, e, j, a, b in recurrence_poly(q))
+
+        monkeypatch.setattr(qtorus, "recurrence_poly", perturbed)
+        diff = t(2 * p + 5) - t(2 * p + 4)
+        assert product_identity_residual(p) == QtElement(
+            {(0, 2 * p + 2): AuxLaurent({2: diff, 0: diff * -2})})
 
     def test_annihilation_samples(self):
         for p in (1, 2):
@@ -274,6 +309,11 @@ class TestRecurrenceOperators:
         assert any(not qt_apply(H, f, n).is_zero() for n in range(-2, 5))
 
 
+def t1_factors(p):
+    """(L^2 - (x^2-2) L + 1, L^{2p+1} + M^2), the factors at t = 1."""
+    return plus(mono(0, 2), x2m2(-1, b=1), ONE), plus(mono(0, 2 * p + 1), mono(2, 0))
+
+
 class TestSpecialization:
     def test_t1_factorization(self):
         for p in range(1, 7):
@@ -281,17 +321,54 @@ class TestSpecialization:
 
     def test_factorization_fails_before_specializing(self):
         for p in range(1, 4):
-            quadratic = (QtElement.monomial(0, 2)
-                         + QtElement.monomial(0, 1, -X2_MINUS_2)
-                         + QtElement.monomial(0, 0))
-            binomial = QtElement.monomial(0, 2 * p + 1) + QtElement.monomial(2, 0)
+            quadratic, binomial = t1_factors(p)
             assert qt_mul(quadratic, binomial) != recurrence_poly(p), p
             assert qt_mul(binomial, quadratic) != recurrence_poly(p), p
 
     def test_commutative_image_drops_t(self):
-        e = QtElement.monomial(1, 1, t(5))
-        assert CommutativePoly.from_qt(e) == CommutativePoly({(0, 1, 1): 1})
+        # at t = 1 every t-power goes to t^0, so t^5 M L and t^3 M L agree
+        assert _residual(mono(1, 1, e=5), (), at_t1=True) == QtElement({(1, 1): 1})
+        assert _residual(mono(1, 1, e=5), mono(1, 1, e=3), at_t1=True).is_zero()
 
-    def test_commutative_arithmetic(self):
-        a = CommutativePoly({(1, 0, 0): 1, (0, 1, 0): 1})
-        assert (a - a).is_zero()
+    def test_failing_row_has_t0_coefficients(self, monkeypatch):
+        monkeypatch.setattr(qtorus, "recurrence_poly", lambda p: plus(mono(0, 2 * p + 1, e=7),
+                                                                     recurrence_poly(p)))
+        assert t1_factor_residual(3) == QtElement({(0, 7): 1})
+
+
+# the exact factorization before t = 1; each exponent below can be bumped by one
+BUMPS = ("t^-4", "t^-2", "t^(2p+6)", "t^(6p+12)", "L^(2p+1)")
+
+
+def exact_factors(p, bump=None):
+    """(t^-4 L^2 - t^-2 (x^2-2) L + 1, t^{2p+6} L^{2p+1} + t^{6p+12} M^2),
+    with the exponent named by bump one higher."""
+    d = {name: int(name == bump) for name in BUMPS}
+    left = plus(mono(0, 2, e=-4 + d["t^-4"]), x2m2(-1, e=-2 + d["t^-2"], b=1), ONE)
+    right = plus(mono(0, 2 * p + 1 + d["L^(2p+1)"], e=2 * p + 6 + d["t^(2p+6)"]),
+                 mono(2, 0, e=6 * p + 12 + d["t^(6p+12)"]))
+    return left, right
+
+
+class TestExactFactorization:
+    def test_recurrence_poly_factors(self):
+        for p in range(1, 41):
+            left, right = exact_factors(p)
+            assert qt_mul(left, right) == recurrence_poly(p), p
+
+    def test_reversed_order_differs(self):
+        for p in range(1, 41):
+            left, right = exact_factors(p)
+            assert qt_mul(right, left) != recurrence_poly(p), p
+
+    @pytest.mark.parametrize("bump", BUMPS)
+    def test_every_exponent_matters(self, bump):
+        for p in range(1, 41):
+            left, right = exact_factors(p, bump)
+            assert qt_mul(left, right) != recurrence_poly(p), (p, bump)
+
+    def test_specializes_to_the_t1_factors(self):
+        # at t = 1 the exact factors are the t1-factor suite's factors
+        for p in range(1, 6):
+            left, right = exact_factors(p)
+            assert _residual(qt_mul(left, right), qt_mul(*t1_factors(p)), at_t1=True).is_zero()
