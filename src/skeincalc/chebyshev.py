@@ -70,13 +70,13 @@ def ascending_memo(fn):
     return memo
 
 
-def _padd(a: tuple[int, ...], b: tuple[int, ...], bsign: int = 1) -> tuple[int, ...]:
-    m = max(len(a), len(b))
-    out = [0] * m
+def _psub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a - b as dense coefficient tuples, trailing zeros dropped."""
+    out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] += c
     for i, c in enumerate(b):
-        out[i] += bsign * c
+        out[i] -= c
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -89,7 +89,7 @@ def _cheb_s_nonneg(n: int) -> tuple[int, ...]:
     if n == 1:
         return (0, 1)
     shifted = (0,) + _cheb_s_nonneg(n - 1)
-    return _padd(shifted, _cheb_s_nonneg(n - 2), -1)
+    return _psub(shifted, _cheb_s_nonneg(n - 2))
 
 
 @ascending_memo
@@ -99,7 +99,7 @@ def _cheb_t_nonneg(n: int) -> tuple[int, ...]:
     if n == 1:
         return (0, 1)
     shifted = (0,) + _cheb_t_nonneg(n - 1)
-    return _padd(shifted, _cheb_t_nonneg(n - 2), -1)
+    return _psub(shifted, _cheb_t_nonneg(n - 2))
 
 
 def cheb_S(n: int) -> tuple[int, ...]:

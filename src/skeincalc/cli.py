@@ -62,58 +62,39 @@ def _run_check(name, p, n):
             "residual": None if ok else resid.to_json()}
 
 
-def _families_tasks(p_max, n_max):
-    pair = ("x1_T_closed_vs_recursion", "y1_T_closed_vs_recursion", "sigma_closed_vs_defining")
-    return ([(name, None, n) for n in range(1, n_max + 1) for name in pair]
-            + [("big_x_closed_vs_recursion", None, i) for i in range(0, n_max + 1)])
+# Suite -> its grid: the n-window (lo, hi) at p, capped at n_max, the checks
+# at each point (p, n) of the window, and the checks run once per p after
+# them.  Rows go p by p, n by n, in the order the checks are named here.
+_GRID = {
+    "handle-slide": (lambda p: (1, 2 * p + 4), ("handle_slide",), ()),
+    "telescope": (lambda p: (0, 2 * p + 4), ("a_n_telescope", "induction_identity"), ()),
+    "rt-recursion": (lambda p: (-(p + 2), 2 * p + 3), ("rt_recursion",), ()),
+    "qtorus": (lambda p: (-(p + 2), 2 * p + 3),
+               ("mixed_operator_annihilates", "recurrence_poly_annihilates"),
+               ("product_identity", "homogenization")),
+    "t1-factor": (lambda p: (1, 0), (), ("t1_factorization",)),
+}
 
 
-def _handle_slide_tasks(p_max, n_max):
-    return [("handle_slide", p, n)
-            for p in range(1, p_max + 1)
-            for n in range(1, min(2 * p + 4, n_max) + 1)]
-
-
-def _telescope_tasks(p_max, n_max):
-    return [(name, p, n) for p in range(1, p_max + 1)
-            for n in range(0, min(2 * p + 4, n_max) + 1)
-            for name in ("a_n_telescope", "induction_identity")]
-
-
-def _rt_recursion_tasks(p_max, n_max):
-    return [("rt_recursion", p, n)
-            for p in range(1, p_max + 1)
-            for n in range(-(p + 2), min(2 * p + 3, n_max) + 1)]
-
-
-def _qtorus_tasks(p_max, n_max):
+def _tasks(suite: str, p_max: int, n_max: int) -> list[tuple]:
+    """The suite's (check, p, n) rows in report order; the families take no p."""
+    if suite == "families":
+        pair = ("x1_T_closed_vs_recursion", "y1_T_closed_vs_recursion",
+                "sigma_closed_vs_defining")
+        return ([(name, None, n) for n in range(1, n_max + 1) for name in pair]
+                + [("big_x_closed_vs_recursion", None, i) for i in range(0, n_max + 1)])
+    window, at_point, per_p = _GRID[suite]
     tasks = []
     for p in range(1, p_max + 1):
-        for n in range(-(p + 2), min(2 * p + 3, n_max) + 1):
-            tasks.append(("mixed_operator_annihilates", p, n))
-            tasks.append(("recurrence_poly_annihilates", p, n))
-        tasks.append(("product_identity", p, None))
-        tasks.append(("homogenization", p, None))
+        lo, hi = window(p)
+        tasks += [(name, p, n) for n in range(lo, min(hi, n_max) + 1) for name in at_point]
+        tasks += [(name, p, None) for name in per_p]
     return tasks
-
-
-def _t1_tasks(p_max, n_max):
-    return [("t1_factorization", p, None) for p in range(1, p_max + 1)]
-
-
-_SUITE_BUILDERS = {
-    "families": _families_tasks,
-    "handle-slide": _handle_slide_tasks,
-    "telescope": _telescope_tasks,
-    "rt-recursion": _rt_recursion_tasks,
-    "qtorus": _qtorus_tasks,
-    "t1-factor": _t1_tasks,
-}
 
 
 def run_suite(suite: str, p_max: int, n_max: int) -> dict:
     """One suite's JSON report: its grid, a row per check, and the elapsed time."""
-    tasks = _SUITE_BUILDERS[suite](p_max, n_max)
+    tasks = _tasks(suite, p_max, n_max)
     start = time.perf_counter()
     checks = [_run_check(*task) for task in tasks]
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -7,8 +7,10 @@ single variable t with arbitrary-precision integer coefficients.
 Every element type of the package is a :class:`Sparse` combination: a dict
 from key to nonzero coefficient.  The kernel implements, once, accumulation
 with pruning (:func:`add_into`), addition, negation, subtraction, scaling,
-equality and the JSON term rows.  Each type adds only its key validation, the
-context two operands must share, and its product rule.  Two types live here:
+equality, the JSON term rows and the one ``*``: a peer by the type's
+product rule, an int or LaurentPoly by scaling.  Each type adds only its key
+validation, the context two operands must share, and its product rule, if it
+has one, as ``_product``.  Two types live here:
 
 * :class:`LaurentPoly` -- Z[t, t^-1], the ground ring (int coefficients).
 * :class:`AuxLaurent`  -- Laurent polynomials in one auxiliary variable over
@@ -76,14 +78,16 @@ class Sparse:
 
     Subclasses validate keys in ``_key``, check or coerce coefficients in
     ``_coeff`` (by default through :func:`as_laurent`), print a key's
-    monomial in ``_monomial``, and supply their product rule.  A type whose
-    operands must agree on more than the key space (a basis, a knot) names
-    those fields in ``_CONTEXT``, takes them first in its constructor, and
-    stores their values as the tuple ``_ctx`` in a slot of its own.
+    monomial in ``_monomial``, and may name their product rule ``_product``.
+    A type whose operands must agree on more than the key space (a basis, a
+    knot) names those fields in ``_CONTEXT``, takes them first in its
+    constructor, and stores their values as the tuple ``_ctx`` in a slot of
+    its own.
     """
 
     __slots__ = ("terms",)
     _CONTEXT: tuple[str, ...] = ()
+    _product = None
 
     def __init__(self, terms: Mapping | None = None):
         clean = {}
@@ -131,20 +135,9 @@ class Sparse:
         other = self._peer(other)
         if other is None:
             return NotImplemented
-        # add_into's loop, inlined: Laurent addition is the package's hottest
-        # operation, and calling add_into per term made it a quarter slower
         out = dict(self.terms)
-        get = out.get
         for k, c in other.terms.items():
-            s = get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+            add_into(out, k, c)
         return self._like(out)
 
     __radd__ = __add__
@@ -163,6 +156,16 @@ class Sparse:
         if other is None:
             return NotImplemented
         return other - self
+
+    def __mul__(self, other):
+        """A peer times self by the type's _product; an int or LaurentPoly scales."""
+        if other.__class__ is self.__class__ and self._product is not None:
+            return self._product(self._peer(other))
+        if other.__class__ is LaurentPoly or isinstance(other, int):
+            return self.scale(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def scale(self, s):
         """Every coefficient times the scalar s.
@@ -219,18 +222,7 @@ class LaurentPoly(Sparse):
             return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
-    def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            return self.scale(other)
-        if other.__class__ is not LaurentPoly:
-            return NotImplemented
-        return _laurent_product(self, other)
-
-    __rmul__ = __mul__
-
-    def substitute_one(self) -> int:
-        """Evaluate at t = 1."""
-        return sum(self.terms.values())
+    _product = _laurent_product
 
     def to_json(self) -> dict:
         return {"t": self._json_rows()}
@@ -258,11 +250,8 @@ def as_laurent(c: LaurentPoly | int) -> LaurentPoly:
 
 
 def t(exp: int, coeff: int = 1) -> LaurentPoly:
-    """Shorthand for the monomial coeff * t^exp, built without Sparse's per-key loop."""
-    exp, coeff = check_int(exp), check_int(coeff)
-    res = object.__new__(LaurentPoly)
-    res.terms = {exp: coeff} if coeff else {}
-    return res
+    """Shorthand for the monomial coeff * t^exp."""
+    return LaurentPoly({exp: coeff})
 
 
 class AuxLaurent(Sparse):
@@ -274,15 +263,7 @@ class AuxLaurent(Sparse):
     __slots__ = ()
 
     _key = staticmethod(check_int)
-
-    def __mul__(self, other: AuxLaurent | LaurentPoly | int) -> AuxLaurent:
-        if isinstance(other, (LaurentPoly, int)):
-            return self.scale(other)
-        if other.__class__ is not AuxLaurent:
-            return NotImplemented
-        return _laurent_product(self, other)
-
-    __rmul__ = __mul__
+    _product = _laurent_product
 
     def to_json(self) -> list:
         return self._json_rows()

@@ -113,11 +113,7 @@ class HbElement(Sparse):
             rows += [(v, e, m, n, k) for e, v in as_laurent(c).terms.items()]
         return _element(_merge(rows))
 
-    def __mul__(self, other: HbElement | LaurentPoly | int) -> HbElement:
-        if isinstance(other, (LaurentPoly, int)):
-            return self.scale(other)
-        if self._peer(other) is None:
-            return NotImplemented
+    def _product(self, other: HbElement) -> HbElement:
         axis = _AXIS_PRODUCT[self.basis]
         out: dict[Key, LaurentPoly] = {}
         for (m1, n1, k1), c1 in self.terms.items():
@@ -129,8 +125,6 @@ class HbElement(Sparse):
                         for jk in zs:
                             add_into(out, (jm, jn, jk), c)
         return self._like(out)
-
-    __rmul__ = __mul__
 
     def to_basis(self, basis: str) -> HbElement:
         """Convert to the requested basis (identity when already there)."""

@@ -44,7 +44,8 @@ Operator = tuple[Term, ...]
 
 class QtElement(Sparse):
     """Normal-form element of the quantum torus: the view of an operator
-    residual that prints and goes into the JSON report.  It has no product.
+    residual that prints and goes into the JSON report.  It has no product:
+    * takes scalars only, as scale does.
 
     Coefficients are polynomials in x over the ground ring: AuxLaurent
     elements with nonnegative x-degrees.

@@ -181,13 +181,6 @@ class TkElement(Sparse):
             raise ValueError(f"key ({m}, {n}) outside the basis for p={self.p}")
         return (m, n)
 
-    def __mul__(self, other: LaurentPoly | int) -> TkElement:
-        if isinstance(other, (LaurentPoly, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def times_sx(self, j: int) -> TkElement:
         """Multiply by S_j(x); j may be any integer, folded by S_{-j} = -S_{j-2}."""
         norm = normalize_s_index(j)

@@ -22,6 +22,18 @@ aux_polys = st.builds(
     st.dictionaries(st.integers(-4, 4), laurents, max_size=4),
 )
 
+# one element of each type, HbElement in both bases, and the pairs of an
+# element and a scalar it scales by; a LaurentPoly times t(2) is a ring product
+_ELEMENTS = (
+    LaurentPoly({-1: 2, 3: -1}),
+    AuxLaurent({0: t(1), 2: -3}),
+    HbElement.mono({(1, 0, 2): t(-1), (0, 1, 0): 3}),
+    HbElement(CHEBYSHEV, {(1, 1, 0): t(2)}),
+    TkElement(2, Convention.KBSM, {(1, 2): t(1), (0, 0): 4}),
+    QtElement({(1, -1): AuxLaurent({0: t(1), 2: 2})}),
+)
+_SCALED = [(_ELEMENTS[0], 3), *((x, s) for x in _ELEMENTS[1:] for s in (3, t(2)))]
+
 
 class TestLaurentPoly:
     def test_additive_inverse(self):
@@ -94,6 +106,9 @@ class TestAuxLaurent:
     def test_json_round_trip(self, a):
         assert from_json(AuxLaurent, a.to_json()) == a
 
+    def test_str(self):
+        assert str(AuxLaurent({0: 1, 2: t(3)})) == "(1) + (t^3)*x^2"
+
 
 class TestWSubstitution:
     def test_square(self):
@@ -161,6 +176,31 @@ class TestKernelContract:
             a == b
         with pytest.raises(ValueError):
             a != b
+
+    @pytest.mark.parametrize("a, b, want", [
+        *((x, s, x.scale(s)) for x, s in _SCALED),
+        *((s, x, x.scale(s)) for x, s in _SCALED),
+        (_ELEMENTS[0], t(2), LaurentPoly({1: 2, 5: -1})),
+        (_ELEMENTS[0], LaurentPoly({1: 1, 0: -3}), LaurentPoly({-1: -6, 0: 2, 3: 3, 4: -1})),
+        (_ELEMENTS[1], AuxLaurent({-2: 1, 1: t(-1)}),
+         AuxLaurent({-2: t(1), 0: -3, 1: 1, 3: t(-1, -3)})),
+        (_ELEMENTS[2], HbElement.mono({(1, 1, 0): 2}),
+         HbElement.mono({(2, 1, 2): t(-1, 2), (1, 2, 0): 6})),
+        (_ELEMENTS[3], HbElement(CHEBYSHEV, {(1, 0, 1): -1}),
+         HbElement(CHEBYSHEV, {(2, 1, 1): t(2, -1), (0, 1, 1): t(2, -1)})),
+        (_ELEMENTS[4], _ELEMENTS[4], TypeError),
+        (_ELEMENTS[5], _ELEMENTS[5], TypeError),
+        (_ELEMENTS[2], _ELEMENTS[4], TypeError),
+        (_ELEMENTS[2], _ELEMENTS[3], ValueError),
+    ])
+    def test_one_mul_rule(self, a, b, want):
+        # a peer multiplies by its type's product, an int or LaurentPoly scales,
+        # and types without a product (TkElement, QtElement) take scalars only
+        if isinstance(want, type):
+            with pytest.raises(want):
+                a * b
+        else:
+            assert a * b == want
 
     def test_bool_counts_as_int(self):
         assert LaurentPoly({0: True}) == 1

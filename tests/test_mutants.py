@@ -31,15 +31,15 @@ SLOTS = tuple(f.name for f in dataclasses.fields(ReductionRule))
 
 # suite -> (its grid points, in CLI task order, and its residual under a rule)
 SUITES = {
-    "telescope": ([(p, n) for name, p, n in cli._telescope_tasks(3, 10)
+    "telescope": ([(p, n) for name, p, n in cli._tasks("telescope", 3, 10)
                    if name == "a_n_telescope"],
                   lambda p, n, r: telescope_residual(p, n, KBSM, r)),
-    "induction": ([(p, n) for name, p, n in cli._telescope_tasks(3, 10)
+    "induction": ([(p, n) for name, p, n in cli._tasks("telescope", 3, 10)
                    if name == "induction_identity"],
                   lambda p, n, r: induction_residual(p, n, KBSM, r)),
-    "handle-slide": ([(p, n) for _, p, n in cli._handle_slide_tasks(3, 10)],
+    "handle-slide": ([(p, n) for _, p, n in cli._tasks("handle-slide", 3, 10)],
                      handle_slide_residual),
-    "rt-recursion": ([(p, n) for _, p, n in cli._rt_recursion_tasks(3, 10)],
+    "rt-recursion": ([(p, n) for _, p, n in cli._tasks("rt-recursion", 3, 10)],
                      rt_recursion_residual),
 }
 

@@ -94,6 +94,14 @@ class TestNormalOrdering:
         assert got == QtElement({(1, -1): AuxLaurent({2: t(2, 3), 0: t(2, -3)})})
         assert _residual(recurrence_poly(2), recurrence_poly(2)).is_zero()
 
+    def test_str_prints_x_powers_per_monomial(self):
+        # raise the t-exponent of P's first term by one: the residual is that
+        # term's t^6 - t^7 times S_2(x) = x^2 - 1, at M^0 L^4
+        P = recurrence_poly(1)
+        c, e, *rest = P[0]
+        got = _residual(P, ((c, e + 1, *rest), *P[1:]))
+        assert str(got) == "((t^6 - t^7) + (-t^6 + t^7)*x^2) L^4"
+
 
 int_terms = st.tuples(st.integers(min_value=-3, max_value=3).filter(bool),
                       st.integers(min_value=-3, max_value=3),
