@@ -158,7 +158,7 @@ class Sparse:
         return other - self
 
     def __mul__(self, other):
-        """A peer times self by the type's _product; an int or LaurentPoly scales."""
+        """self times a peer by the type's _product; an int or LaurentPoly scales."""
         if other.__class__ is self.__class__ and self._product is not None:
             return self._product(self._peer(other))
         if other.__class__ is LaurentPoly or isinstance(other, int):
