@@ -11,8 +11,8 @@ from .chebyshev import (cheb_S, cheb_T, monomial_to_S, normalize_s_index,
 from .handlebody import CHEBYSHEV, MONOMIAL, HbElement
 from .families import (FamilyPair, big_x, big_x_closed, big_x_residual,
                        sigma, sigma_defining, sigma_residual, x1_T_closed,
-                       x1_T_recursive, x1_T_residual, x1y1_T_recursive,
-                       x1y1_recursive, y1_T_closed, y1_T_recursive, y1_T_residual)
+                       x1_T_residual, x1y1_T_recursive, x1y1_recursive,
+                       y1_T_closed, y1_T_residual)
 from .torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
                         handle_slide_residual, induction_residual, reduce_sy,
                         relation_residual, telescope_residual)

@@ -82,24 +82,18 @@ def _psub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@ascending_memo
-def _cheb_s_nonneg(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return (0, 1)
-    shifted = (0,) + _cheb_s_nonneg(n - 1)
-    return _psub(shifted, _cheb_s_nonneg(n - 2))
+def _three_term(seed: tuple[int, ...]):
+    """The memo of P_n, n >= 0, for P_0 = seed, P_1 = xi and P_{n+1} = xi*P_n - P_{n-1}."""
+    @ascending_memo
+    def table(n: int) -> tuple[int, ...]:
+        if n < 2:
+            return (seed, (0, 1))[n]
+        return _psub((0,) + table(n - 1), table(n - 2))
+    return table
 
 
-@ascending_memo
-def _cheb_t_nonneg(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (2,)
-    if n == 1:
-        return (0, 1)
-    shifted = (0,) + _cheb_t_nonneg(n - 1)
-    return _psub(shifted, _cheb_t_nonneg(n - 2))
+_cheb_s_nonneg = _three_term((1,))
+_cheb_t_nonneg = _three_term((2,))
 
 
 def cheb_S(n: int) -> tuple[int, ...]:

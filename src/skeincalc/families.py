@@ -31,14 +31,16 @@ an independent cross-check and for ``skeincalc expand x1y``.  All else adds
 ints on flat Chebyshev-basis tables (m, n, k, e) -> c, merged as in
 :mod:`skeincalc.handlebody`: each closed form is a list of int terms, and the
 oracles (the pair's, behind :func:`x1y1_T_recursive`, and :func:`big_x`) step
-tables: :func:`big_x` keeps an element per index, but its recursion and
-every residual read the private table memo behind it.  Other public
-functions build fresh elements; a ``*_residual`` builds one, in the monomial
-basis, only when closed form and oracle differ.
+tables: :func:`big_x` keeps the elements it was asked for, but its recursion,
+every residual and the handle slide of :mod:`skeincalc.torusknot` read the
+private table memo behind it.  Only tables leave this module for another
+layer.  Other public functions build fresh elements; a ``*_residual`` is its
+table difference as an element, converted to the monomial basis.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .chebyshev import ascending_memo
@@ -55,16 +57,14 @@ class FamilyPair:
     ypart: HbElement
 
 
-# The seeds and the inhomogeneous terms in the monomial basis, for x1y1_recursive.
-_X0_MONO = HbElement.mono({(0, 1, 0): t(4, -1), (1, 0, 1): t(2, -1)})
-_Y0_MONO = HbElement.mono({(0, 0, 0): t(2, -1) + t(-2, -1)})
-_Y_GEN = HbElement.mono({(0, 1, 0): 1})
-_XZ_MONO = HbElement.mono({(1, 0, 1): 1})
-_XSQ_ZSQ_MONO = HbElement.mono({(2, 0, 0): 1, (0, 0, 2): 1})
-
 # The seeds X1*1 = X_1 = -t^4 y - t^2 xz and Y1*1 = X_0 = -t^2 - t^-2 as tables.
 _X0: Table = {(0, 1, 0, 4): -1, (1, 0, 1, 2): -1}
 _Y0: Table = {(0, 0, 0, 2): -1, (0, 0, 0, -2): -1}
+
+# The generator y and the inhomogeneous terms in the monomial basis, for x1y1_recursive.
+_Y_GEN = HbElement.mono({(0, 1, 0): 1})
+_XZ_MONO = HbElement.mono({(1, 0, 1): 1})
+_XSQ_ZSQ_MONO = HbElement.mono({(2, 0, 0): 1, (0, 0, 2): 1})
 
 
 @ascending_memo
@@ -73,7 +73,7 @@ def x1y1_recursive(n: int) -> FamilyPair:
     if n < 0:
         raise ValueError("power must be nonnegative")
     if n == 0:
-        return FamilyPair(0, _X0_MONO, _Y0_MONO)
+        return FamilyPair(0, *(_element(s).to_basis(MONOMIAL) for s in (_X0, _Y0)))
     prev = x1y1_recursive(n - 1)
     ypow = HbElement.mono({(0, n - 1, 0): 1})
     xpart = (prev.xpart * _Y_GEN * t(4)
@@ -125,16 +125,6 @@ def x1y1_T_recursive(n: int) -> FamilyPair:
     closed form is used, so this is the oracle the closed forms are checked
     against.  Each call builds fresh elements from the memo's tables."""
     return FamilyPair(n, *map(_element, _oracle(n)))
-
-
-def x1_T_recursive(n: int) -> HbElement:
-    """X1*T_n(y) from the recursion (the oracle), Chebyshev basis."""
-    return _element(_oracle(n)[0])
-
-
-def y1_T_recursive(n: int) -> HbElement:
-    """Y1*T_n(y) from the recursion (the oracle), Chebyshev basis."""
-    return _element(_oracle(n)[1])
 
 
 def _ksum(n: int, d: int, e: int) -> list[Term]:
@@ -189,9 +179,10 @@ def _big_x_table(i: int) -> Table:
     return {k: c for k, c in acc.items() if c}
 
 
-@ascending_memo
+@functools.lru_cache(maxsize=None)
 def big_x(i: int) -> HbElement:
-    """X_i by the three-term recursion, Chebyshev basis."""
+    """X_i by the three-term recursion, Chebyshev basis: one element per index
+    asked for, the table memo filling the indices below."""
     return _element(_big_x_table(i))
 
 
@@ -243,18 +234,17 @@ def sigma_defining(n: int) -> HbElement:
 
 
 def _residual(closed: Table, oracle: Table) -> HbElement:
-    """closed - oracle, added into closed; an element, monomial basis, only if nonzero."""
-    diff = _add(closed, oracle, {0: -1})
-    return _element(diff).to_basis(MONOMIAL) if any(diff.values()) else HbElement(MONOMIAL)
+    """closed - oracle, added into closed, as an element in the monomial basis."""
+    return _element(_add(closed, oracle, {0: -1})).to_basis(MONOMIAL)
 
 
 def x1_T_residual(n: int) -> HbElement:
-    """x1_T_closed(n) minus the oracle x1_T_recursive(n), monomial basis."""
+    """x1_T_closed(n) minus the oracle x1y1_T_recursive(n).xpart, monomial basis."""
     return _residual(_x1_closed(n), _oracle(n)[0])
 
 
 def y1_T_residual(n: int) -> HbElement:
-    """y1_T_closed(n) minus the oracle y1_T_recursive(n), monomial basis."""
+    """y1_T_closed(n) minus the oracle x1y1_T_recursive(n).ypart, monomial basis."""
     return _residual(_y1_closed(n), _oracle(n)[1])
 
 

@@ -1,12 +1,13 @@
 """Quantum torus acting on the reduced-skein sequence.
 
 An operator is a finite sum of terms c t^e S_j(x) M^a L^b in normal form (M
-written left of L), held as an immutable tuple of int terms (c, e, j, a, b):
-merged, zero-free and sorted, so equal operators are equal tuples.  The
-coefficients commute, and x^2 - 2 = S_2(x) - S_0(x).  The one product rule is
-L M = t^2 M L, the quantum-torus algebra of Frohman and Gelca ("Skein modules
-and the noncommutative torus"), so collecting a product into normal form
-costs L^b M^c = t^{2bc} M^c L^b, and S_j(x) S_k(x) is summed by s_product.
+written left of L), held as an Operator, an immutable tuple of int terms
+(c, e, j, a, b): checked, merged, zero-free and sorted, so equal operators
+are equal tuples.  The coefficients commute, and x^2 - 2 = S_2(x) - S_0(x).
+The one product rule is L M = t^2 M L, the quantum-torus algebra of Frohman
+and Gelca ("Skein modules and the noncommutative torus"), so collecting a
+product into normal form costs L^b M^c = t^{2bc} M^c L^b, and
+S_j(x) S_k(x) is summed by s_product.
 The action on a sequence f is
 
     (M^a L^b f)(n) = t^{2an} f(n + b)
@@ -39,7 +40,6 @@ from .torusknot import Convention, JonesSequence, ReductionRule, TkElement, _con
 
 QtKey = tuple[int, int]
 Term = tuple[int, int, int, int, int]
-Operator = tuple[Term, ...]
 
 
 class QtElement(Sparse):
@@ -71,13 +71,18 @@ class QtElement(Sparse):
         return " " + (" ".join(factors) or "1")
 
 
-def _operator(terms: Iterable[Term]) -> Operator:
-    """The operator summing the int terms: equal (e, j, a, b) merged, zeros dropped, sorted."""
-    merged: dict[tuple[int, int, int, int], int] = {}
-    for c, e, j, a, b in terms:
-        key = (e, j, a, b)
-        merged[key] = merged.get(key, 0) + c
-    return tuple(sorted((c, *key) for key, c in merged.items() if c))
+class Operator(tuple):
+    """The operator summing int terms, the one builder: each term checked as
+    five ints, equal (e, j, a, b) merged, zeros dropped, sorted."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms: Iterable[Term]) -> Operator:
+        merged: dict[tuple[int, ...], int] = {}
+        for term in terms:
+            term = check_key(term, 5)
+            merged[term[1:]] = merged.get(term[1:], 0) + term[0]
+        return super().__new__(cls, sorted((c, *key) for key, c in merged.items() if c))
 
 
 def _x2m2(c: int, e: int, a: int, b: int) -> tuple[Term, Term]:
@@ -85,11 +90,12 @@ def _x2m2(c: int, e: int, a: int, b: int) -> tuple[Term, Term]:
     return (c, e, 2, a, b), (-c, e, 0, a, b)
 
 
-def qt_mul(A: Operator, B: Operator) -> Operator:
+def qt_mul(A: Iterable[Term], B: Iterable[Term]) -> Operator:
     """Product, normal-ordered: (S_j M^a L^b)(S_k M^c L^d) = t^{2bc} S_j S_k M^{a+c} L^{b+d}."""
-    return _operator((c1 * c2, e1 + e2 + 2 * b1 * a2, j, a1 + a2, b1 + b2)
-                     for c1, e1, j1, a1, b1 in A for c2, e2, j2, a2, b2 in B
-                     for j in s_product(j1, j2))
+    A, B = (P if P.__class__ is Operator else Operator(P) for P in (A, B))
+    return Operator((c1 * c2, e1 + e2 + 2 * b1 * a2, j, a1 + a2, b1 + b2)
+                    for c1, e1, j1, a1, b1 in A for c2, e2, j2, a2, b2 in B
+                    for j in s_product(j1, j2))
 
 
 def _residual(A: Operator, B: Operator, at_t1: bool = False) -> QtElement:
@@ -106,14 +112,15 @@ def _residual(A: Operator, B: Operator, at_t1: bool = False) -> QtElement:
                       for ab, xs in nested.items()})
 
 
-def qt_apply(P: Operator, f: JonesSequence, n: int) -> TkElement:
+def qt_apply(P: Iterable[Term], f: JonesSequence, n: int) -> TkElement:
     """Apply an operator to a sequence at the point n.
 
     Each term c t^e S_j(x) M^a L^b contributes t^{2an} c t^e S_j(x) f(n+b):
     one JonesSequence.sum of the int terms (c, e + 2an, j, n + b), n checked
-    once.  P comes from a builder or qt_mul, so its terms are not checked again.
+    once.  An Operator's terms were checked when it was built, so they are
+    not checked again; any other iterable of terms is built into one first.
     """
-    n = check_int(n)
+    P, n = P if P.__class__ is Operator else Operator(P), check_int(n)
     return f._sum([(c, e + 2 * a * n, j, b + n) for c, e, j, a, b in P])
 
 
@@ -128,9 +135,9 @@ def inhomog_recurrence(p: int) -> Operator:
           - t^{2n+1} (x^2-2) S_{n-p-1} + t^{-2n+1} S_{n+p-1} + t^{2n-1} S_{n-p-2} = 0.
     """
     p, _ = _context(p, Convention.RT)
-    return _operator([(1, -3, 0, -1, p + 1), (1, 3, 0, 1, -p),
-                      *_x2m2(-1, -1, -1, p), *_x2m2(-1, 1, 1, -p - 1),
-                      (1, 1, 0, -1, p - 1), (1, -1, 0, 1, -p - 2)])
+    return Operator([(1, -3, 0, -1, p + 1), (1, 3, 0, 1, -p),
+                     *_x2m2(-1, -1, -1, p), *_x2m2(-1, 1, 1, -p - 1),
+                     (1, 1, 0, -1, p - 1), (1, -1, 0, 1, -p - 2)])
 
 
 def base_relation_op(p: int) -> Operator:
@@ -142,19 +149,19 @@ def base_relation_op(p: int) -> Operator:
     inhomog_recurrence(p).
     """
     p, _ = _context(p, Convention.RT)
-    return _operator([(1, -1, 0, -1, p), (1, 1, 0, 1, -p - 1)])
+    return Operator([(1, -1, 0, -1, p), (1, 1, 0, 1, -p - 1)])
 
 
 def homogenization_residual(p: int) -> QtElement:
     """(L + L^{-1} - (x^2-2)) * base_relation_op(p) - inhomog_recurrence(p), zero by the identity."""
-    shift_combo = _operator([(1, 0, 0, 0, 1), (1, 0, 0, 0, -1), *_x2m2(-1, 0, 0, 0)])
+    shift_combo = Operator([(1, 0, 0, 0, 1), (1, 0, 0, 0, -1), *_x2m2(-1, 0, 0, 0)])
     return _residual(qt_mul(shift_combo, base_relation_op(p)), inhomog_recurrence(p))
 
 
 def product_multiplier(p: int) -> Operator:
     """The literal product t^{2p+5} L^{p+2} M in normal form, t^{4p+9} M L^{p+2}."""
     p, _ = _context(p, Convention.RT)
-    return ((1, 4 * p + 9, 0, 1, p + 2),)
+    return Operator([(1, 4 * p + 9, 0, 1, p + 2)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,9 +178,9 @@ def recurrence_poly(p: int) -> Operator:
     it collapses to (L^2 - (x^2-2) L + 1)(L^{2p+1} + M^2).
     """
     p, _ = _context(p, Convention.RT)
-    return _operator([(1, 2 * p + 2, 0, 0, 2 * p + 3), *_x2m2(-1, 2 * p + 4, 0, 2 * p + 2),
-                      (1, 2 * p + 6, 0, 0, 2 * p + 1), (1, 6 * p + 16, 0, 2, 2),
-                      *_x2m2(-1, 6 * p + 14, 2, 1), (1, 6 * p + 12, 0, 2, 0)])
+    return Operator([(1, 2 * p + 2, 0, 0, 2 * p + 3), *_x2m2(-1, 2 * p + 4, 0, 2 * p + 2),
+                     (1, 2 * p + 6, 0, 0, 2 * p + 1), (1, 6 * p + 16, 0, 2, 2),
+                     *_x2m2(-1, 6 * p + 14, 2, 1), (1, 6 * p + 12, 0, 2, 0)])
 
 
 def product_identity_residual(p: int) -> QtElement:
@@ -200,6 +207,6 @@ def t1_factor_residual(p: int) -> QtElement:
     a ring map, so this is the same as multiplying at t = 1.  The residual's
     coefficients are all at t^0.
     """
-    quadratic = _operator([(1, 0, 0, 0, 2), *_x2m2(-1, 0, 0, 1), (1, 0, 0, 0, 0)])
-    binomial = ((1, 0, 0, 0, 2 * p + 1), (1, 0, 0, 2, 0))
+    quadratic = Operator([(1, 0, 0, 0, 2), *_x2m2(-1, 0, 0, 1), (1, 0, 0, 0, 0)])
+    binomial = Operator([(1, 0, 0, 0, 2 * p + 1), (1, 0, 0, 2, 0)])
     return _residual(recurrence_poly(p), qt_mul(quadratic, binomial), at_t1=True)

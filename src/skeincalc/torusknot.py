@@ -43,10 +43,10 @@ holds for every sequence f, so under every rule.  The induction identity's
 x^2 A_n is one window, and the telescope's A_{n+1} - t^2 A_n is one step of
 the window of A_n.  The handle slide compares images im(h) of handlebody
 elements, z sent to x and every S_N(y) reduced, and builds no handlebody
-element per (p, n): each side's image is a few head terms plus geometric
-k-sums of f, two windows.  The rest of each side is read off the family
-functions, so the residual stays the image of the difference of the two
-sides even if a family changes.
+element: each side's image is a few head terms plus geometric k-sums of f,
+two windows.  The rest of each side is read off the families' own int
+tables (m, n, k, e) -> c, so the residual stays the image of the difference
+of the two sides even if a family changes.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ from collections.abc import Iterable, Mapping
 
 from .chebyshev import normalize_s_index, s_product
 from .coeffs import LaurentPoly, Sparse, check_int, check_key
-from .families import _big_x_table, x1_T_closed
-from .handlebody import CHEBYSHEV, HbElement, _element as _hb_element
+from .families import _big_x_table, _x1_closed
 
 TkKey = tuple[int, int]
 Row = tuple[int, int, int, int]         # (m, n, e, c): c t^e S_m(x) S_n(y)
@@ -392,28 +391,28 @@ def _x2(terms: Iterable[Term]) -> list[Term]:
     return [(c, e, i, N) for c, e, _, N in terms for i in (2, 0)]
 
 
-def _embedded_rest(h: HbElement, ksum: list[Term]) -> tuple[Term, ...]:
-    """The int terms, before reduction, of im(bar h) minus the k-sum's, bar h
-    being h under t -> t^-1."""
-    merged = _merge([(c, -e, i, N)
-                     for (m, N, k), cf in h.to_basis(CHEBYSHEV).terms.items()
-                     for e, c in cf.terms.items() for i in s_product(m, k)]
+def _embedded_rest(h: Mapping[tuple[int, int, int, int], int],
+                   ksum: list[Term]) -> tuple[Term, ...]:
+    """The int terms, before reduction, of im(bar h) minus the k-sum's, h a
+    handlebody table (m, N, k, e) -> c and bar h being h under t -> t^-1."""
+    merged = _merge([(c, -e, i, N) for (m, N, k, e), c in h.items() for i in s_product(m, k)]
                     + [(-c, e, i, N) for c, e, i, N in ksum])
     return tuple((c, e, i, N) for (i, N, e), c in merged.items() if c)
 
 
 @functools.lru_cache(maxsize=None)
 def _x1_rest(n: int) -> tuple[Term, ...]:
-    """im(bar x1_T_closed(n)), less 2 (1 - t^{-4n}) x^2 t^{2n-2} U(-n, n-1)."""
-    return _embedded_rest(x1_T_closed(n), _x2(_u_terms(-n, n - 1, 2 * n - 2, 2)
-                                             + _u_terms(-n, n - 1, -2 * n - 2, -2)))
+    """im(bar X1*T_n(y)), read off its closed form's table, less
+    2 (1 - t^{-4n}) x^2 t^{2n-2} U(-n, n-1)."""
+    return _embedded_rest(_x1_closed(n), _x2(_u_terms(-n, n - 1, 2 * n - 2, 2)
+                                            + _u_terms(-n, n - 1, -2 * n - 2, -2)))
 
 
 @functools.lru_cache(maxsize=None)
 def _big_x_rest(p: int) -> tuple[Term, ...]:
     """im(bar X_{2p}), less -2 t^{-2} x^2 U(0, 2p-2); X_{2p} is read
     off the recursion's table memo, which no caller of big_x can change."""
-    return _embedded_rest(_hb_element(_big_x_table(2 * p)), _x2(_u_terms(0, 2 * p - 2, -2, -2)))
+    return _embedded_rest(_big_x_table(2 * p), _x2(_u_terms(0, 2 * p - 2, -2, -2)))
 
 
 def _add(acc: Table, table: Table, scalar: Mapping[int, int]) -> Table:
@@ -460,12 +459,12 @@ def handle_slide_residual(p: int, n: int,
     where, for J = 2p - 2 and U the oriented window sum of _u_terms,
     G(n) = t^{2n-2} U(-n, n-1) is X1*T_n(y)'s k-sum, and P(n) = t^{2n} U(n, n+J)
     and Q(n) = t^{-2n} U(-n, J-n) are T_n(y) times X_{2p}'s.  The rests
-    R1(n) and R2 are read off x1_T_closed(n) and the X_i recursion's private
-    table memo at i = 2p, not off the element big_x(2p) that callers share,
-    once per n and once per p, as the image's terms outside the k-sums: their
-    heads while the families have their closed forms, and whatever else a
-    family holds if one changes, so the residual is always the image of the
-    difference.
+    R1(n) and R2 are read off the int tables of X1*T_n(y)'s closed form and
+    of the X_i recursion's private memo at i = 2p, not off the element
+    big_x(2p) that callers share, once per n and once per p, as the image's
+    terms outside the k-sums: their heads while the families have their
+    closed forms, and whatever else a family holds if one changes, so the
+    residual is always the image of the difference.
     By additivity the k-sums of the difference are two windows,
 
         x^2 (2 t^{2n-2} U(-n, n+J) + 2 t^{-2n-2} U(n, J-n)),

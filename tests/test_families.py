@@ -15,9 +15,8 @@ from skeincalc import families
 from skeincalc.chebyshev import cheb_T
 from skeincalc.coeffs import LaurentPoly, t
 from skeincalc.families import (big_x, big_x_closed, big_x_residual, sigma, sigma_defining,
-                                sigma_residual, x1_T_closed, x1_T_recursive, x1_T_residual,
-                                x1y1_recursive, x1y1_T_recursive, y1_T_closed, y1_T_recursive,
-                                y1_T_residual)
+                                sigma_residual, x1_T_closed, x1_T_residual, x1y1_recursive,
+                                x1y1_T_recursive, y1_T_closed, y1_T_residual)
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement, _element
 
 from oracles import hb_table, mirror
@@ -78,11 +77,11 @@ class TestChebyshevOracle:
 class TestClosedForms:
     def test_x1_matches_recursion(self):
         for n in range(1, 41):
-            assert x1_T_closed(n) == x1_T_recursive(n), n
+            assert x1_T_closed(n) == x1y1_T_recursive(n).xpart, n
 
     def test_y1_matches_recursion(self):
         for n in range(1, 41):
-            assert y1_T_closed(n) == y1_T_recursive(n), n
+            assert y1_T_closed(n) == x1y1_T_recursive(n).ypart, n
 
     def test_n1_equals_first_family_member(self):
         # T_1 = xi, so the closed form at n = 1 is the n = 1 recursion value
@@ -130,6 +129,15 @@ class TestBigX:
         with pytest.raises(TypeError):
             big_x(2.0)
 
+    def test_cold_index_builds_one_element(self):
+        # the table memo fills the indices below; big_x keeps only what it was asked for
+        big_x.cache_clear()
+        try:
+            big_x(40)
+            assert big_x.cache_info().currsize == 1
+        finally:
+            big_x.cache_clear()
+
     def test_mirror_orientation_would_fail(self):
         # the variant with all t-exponents negated disagrees already at i = 1
         assert mirror(big_x_closed(1)) != big_x(1)
@@ -153,7 +161,7 @@ class TestSigma:
         xz = HbElement(CHEBYSHEV, {(1, 0, 1): t(-1)})
         for n in range(1, 41):
             t_n = HbElement.cheb_sum([(0, n, 0, 1), (0, n - 2, 0, -1)])
-            via_recursion = x1_T_recursive(n) * t(1) + xz * t_n
+            via_recursion = x1y1_T_recursive(n).xpart * t(1) + xz * t_n
             assert sigma(n) == via_recursion, n
 
     def test_s1_sn_s1_coefficient(self):
@@ -171,13 +179,13 @@ class TestTables:
     def test_returned_elements_do_not_share_the_memo(self):
         # every call builds a fresh element from the oracle's tables, so a
         # caller that edits one cannot change a later residual
-        got = x1_T_recursive(3)
+        got = x1y1_T_recursive(3).xpart
         next(iter(got.terms.values())).terms[99] = 1
         got.terms.clear()
         x1y1_T_recursive(3).ypart.terms.clear()
         assert x1_T_residual(3).is_zero()
         assert y1_T_residual(3).is_zero()
-        assert x1_T_recursive(3) == x1_T_closed(3)
+        assert x1y1_T_recursive(3).xpart == x1_T_closed(3)
 
     def test_residuals_do_not_read_big_x_elements(self):
         # big_x hands every caller its cached element, but its recursion,
@@ -207,7 +215,10 @@ class TestTables:
             fn(arg)
 
     @pytest.mark.parametrize("closed, oracle, n", [
-        (families._x1_closed, x1_T_recursive, 5), (families._y1_closed, y1_T_recursive, 4),
+        pytest.param(families._x1_closed, lambda n: x1y1_T_recursive(n).xpart, 5,
+                     id="_x1_closed-x1_T_recursive-5"),
+        pytest.param(families._y1_closed, lambda n: x1y1_T_recursive(n).ypart, 4,
+                     id="_y1_closed-y1_T_recursive-4"),
         (families._sigma, sigma_defining, 3), (families._big_x_closed, big_x, 6)])
     def test_failure_report_matches_element_route(self, closed, oracle, n):
         # one exponent of the closed form off by one: the table residual

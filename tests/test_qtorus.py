@@ -1,7 +1,7 @@
 """Noncommutative operator algebra and the recurrence it encodes.
 
 Operators are tuples of int terms (c, e, j, a, b) for c t^e S_j(x) M^a L^b;
-_operator merges a list of terms into that canonical form.
+Operator checks a list of terms and merges it into that canonical form.
 """
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from skeincalc import qtorus
 from skeincalc.coeffs import AuxLaurent, t
 from skeincalc.handlebody import Z
-from skeincalc.qtorus import (QtElement, _operator, _residual, base_relation_op,
+from skeincalc.qtorus import (Operator, QtElement, _residual, base_relation_op,
                               homogenization_residual, inhomog_recurrence,
                               product_identity_residual, product_multiplier, qt_apply,
                               qt_mul, recurrence_poly, t1_factor_residual)
@@ -33,11 +33,11 @@ ONE, L, L_INV, M, M_INV = mono(0, 0), mono(0, 1), mono(0, -1), mono(1, 0), mono(
 
 def x2m2(c=1, e=0, a=0, b=0):
     """c t^e (x^2-2) M^a L^b, as x^2 - 2 = S_2(x) - S_0(x)."""
-    return _operator([(c, e, 2, a, b), (-c, e, 0, a, b)])
+    return Operator([(c, e, 2, a, b), (-c, e, 0, a, b)])
 
 
 def plus(*ops):
-    return _operator(term for op in ops for term in op)
+    return Operator(term for op in ops for term in op)
 
 
 class TestNormalOrdering:
@@ -68,8 +68,8 @@ class TestNormalOrdering:
     def test_chebyshev_coefficients_multiply_by_s_product(self):
         # S_1(x)^2 = S_2(x) + S_0(x), and (x^2-2)^2 = (S_2 - S_0)^2 = S_4 - S_2 + 2 S_0
         assert qt_mul(mono(0, 0, j=1), mono(0, 0, j=1)) == plus(mono(0, 0, j=2), ONE)
-        assert qt_mul(x2m2(), x2m2()) == _operator([(1, 0, 4, 0, 0), (-1, 0, 2, 0, 0),
-                                                   (2, 0, 0, 0, 0)])
+        assert qt_mul(x2m2(), x2m2()) == Operator([(1, 0, 4, 0, 0), (-1, 0, 2, 0, 0),
+                                                  (2, 0, 0, 0, 0)])
 
     def test_coefficients_must_be_z_free(self):
         # a coefficient is a polynomial in x alone; a handlebody element
@@ -90,7 +90,7 @@ class TestNormalOrdering:
 
     def test_view_writes_powers_of_x(self):
         # 3 t^2 S_2(x) M L^-1 = 3 t^2 (x^2 - 1) M L^-1; the view merges equal keys
-        got = _residual(_operator([(3, 2, 2, 1, -1), (1, 0, 0, 0, 0)]), ONE)
+        got = _residual(Operator([(3, 2, 2, 1, -1), (1, 0, 0, 0, 0)]), ONE)
         assert got == QtElement({(1, -1): AuxLaurent({2: t(2, 3), 0: t(2, -3)})})
         assert _residual(recurrence_poly(2), recurrence_poly(2)).is_zero()
 
@@ -110,7 +110,7 @@ int_terms = st.tuples(st.integers(min_value=-3, max_value=3).filter(bool),
                       st.integers(min_value=-2, max_value=2))
 
 # operators with up to three int terms, several S_j(x) and several t-powers
-qt_ops = st.lists(int_terms, max_size=3).map(_operator)
+qt_ops = st.lists(int_terms, max_size=3).map(Operator)
 
 
 def view_product(A, B):
@@ -181,6 +181,22 @@ class TestApply:
         with pytest.raises(TypeError):
             qt_apply(inhomog_recurrence(2), JonesSequence(2, RT), 1.5)
 
+    def test_hand_built_fields_must_be_ints(self):
+        # a plain tuple of terms goes through Operator, so a float field
+        # raises instead of landing in a t-exponent or the result
+        with pytest.raises(TypeError):
+            qt_apply(((1, 0.5, 0, 0, 0),), JonesSequence(1, RT), 1)
+        with pytest.raises(TypeError):
+            qt_mul(((1, 0, 0, 0, 1.5),), ((1, 0, 0, 1, 0),))
+
+    def test_built_operators_are_not_checked_again(self, monkeypatch):
+        # an Operator's terms were checked when it was built
+        P = inhomog_recurrence(2)
+        checked = []
+        monkeypatch.setattr(qtorus, "check_key", lambda *args: checked.append(args))
+        assert qt_apply(P, JonesSequence(2, RT), 3).is_zero()
+        assert checked == []
+
     def test_m_weights_by_point(self):
         f = JonesSequence(2, RT)
         assert qt_apply(M, f, 3) == f(3) * t(6)
@@ -221,7 +237,7 @@ class TestRecurrenceOperators:
         # P itself does not kill f_kbsm
         for p in range(1, 6):
             P = build(p)
-            flipped = _operator((-c if b % 2 else c, e, j, a, b) for c, e, j, a, b in P)
+            flipped = Operator((-c if b % 2 else c, e, j, a, b) for c, e, j, a, b in P)
             f = JonesSequence(p, KBSM)
             points = range(-3 * p - 6, 3 * p + 7)
             for n in points:
@@ -233,11 +249,13 @@ class TestRecurrenceOperators:
         # a cached operator is a tuple of int tuples: no caller can change
         # what a later residual reads
         P = build(2)
-        assert type(P) is tuple
+        assert type(P) is Operator and isinstance(P, tuple)
         assert all(type(term) is tuple and len(term) == 5
                    and all(type(v) is int for v in term) for term in P)
         with pytest.raises(TypeError):
             P[0] = (0, 0, 0, 0, 0)
+        with pytest.raises(AttributeError):
+            P.extra = 1
         assert build(2) is P
         assert homogenization_residual(2).is_zero()
         assert product_identity_residual(2).is_zero()
@@ -289,8 +307,8 @@ class TestRecurrenceOperators:
         p = 2
 
         def perturbed(q):  # t^{2q+4} (x^2-2) L^{2q+2} -> t^{2q+5} (x^2-2) L^{2q+2}
-            return _operator((c, e + ((a, b) == (0, 2 * q + 2)), j, a, b)
-                             for c, e, j, a, b in recurrence_poly(q))
+            return Operator((c, e + ((a, b) == (0, 2 * q + 2)), j, a, b)
+                            for c, e, j, a, b in recurrence_poly(q))
 
         monkeypatch.setattr(qtorus, "recurrence_poly", perturbed)
         diff = t(2 * p + 5) - t(2 * p + 4)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeincalc import torusknot
+from skeincalc import families, handlebody, torusknot
 from skeincalc.chebyshev import normalize_s_index, s_product
 from skeincalc.coeffs import LaurentPoly, as_laurent, t
 from skeincalc.families import big_x, x1_T_closed
@@ -538,16 +538,14 @@ class TestHandleSlide:
 
     @pytest.mark.parametrize("family", ["x1_T_closed", "big_x"])
     def test_follows_a_changed_family(self, family, monkeypatch):
-        # the terms outside the k-sums are read off x1_T_closed and the X_i
-        # recursion's table memo, so a family with one more term gives the
-        # embed of the changed difference, and the check fails
+        # the terms outside the k-sums are read off the tables of X1*T_n(y)'s
+        # closed form and of the X_i recursion's memo, so a family with one
+        # more term gives the embed of the changed difference, and the check fails
         extra = HbElement(CHEBYSHEV, {(1, 3, 2): t(5, 3)})
         sides = {"x1_T_closed": x1_T_closed, "big_x": big_x}
         sides[family] = lambda i, unchanged=sides[family]: unchanged(i) + extra
-        if family == "big_x":
-            monkeypatch.setattr(torusknot, "_big_x_table", lambda i: hb_table(sides["big_x"](i)))
-        else:
-            monkeypatch.setattr(torusknot, family, sides[family])
+        table = {"x1_T_closed": "_x1_closed", "big_x": "_big_x_table"}[family]
+        monkeypatch.setattr(torusknot, table, lambda i: hb_table(sides[family](i)))
         clear_handle_slide_state()
         try:
             for p in range(1, 4):
@@ -561,8 +559,8 @@ class TestHandleSlide:
             clear_handle_slide_state()
 
     def test_sweep_builds_each_family_once(self, monkeypatch):
-        # a sweep reads x1_T_closed once per n and big_x(2p) once per p, and
-        # adds, subtracts or multiplies no handlebody element
+        # a sweep reads X1*T_n(y)'s table once per n and X_{2p}'s once per p,
+        # and builds, converts, adds, subtracts or multiplies no handlebody element
         for i in range(13):
             big_x(i)
         built, other = [], []
@@ -570,11 +568,13 @@ class TestHandleSlide:
         def logged(log, name, fn):
             return lambda *a: log.append((name, a)) or fn(*a)
 
-        monkeypatch.setattr(torusknot, "x1_T_closed", logged(built, "x1", x1_T_closed))
+        monkeypatch.setattr(torusknot, "_x1_closed", logged(built, "x1", torusknot._x1_closed))
         monkeypatch.setattr(torusknot, "_big_x_table",
                             logged(built, "big_x", torusknot._big_x_table))
-        for name in ("__add__", "__sub__", "__mul__"):
+        for name in ("__add__", "__sub__", "__mul__", "to_basis"):
             monkeypatch.setattr(HbElement, name, logged(other, name, getattr(HbElement, name)))
+        for module in (handlebody, families):
+            monkeypatch.setattr(module, "_element", logged(other, "_element", module._element))
         clear_handle_slide_state()
         try:
             for p in range(1, 7):
