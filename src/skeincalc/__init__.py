@@ -14,8 +14,8 @@ from .families import (FamilyPair, big_x, big_x_closed, big_x_residual,
                        x1_T_residual, x1y1_T_recursive, x1y1_recursive,
                        y1_T_closed, y1_T_residual)
 from .torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
-                        handle_slide_residual, induction_residual, reduce_sy,
-                        relation_residual, telescope_residual)
+                        handle_slide_residual, induction_residual, relation_residual,
+                        telescope_residual)
 from .qtorus import (QtElement, base_relation_op, homogenization_residual,
                      inhomog_recurrence, product_identity_residual,
                      product_multiplier, qt_apply, qt_mul, recurrence_poly,

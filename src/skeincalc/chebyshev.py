@@ -143,9 +143,8 @@ def monomial_to_S(m: int) -> dict[int, int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def s_to_monomial(n: int) -> dict[int, int]:
-    """Expand S_n, n >= 0, in monomials: S_n = sum_j c_j xi^j, zeros dropped.
+    """Expand S_n, n >= 0, in monomials off cheb_S's memo: S_n = sum_j c_j xi^j, no zeros.
 
     >>> s_to_monomial(3)
     {1: -2, 3: 1}

@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
 
 
 # Family token -> the element it names at index n; reduce also reads --p and
-# --convention from the parsed arguments.
+# --convention from the parsed arguments, and the others take --basis.
 _FAMILIES = {
     "x1y": lambda n, args: families.x1y1_recursive(n).xpart,
     "y1y": lambda n, args: families.x1y1_recursive(n).ypart,
@@ -161,25 +161,31 @@ _FAMILIES = {
     "y1t": lambda n, args: families.y1_T_closed(n),
     "sigma": lambda n, args: families.sigma(n),
     "bigx": lambda n, args: families.big_x(n),
-    "reduce": lambda n, args: torusknot.reduce_sy(
-        n, args.p, torusknot.Convention(args.convention)),
+    "reduce": lambda n, args: torusknot.JonesSequence(
+        1 if args.p is None else args.p, args.convention or "kbsm")(n),
 }
 _FAMILY_ALIASES = {"X": "x1y", "Y": "y1y"}
 
 
 def cmd_expand(args) -> int:
-    build = _FAMILIES.get(_FAMILY_ALIASES.get(args.family, args.family))
+    family = _FAMILY_ALIASES.get(args.family, args.family)
+    build = _FAMILIES.get(family)
     if build is None:
         print(f"unknown family {args.family!r}; choose from {' '.join(_FAMILIES)}",
               file=sys.stderr)
         return 2
+    applies = ("p", "convention") if family == "reduce" else ("basis",)
+    for opt in ("basis", "p", "convention"):
+        if getattr(args, opt) is not None and opt not in applies:
+            print(f"error: --{opt} does not apply to {args.family}", file=sys.stderr)
+            return 2
     try:
         elem = build(args.index, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if isinstance(elem, HbElement):
-        elem = elem.to_basis(args.basis)
+        elem = elem.to_basis(args.basis or CHEBYSHEV)
     if args.pretty:
         print(str(elem))
     else:
@@ -207,13 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(X and Y are aliases for x1y and y1y)")
     expand.add_argument("--index", "-i", type=int, required=True,
                         help="family index n (for reduce: the y-index N)")
-    expand.add_argument("--basis", default=CHEBYSHEV,
-                        choices=(MONOMIAL, CHEBYSHEV),
-                        help="output basis for handlebody elements")
-    expand.add_argument("--p", type=int, default=1,
-                        help="knot parameter (reduce only)")
-    expand.add_argument("--convention", default="kbsm", choices=("kbsm", "rt"),
-                        help="reduction convention (reduce only)")
+    expand.add_argument("--basis", choices=(MONOMIAL, CHEBYSHEV),
+                        help="output basis for handlebody elements (default chebyshev)")
+    expand.add_argument("--p", type=int,
+                        help="knot parameter (reduce only, default 1)")
+    expand.add_argument("--convention", choices=("kbsm", "rt"),
+                        help="reduction convention (reduce only, default kbsm)")
     expand.add_argument("--pretty", action="store_true",
                         help="print a human-readable expression instead of JSON")
     expand.set_defaults(func=cmd_expand)

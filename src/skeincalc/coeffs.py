@@ -6,11 +6,11 @@ single variable t with arbitrary-precision integer coefficients.
 
 Every element type of the package is a :class:`Sparse` combination: a dict
 from key to nonzero coefficient.  The kernel implements, once, accumulation
-with pruning (:func:`add_into`), addition, negation, subtraction, scaling,
-equality, the JSON term rows and the one ``*``: a peer by the type's
-product rule, an int or LaurentPoly by scaling.  Each type adds only its key
-validation, the context two operands must share, and its product rule, if it
-has one, as ``_product``.  Two types live here:
+with pruning (:func:`add_into`), addition, negation, subtraction, equality,
+the JSON form (context fields, then term rows) and the one ``*``: a peer by
+the type's product rule, an int or LaurentPoly scaling every coefficient.
+Each type adds only its key validation, the context two operands must
+share, and its product rule, if it has one, as ``_product``.  Two types:
 
 * :class:`LaurentPoly` -- Z[t, t^-1], the ground ring (int coefficients).
 * :class:`AuxLaurent`  -- Laurent polynomials in one auxiliary variable over
@@ -161,21 +161,15 @@ class Sparse:
         """self times a peer by the type's _product; an int or LaurentPoly scales."""
         if other.__class__ is self.__class__ and self._product is not None:
             return self._product(self._peer(other))
-        if other.__class__ is LaurentPoly or isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
+        if other.__class__ is not LaurentPoly and not isinstance(other, int):
+            return NotImplemented
+        # All coefficient rings here are integral domains, so a product of
+        # nonzero factors is nonzero and only a zero scalar needs pruning.
+        if not other:
+            return self._like({})
+        return self._like({k: c * other for k, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def scale(self, s):
-        """Every coefficient times the scalar s.
-
-        All coefficient rings here are integral domains, so a product of
-        nonzero factors is nonzero and only s = 0 needs pruning.
-        """
-        if not s:
-            return self._like({})
-        return self._like({k: c * s for k, c in self.terms.items()})
 
     def _json_rows(self) -> list:
         """The terms as rows [*key, coeff] in key order, coefficients as JSON."""
@@ -184,7 +178,9 @@ class Sparse:
                 for k, c in sorted(self.terms.items())]
 
     def to_json(self) -> dict:
-        return {"terms": self._json_rows()}
+        """The context fields by name, an enum by its value, then "terms"."""
+        ctx = zip(self._CONTEXT, self._ctx) if self._CONTEXT else ()
+        return {**{name: getattr(v, "value", v) for name, v in ctx}, "terms": self._json_rows()}
 
     def __str__(self) -> str:
         if not self.terms:

@@ -14,7 +14,7 @@ product converts between bases: monomial coefficients of Chebyshev-basis
 elements grow exponentially with the index.  Int terms c t^e S_m S_n S_k
 with any integer indices are summed by one merge into a flat table
 (m, n, k, e) -> c, built into an element once; :meth:`HbElement.cheb_sum`
-and :mod:`skeincalc.families` use it.
+takes such terms, checked, and :mod:`skeincalc.families` builds its own.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .chebyshev import monomial_to_S, s_product, s_to_monomial
-from .coeffs import LaurentPoly, Sparse, add_into, as_laurent, check_key
+from .coeffs import LaurentPoly, Sparse, add_into, check_key
 
 MONOMIAL = "monomial"
 CHEBYSHEV = "chebyshev"
@@ -97,21 +97,16 @@ class HbElement(Sparse):
         return HbElement(MONOMIAL, terms)
 
     @staticmethod
-    def cheb_sum(terms: Iterable[tuple[int, int, int, LaurentPoly | int]]) -> HbElement:
-        """The sum of c S_m(x) S_n(y) S_k(z) over (m, n, k, c) terms, any integer indices.
+    def cheb_sum(terms: Iterable[Term]) -> HbElement:
+        """The sum of the int terms (c, e, m, n, k), any integer indices, checked.
 
         Negative indices are folded by S_{-1} = 0 and S_{-j} = -S_{j-2}, so
-        closed-form expressions can be written down verbatim.  A Laurent
-        coefficient enters :func:`_merge` as one int term per monomial.
+        closed-form expressions can be written down verbatim.
 
-        >>> str(HbElement.cheb_sum([(1, 2, 0, 3), (0, -1, 5, 1), (-3, 2, 0, 1)]))
+        >>> str(HbElement.cheb_sum([(3, 0, 1, 2, 0), (1, 0, 0, -1, 5), (1, 0, -3, 2, 0)]))
         '(2)*S_1(x)*S_2(y)'
         """
-        rows: list[Term] = []
-        for *idx, c in terms:
-            m, n, k = check_key(tuple(idx), 3)
-            rows += [(v, e, m, n, k) for e, v in as_laurent(c).terms.items()]
-        return _element(_merge(rows))
+        return _element(_merge([check_key(term, 5) for term in terms]))
 
     def _product(self, other: HbElement) -> HbElement:
         axis = _AXIS_PRODUCT[self.basis]
@@ -128,11 +123,9 @@ class HbElement(Sparse):
 
     def to_basis(self, basis: str) -> HbElement:
         """Convert to the requested basis (identity when already there)."""
-        if basis not in (MONOMIAL, CHEBYSHEV):
-            raise ValueError(f"unknown basis {basis!r}")
         if basis == self.basis:
             return self
-        table = _AXIS_TABLE[basis]
+        res, table = HbElement(basis), _AXIS_TABLE[basis]
         out: dict[Key, LaurentPoly] = {}
         for (m, n, k), c in self.terms.items():
             ys, zs = table(n), table(k)
@@ -141,10 +134,7 @@ class HbElement(Sparse):
                     w = cm * cn
                     for jk, ck in zs.items():
                         add_into(out, (jm, jn, jk), c * (w * ck))
-        return HbElement(basis)._like(out)
-
-    def to_json(self) -> dict:
-        return {"basis": self.basis, "terms": self._json_rows()}
+        return res._like(out)
 
     def _monomial(self, key: Key) -> str:
         if self.basis == MONOMIAL:

@@ -45,7 +45,7 @@ Term = tuple[int, int, int, int, int]
 class QtElement(Sparse):
     """Normal-form element of the quantum torus: the view of an operator
     residual that prints and goes into the JSON report.  It has no product:
-    * takes scalars only, as scale does.
+    * takes scalars only, an int or a LaurentPoly.
 
     Coefficients are polynomials in x over the ground ring: AuxLaurent
     elements with nonnegative x-degrees.
@@ -98,13 +98,16 @@ def qt_mul(A: Iterable[Term], B: Iterable[Term]) -> Operator:
                     for j in s_product(j1, j2))
 
 
-def _residual(A: Operator, B: Operator, at_t1: bool = False) -> QtElement:
-    """A - B as a QtElement, S_j(x) written back in powers of x; with at_t1,
-    specialized at t = 1 first, every t-exponent summed into t^0."""
+def _at_t1(P: Operator) -> Operator:
+    """P under the ring map t -> 1: every t-exponent set to 0, equal terms merged."""
+    return Operator((c, 0, j, a, b) for c, _, j, a, b in P)
+
+
+def _residual(A: Operator, B: Operator) -> QtElement:
+    """A - B as a QtElement, S_j(x) written back in powers of x."""
     nested: dict[QtKey, dict[int, dict[int, int]]] = {}
     for sign, P in ((1, A), (-1, B)):
         for c, e, j, a, b in P:
-            e = 0 if at_t1 else e
             for xd, k in s_to_monomial(j).items():
                 lp = nested.setdefault((a, b), {}).setdefault(xd, {})
                 lp[e] = lp.get(e, 0) + sign * c * k
@@ -203,10 +206,10 @@ def recurrence_poly_residual(p: int, n: int) -> TkElement:
 def t1_factor_residual(p: int) -> QtElement:
     """At t = 1 the recurrence polynomial minus (L^2-(x^2-2)L+1)(L^{2p+1}+M^2), zero by the factorization.
 
-    The product is formed in the quantum torus and then specialized: t = 1 is
-    a ring map, so this is the same as multiplying at t = 1.  The residual's
-    coefficients are all at t^0.
+    The product is formed in the quantum torus, its twist t^{2bc} giving it
+    nonzero t-exponents, and then both sides are mapped by _at_t1: as a ring
+    map, that is the same as multiplying at t = 1.  Coefficients are at t^0.
     """
     quadratic = Operator([(1, 0, 0, 0, 2), *_x2m2(-1, 0, 0, 1), (1, 0, 0, 0, 0)])
     binomial = Operator([(1, 0, 0, 0, 2 * p + 1), (1, 0, 0, 2, 0)])
-    return _residual(recurrence_poly(p), qt_mul(quadratic, binomial), at_t1=True)
+    return _residual(_at_t1(recurrence_poly(p)), _at_t1(qt_mul(quadratic, binomial)))

@@ -190,19 +190,10 @@ class TkElement(Sparse):
             (sign * v, e, i, n) for (m, n), cf in self.terms.items()
             for e, v in cf.terms.items() for i in s_product(jj, m))
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "convention": self.convention.value, "terms": self._json_rows()}
-
     @staticmethod
     def _monomial(key: TkKey) -> str:
         factors = [f"S{d}({v})" for v, d in zip("xy", key) if d]
         return "*" + ("*".join(factors) or "1")
-
-
-def reduce_sy(N: int, p: int, c: Convention,
-              rule: ReductionRule | None = None) -> TkElement:
-    """Express S_N(y) in the bounded basis under the given convention."""
-    return JonesSequence(p, c, rule)(N)
 
 
 def _element(p: int, c: Convention, acc: Table) -> TkElement:
@@ -249,8 +240,7 @@ class JonesSequence:
         Terms are merged by folded (i, N, e) before anything is reduced, with
         S_{-1} = f(-1) = 0 and S_{-j} = -S_{j-2}, f(-j) = -f(j-2) for j >= 2,
         so terms that cancel cost no reduction, and each f(N) left is read
-        from the reduce memo once.  A Laurent coefficient enters as one term
-        per monomial.
+        from the reduce memo once.
 
         >>> f = JonesSequence(1, Convention.KBSM)
         >>> str(f.sum([(1, 0, 0, 2), (1, 0, -3, 0)]))
@@ -324,7 +314,7 @@ def _y_terms(f: JonesSequence, i: int, e: int, s: int) -> list[Term]:
 
 def relation_residual(p: int, n: int, c: Convention,
                       rule: ReductionRule | None = None) -> TkElement:
-    """Residual of the defining relation, pushed through reduce_sy.
+    """Residual of the defining relation, pushed through the reduction.
 
     The relation solved by the reduction is
     t^{-2n-1} S_{p+n}(y) - tail_sign t^{2n+1} S_{p-n-1}(y)

@@ -52,7 +52,7 @@ def test_criterion_02_sigma_closed_form():
     for n in range(1, 13):
         if sigma(n) != sigma_defining(n):
             failures.append(("defining", n))
-        t_n = HbElement.cheb_sum([(0, n, 0, 1), (0, n - 2, 0, -1)])
+        t_n = HbElement.cheb_sum([(1, 0, 0, n, 0), (-1, 0, 0, n - 2, 0)])
         via_recursion = x1y1_T_recursive(n).xpart * t(1) + xz * t_n
         if sigma(n) != via_recursion:
             failures.append(("recursion", n))

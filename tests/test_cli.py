@@ -253,6 +253,20 @@ class TestExpand:
         assert not out
         assert "error:" in err
 
+    def test_reduce_option_on_a_handlebody_family_exits_2(self, capsys):
+        code, out, err = run(capsys, ["expand", "x1t", "-i", "2", "--p", "5",
+                                      "--convention", "rt"])
+        assert code == 2
+        assert not out
+        assert err.strip() == "error: --p does not apply to x1t"
+
+    def test_basis_option_on_reduce_exits_2(self, capsys):
+        code, out, err = run(capsys, ["expand", "reduce", "-i", "5", "--p", "2",
+                                      "--basis", "monomial"])
+        assert code == 2
+        assert not out
+        assert err.strip() == "error: --basis does not apply to reduce"
+
     def test_unknown_family_exits_2(self, capsys):
         code, _, err = run(capsys, ["expand", "wibble", "-i", "1"])
         assert code == 2

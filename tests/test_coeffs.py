@@ -1,6 +1,8 @@
 """Ground-ring arithmetic: Laurent polynomials, the auxiliary-variable ring,
 w-substitution, and the sparse kernel's input contract."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +35,11 @@ _ELEMENTS = (
     QtElement({(1, -1): AuxLaurent({0: t(1), 2: 2})}),
 )
 _SCALED = [(_ELEMENTS[0], 3), *((x, s) for x in _ELEMENTS[1:] for s in (3, t(2)))]
+
+
+def _scaled(x, s):
+    """x's type and context, every coefficient times s: built from the terms, not by *."""
+    return x._like({k: c * s for k, c in x.terms.items()})
 
 
 class TestLaurentPoly:
@@ -150,10 +157,10 @@ class TestKernelContract:
         lambda: t(1.5, 0),
         lambda: HbElement.mono({(0, 0, 0): 1.5}),
         lambda: HbElement.mono({(0, 0.0, 0): 1}),
-        lambda: HbElement.cheb_sum([(0, 1, 0, 2.0)]),
-        lambda: HbElement.cheb_sum([(0, 1, 0, 1), (0, 2, 0, 2.0)]),
-        lambda: HbElement.cheb_sum([(0, -1, 0, 2.0)]),
-        lambda: HbElement.cheb_sum([(0, 1.0, 0, 1)]),
+        lambda: HbElement.cheb_sum([(2.0, 0, 0, 1, 0)]),
+        lambda: HbElement.cheb_sum([(1, 0, 0, 1, 0), (2.0, 0, 0, 2, 0)]),
+        lambda: HbElement.cheb_sum([(2.0, 0, 0, -1, 0)]),
+        lambda: HbElement.cheb_sum([(1, 0, 0, 1.0, 0)]),
         lambda: TkElement(1, Convention.KBSM, {(0, 0): 1.5}),
         lambda: TkElement(1.0, Convention.KBSM),
         lambda: QtElement({(0, 0): 0.5}),
@@ -178,8 +185,8 @@ class TestKernelContract:
             a != b
 
     @pytest.mark.parametrize("a, b, want", [
-        *((x, s, x.scale(s)) for x, s in _SCALED),
-        *((s, x, x.scale(s)) for x, s in _SCALED),
+        *((x, s, _scaled(x, s)) for x, s in _SCALED),
+        *((s, x, _scaled(x, s)) for x, s in _SCALED),
         (_ELEMENTS[0], t(2), LaurentPoly({1: 2, 5: -1})),
         (_ELEMENTS[0], LaurentPoly({1: 1, 0: -3}), LaurentPoly({-1: -6, 0: 2, 3: 3, 4: -1})),
         (_ELEMENTS[1], AuxLaurent({-2: 1, 1: t(-1)}),
@@ -201,6 +208,20 @@ class TestKernelContract:
                 a * b
         else:
             assert a * b == want
+
+    @pytest.mark.parametrize("elem, text", [
+        (_ELEMENTS[2], '{"basis": "monomial", "terms": [[0, 1, 0, {"t": [[0, "3"]]}], '
+                       '[1, 0, 2, {"t": [[-1, "1"]]}]]}'),
+        (_ELEMENTS[3], '{"basis": "chebyshev", "terms": [[1, 1, 0, {"t": [[2, "1"]]}]]}'),
+        (_ELEMENTS[4], '{"p": 2, "convention": "kbsm", "terms": [[0, 0, {"t": [[0, "4"]]}], '
+                       '[1, 2, {"t": [[1, "1"]]}]]}'),
+        (TkElement(1, Convention.RT, {(0, 1): t(-3, 2)}),
+         '{"p": 1, "convention": "rt", "terms": [[0, 1, {"t": [[-3, "2"]]}]]}'),
+        (_ELEMENTS[5], '{"terms": [[1, -1, [[0, {"t": [[1, "1"]]}], [2, {"t": [[0, "2"]]}]]]]}'),
+    ])
+    def test_context_json_is_pinned(self, elem, text):
+        # byte for byte, key order included: the context fields come first
+        assert json.dumps(elem.to_json()) == text
 
     def test_bool_counts_as_int(self):
         assert LaurentPoly({0: True}) == 1

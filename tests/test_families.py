@@ -146,7 +146,7 @@ class TestBigX:
         # t^{2i} S_i(y) and t^{2i-2} S_{i-1}(y) solve X_{i+2} = t^2 y X_{i+1} - t^4 X_i
         y_gen = HbElement.mono({(0, 1, 0): 1})
         for shift in (0, -1):
-            seq = [HbElement.cheb_sum([(0, i + shift, 0, t(2 * i + 2 * shift))]).to_basis(MONOMIAL)
+            seq = [HbElement.cheb_sum([(1, 2 * i + 2 * shift, 0, i + shift, 0)]).to_basis(MONOMIAL)
                    for i in range(13)]
             for i in range(11):
                 assert seq[i + 2] == seq[i + 1] * y_gen * t(2) - seq[i] * t(4), (shift, i)
@@ -160,7 +160,7 @@ class TestSigma:
     def test_matches_recursion_route(self):
         xz = HbElement(CHEBYSHEV, {(1, 0, 1): t(-1)})
         for n in range(1, 41):
-            t_n = HbElement.cheb_sum([(0, n, 0, 1), (0, n - 2, 0, -1)])
+            t_n = HbElement.cheb_sum([(1, 0, 0, n, 0), (-1, 0, 0, n - 2, 0)])
             via_recursion = x1y1_T_recursive(n).xpart * t(1) + xz * t_n
             assert sigma(n) == via_recursion, n
 
@@ -242,13 +242,13 @@ def test_cold_memos_need_no_deep_stack():
         import sys
         from skeincalc.chebyshev import cheb_S, monomial_to_S
         from skeincalc.families import big_x_residual
-        from skeincalc.torusknot import Convention, induction_residual, reduce_sy
+        from skeincalc.torusknot import Convention, JonesSequence, induction_residual
         sys.setrecursionlimit(200)
         assert len(cheb_S(400)) == 401
         assert monomial_to_S(400)[400] == 1
         assert big_x_residual(300).is_zero()
-        assert max(m for m, _ in reduce_sy(1000, 1, Convention.KBSM).terms) == 1998
-        assert max(m for m, _ in reduce_sy(2000, 3, Convention.RT).terms) == 3994
+        assert max(m for m, _ in JonesSequence(1, Convention.KBSM)(1000).terms) == 1998
+        assert max(m for m, _ in JonesSequence(3, Convention.RT)(2000).terms) == 3994
         assert induction_residual(3, 1500).is_zero()
         print("ok")
     """)

@@ -61,9 +61,9 @@ class TestBasics:
 class TestChebTermConstruction:
     def test_negative_index_folding(self):
         # S_{-2}(y) = -S_0(y)
-        assert HbElement.cheb_sum([(0, -2, 0, 1)]) == HbElement(CHEBYSHEV, {(0, 0, 0): -1})
-        assert HbElement.cheb_sum([(0, -1, 0, 1)]).is_zero()
-        assert HbElement.cheb_sum([(1, -3, -2, 1)]) == HbElement(CHEBYSHEV, {(1, 1, 0): 1})
+        assert HbElement.cheb_sum([(1, 0, 0, -2, 0)]) == HbElement(CHEBYSHEV, {(0, 0, 0): -1})
+        assert HbElement.cheb_sum([(1, 0, 0, -1, 0)]).is_zero()
+        assert HbElement.cheb_sum([(1, 0, 1, -3, -2)]) == HbElement(CHEBYSHEV, {(1, 1, 0): 1})
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_sum_folds_each_axis(self, axis):
@@ -71,12 +71,12 @@ class TestChebTermConstruction:
             return tuple(i if a == axis else 1 for a in range(3))
 
         # S_{-1} drops its term; S_{-j} = -S_{j-2} for j >= 2
-        assert HbElement.cheb_sum([(*key(-1), t(2))]).is_zero()
-        assert HbElement.cheb_sum([(*key(-4), t(2))]) == HbElement(CHEBYSHEV, {key(2): t(2, -1)})
-        assert (HbElement.cheb_sum([(*key(-1), 5), (*key(-3), t(1)), (*key(0), 3)])
+        assert HbElement.cheb_sum([(1, 2, *key(-1))]).is_zero()
+        assert HbElement.cheb_sum([(1, 2, *key(-4))]) == HbElement(CHEBYSHEV, {key(2): t(2, -1)})
+        assert (HbElement.cheb_sum([(5, 0, *key(-1)), (1, 1, *key(-3)), (3, 0, *key(0))])
                 == HbElement(CHEBYSHEV, {key(1): t(1, -1), key(0): 3}))
         # a term and its folded negative cancel, leaving no key behind
-        got = HbElement.cheb_sum([(*key(3), t(1)), (*key(-5), t(1)), (*key(0), 1)])
+        got = HbElement.cheb_sum([(1, 1, *key(3)), (1, 1, *key(-5)), (1, 0, *key(0))])
         assert got.terms == {key(0): t(0)}
 
     def test_sum_of_no_terms_is_zero(self):
@@ -100,7 +100,7 @@ class TestIntTermMerge:
                 sign = norms[0][0] * norms[1][0] * norms[2][0]
                 expected = expected + HbElement(CHEBYSHEV, {tuple(j for _, j in norms): t(e, sign * c)})
         assert _element(_merge(terms)) == expected
-        assert HbElement.cheb_sum([(m, n, k, t(e, c)) for c, e, m, n, k in terms]) == expected
+        assert HbElement.cheb_sum(terms) == expected
 
 
 class TestProperties:
@@ -162,7 +162,7 @@ class TestChebyshevProduct:
     @given(cheb_elems, st.integers(-3, 6))
     @settings(max_examples=60)
     def test_times_t_y_is_product_with_t_n(self, h, n):
-        t_n = HbElement.cheb_sum([(0, abs(n), 0, 1), (0, abs(n) - 2, 0, -1)])
+        t_n = HbElement.cheb_sum([(1, 0, 0, abs(n), 0), (-1, 0, 0, abs(n) - 2, 0)])
         assert times_t_y(h, n) == t_n * h
 
     def test_times_t_y_conventions(self):

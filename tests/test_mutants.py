@@ -6,7 +6,9 @@ of ``skeincalc verify`` (p <= 3, n <= 10), at the CLI's grid points and in
 its task order.  An entry is (points that kill the mutant, points in all,
 the first killing (p, n)).  The telescope is Lemma R at index n+p-1, so it
 kills ``s_pm1_sign`` and ``s_p_sign`` only at (1, 0); rt-recursion kills the
-three head slots only where the reduction reaches the bracket.
+three head slots only where the reduction reaches the bracket.  The
+recurrence-poly row is the qtorus suite's recurrence_poly_annihilates check,
+recurrence_poly(p) applied to the rt sequence under each rule.
 """
 
 import dataclasses
@@ -20,9 +22,10 @@ from pathlib import Path
 import pytest
 
 from skeincalc import cli
-from skeincalc.qtorus import rt_recursion_residual
-from skeincalc.torusknot import (Convention, ReductionRule, handle_slide_residual,
-                                 induction_residual, telescope_residual)
+from skeincalc.qtorus import qt_apply, recurrence_poly, rt_recursion_residual
+from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule,
+                                 handle_slide_residual, induction_residual,
+                                 telescope_residual)
 
 ROOT = Path(__file__).resolve().parents[1]
 KBSM = Convention.KBSM
@@ -41,6 +44,10 @@ SUITES = {
                      handle_slide_residual),
     "rt-recursion": ([(p, n) for _, p, n in cli._tasks("rt-recursion", 3, 10)],
                      rt_recursion_residual),
+    "recurrence-poly": ([(p, n) for name, p, n in cli._tasks("qtorus", 3, 10)
+                         if name == "recurrence_poly_annihilates"],
+                        lambda p, n, r: qt_apply(recurrence_poly(p),
+                                                 JonesSequence(p, Convention.RT, r), n)),
 }
 
 KILL_TABLE = {
@@ -51,6 +58,8 @@ KILL_TABLE = {
     "handle-slide": {slot: (24, 24, (1, 1)) for slot in SLOTS},
     "rt-recursion": {"lead_sign": (12, 36, (1, -2)), "s_pm1_sign": (12, 36, (1, -2)),
                      "s_p_sign": (12, 36, (1, -2)), "tail_sign": (34, 36, (1, -3))},
+    "recurrence-poly": {"lead_sign": (6, 36, (1, -3)), "s_pm1_sign": (6, 36, (1, -3)),
+                        "s_p_sign": (6, 36, (1, -3)), "tail_sign": (35, 36, (1, -2))},
 }
 
 # the line `perfbench/mutants.py --seed 3` prints, and the sha256 of the

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from skeincalc import qtorus
 from skeincalc.coeffs import AuxLaurent, t
 from skeincalc.handlebody import Z
-from skeincalc.qtorus import (Operator, QtElement, _residual, base_relation_op,
+from skeincalc.qtorus import (Operator, QtElement, _at_t1, _residual, base_relation_op,
                               homogenization_residual, inhomog_recurrence,
                               product_identity_residual, product_multiplier, qt_apply,
                               qt_mul, recurrence_poly, t1_factor_residual)
@@ -353,8 +353,8 @@ class TestSpecialization:
 
     def test_commutative_image_drops_t(self):
         # at t = 1 every t-power goes to t^0, so t^5 M L and t^3 M L agree
-        assert _residual(mono(1, 1, e=5), (), at_t1=True) == QtElement({(1, 1): 1})
-        assert _residual(mono(1, 1, e=5), mono(1, 1, e=3), at_t1=True).is_zero()
+        assert _residual(_at_t1(mono(1, 1, e=5)), ()) == QtElement({(1, 1): 1})
+        assert _residual(_at_t1(mono(1, 1, e=5)), _at_t1(mono(1, 1, e=3))).is_zero()
 
     def test_failing_row_has_t0_coefficients(self, monkeypatch):
         monkeypatch.setattr(qtorus, "recurrence_poly", lambda p: plus(mono(0, 2 * p + 1, e=7),
@@ -397,4 +397,4 @@ class TestExactFactorization:
         # at t = 1 the exact factors are the t1-factor suite's factors
         for p in range(1, 6):
             left, right = exact_factors(p)
-            assert _residual(qt_mul(left, right), qt_mul(*t1_factors(p)), at_t1=True).is_zero()
+            assert _residual(_at_t1(qt_mul(left, right)), _at_t1(qt_mul(*t1_factors(p)))).is_zero()

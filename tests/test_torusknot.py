@@ -16,7 +16,7 @@ from skeincalc.handlebody import CHEBYSHEV, HbElement, X, Z
 from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule, TkElement,
                                  _merge, _reduce_items, _step_terms, _u_terms, _window,
                                  _y_terms, handle_slide_residual, induction_residual,
-                                 reduce_sy, relation_residual, telescope_residual)
+                                 relation_residual, telescope_residual)
 from skeincalc.qtorus import inhomog_recurrence, qt_apply, rt_recursion_residual
 
 from oracles import a_element, a_terms, embed, from_json, hb_table, mirror, times_t_y
@@ -79,27 +79,27 @@ class TestReduce:
     def test_already_in_window(self):
         for p in (1, 2, 3):
             for n in range(0, p + 1):
-                assert reduce_sy(n, p, KBSM) == basis_vec(p, KBSM, 0, n)
-                assert reduce_sy(n, p, RT) == basis_vec(p, RT, 0, n)
+                assert JonesSequence(p, KBSM)(n) == basis_vec(p, KBSM, 0, n)
+                assert JonesSequence(p, RT)(n) == basis_vec(p, RT, 0, n)
 
     def test_s_minus_one_vanishes(self):
-        assert reduce_sy(-1, 2, KBSM).is_zero()
+        assert JonesSequence(2, KBSM)(-1).is_zero()
 
     def test_negative_index_folding(self):
         for p in (1, 2):
             for n in range(0, 9):
-                assert reduce_sy(-n, p, KBSM) == -reduce_sy(n - 2, p, KBSM), (p, n)
+                assert JonesSequence(p, KBSM)(-n) == -JonesSequence(p, KBSM)(n - 2), (p, n)
 
     def test_first_overflow_kbsm(self):
-        got = reduce_sy(2, 1, KBSM)
+        got = JonesSequence(1, KBSM)(2)
         assert got.terms == {(2, 0): t(4, -1), (2, 1): t(2, -1)}
 
     def test_second_overflow_kbsm(self):
-        got = reduce_sy(3, 1, KBSM)
+        got = JonesSequence(1, KBSM)(3)
         assert got.terms == {(4, 0): t(6), (4, 1): t(4), (0, 0): t(10)}
 
     def test_first_overflow_rt(self):
-        got = reduce_sy(2, 1, RT)
+        got = JonesSequence(1, RT)(2)
         assert got.terms == {(2, 0): t(4, -1), (2, 1): t(2)}
 
     def test_cold_memo_holds_only_the_requested_index(self):
@@ -107,13 +107,13 @@ class TestReduce:
         # one memo entry, not one per index on the chain
         for N, p, c in ((300, 1, KBSM), (-300, 2, RT)):
             _reduce_items.cache_clear()
-            reduce_sy(N, p, c)
+            JonesSequence(p, c)(N)
             assert _reduce_items.cache_info().currsize == 1, (N, p, c)
 
     def test_overflow_stays_in_window(self):
         for p in (1, 2, 3):
             for n in range(-6, 4 * p + 6):
-                for key in reduce_sy(n, p, KBSM).terms:
+                for key in JonesSequence(p, KBSM)(n).terms:
                     assert key[0] >= 0 and 0 <= key[1] <= p
 
 
@@ -141,7 +141,7 @@ class TestArithmetic:
         # y-products are formed in the handlebody, then embedded
         for p in (1, 2, 3):
             f = JonesSequence(p, KBSM)
-            h = HbElement.cheb_sum([(0, 1, 0, 1)]) * HbElement.cheb_sum([(0, p, 0, 1)])
+            h = HbElement.cheb_sum([(1, 0, 0, 1, 0)]) * HbElement.cheb_sum([(1, 0, 0, p, 0)])
             assert embed(h, p, KBSM) == f(p + 1) + f(p - 1), p
 
     def test_times_sx_folding(self):
@@ -339,7 +339,7 @@ class TestLiteralReduction:
     def test_reduce_sy(self, c, rule):
         for p in range(1, 5):
             for N in range(-3 * p - 8, 3 * p + 7):
-                assert reduce_sy(N, p, c, rule) == literal_reduce(N, p, c, rule), (p, N)
+                assert JonesSequence(p, c, rule)(N) == literal_reduce(N, p, c, rule), (p, N)
 
     @pytest.mark.parametrize("c, rule", ALL_RULES)
     def test_times_sx(self, c, rule):
@@ -382,14 +382,14 @@ class TestMemoIsolation:
     def test_mutating_a_result_leaves_the_memo_unchanged(self):
         # the reduce memo holds int rows, and every coefficient handed out is
         # built fresh from them
-        before = str(reduce_sy(9, 2, KBSM))
-        got = reduce_sy(9, 2, KBSM)
+        before = str(JonesSequence(2, KBSM)(9))
+        got = JonesSequence(2, KBSM)(9)
         next(iter(got.terms.values())).terms[99] = 7
         summed = JonesSequence(2, KBSM).sum([(1, 0, 0, 9)])
         for coeff in summed.terms.values():
             coeff.terms.clear()
-        assert str(reduce_sy(9, 2, KBSM)) == before
-        assert JonesSequence(2, KBSM).sum([(1, 0, 0, 9)]) == reduce_sy(9, 2, KBSM)
+        assert str(JonesSequence(2, KBSM)(9)) == before
+        assert JonesSequence(2, KBSM).sum([(1, 0, 0, 9)]) == JonesSequence(2, KBSM)(9)
 
     def test_mutating_a_residual_leaves_the_next_unchanged(self):
         # the induction memo holds int rows; the residual's coefficients are
@@ -405,18 +405,18 @@ class TestMemoIsolation:
         # True == 1 as a memo key, so p is stored as a plain int before any
         # row that carries it as a y-index can reach the memo
         _reduce_items.cache_clear()
-        expected = json.dumps(reduce_sy(4, 1, KBSM).to_json())
+        expected = json.dumps(JonesSequence(1, KBSM)(4).to_json())
         _reduce_items.cache_clear()
-        reduce_sy(4, True, KBSM)
-        assert json.dumps(reduce_sy(4, 1, KBSM).to_json()) == expected
+        JonesSequence(True, KBSM)(4)
+        assert json.dumps(JonesSequence(1, KBSM)(4).to_json()) == expected
         assert str(JonesSequence(True, KBSM)(3)) == str(JonesSequence(1, KBSM)(3))
-        assert all(type(n) is int for _, n in reduce_sy(9, True, RT).terms)
+        assert all(type(n) is int for _, n in JonesSequence(True, RT)(9).terms)
         assert type(TkElement(True, KBSM).to_json()["p"]) is int
 
     def test_string_convention_shares_the_memo(self):
         _reduce_items.cache_clear()
         assert JonesSequence(2, "rt").convention is RT
-        assert reduce_sy(9, 2, "rt") == reduce_sy(9, 2, RT)
+        assert JonesSequence(2, "rt")(9) == JonesSequence(2, RT)(9)
         assert _reduce_items.cache_info().currsize == 1
 
 
@@ -461,8 +461,8 @@ class TestEmbed:
     def test_pure_y_powers_agree_with_reduction(self):
         for p in (1, 2):
             for n in range(0, 2 * p + 4):
-                h = HbElement.cheb_sum([(0, n, 0, t(0))])
-                assert embed(h, p, KBSM) == reduce_sy(n, p, KBSM), (p, n)
+                h = HbElement.cheb_sum([(1, 0, 0, n, 0)])
+                assert embed(h, p, KBSM) == JonesSequence(p, KBSM)(n), (p, n)
 
     def test_commutes_with_x_and_z(self):
         # reduction commutes with x-multiplication, and z maps to x; the
@@ -819,7 +819,7 @@ class TestRuleChecks:
         for bad in ("kbsm", (1, True, 1, 1, -1)):
             for N in (1, 5):
                 with pytest.raises(TypeError, match="ReductionRule"):
-                    reduce_sy(3, N, KBSM, bad)
+                    JonesSequence(N, KBSM, bad)(3)
             with pytest.raises(TypeError, match="ReductionRule"):
                 JonesSequence(3, KBSM, bad)
             with pytest.raises(TypeError, match="ReductionRule"):
@@ -846,10 +846,10 @@ class TestOneRule:
         other = RT if c is KBSM else KBSM
         for p in range(1, 9):
             for N in range(-30, 60):
-                seen = reduce_sy(N, p, other, rule)
-                flipped = {(m, n): cf.scale(-1 if (N + n) % 2 else 1)
+                seen = JonesSequence(p, other, rule)(N)
+                flipped = {(m, n): cf * (-1 if (N + n) % 2 else 1)
                            for (m, n), cf in seen.terms.items()}
-                assert reduce_sy(N, p, c, rule).terms == flipped, (p, N)
+                assert JonesSequence(p, c, rule)(N).terms == flipped, (p, N)
 
     def test_both_conventions_share_one_memo(self):
         # the memo holds kbsm rows; rt reads them through iota, so running
