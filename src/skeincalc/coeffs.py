@@ -245,11 +245,6 @@ def as_laurent(c: LaurentPoly | int) -> LaurentPoly:
     return c if c.__class__ is LaurentPoly else LaurentPoly({0: c})
 
 
-def t(exp: int, coeff: int = 1) -> LaurentPoly:
-    """Shorthand for the monomial coeff * t^exp."""
-    return LaurentPoly({exp: coeff})
-
-
 class AuxLaurent(Sparse):
     """A Laurent polynomial in one auxiliary variable over Z[t, t^-1].
 

@@ -7,21 +7,19 @@ space of triples (m, n, k):
 * ``monomial``:   x^m y^n z^k
 * ``chebyshev``:  S_m(x) S_n(y) S_k(z)
 
-Products stay in their operands' basis.  Exponents add in the monomial basis;
-in the Chebyshev basis each axis multiplies by the product-to-sum rule
-S_a S_b = sum_j S_{a+b-2j} (:func:`skeincalc.chebyshev.s_product`).  No
-product converts between bases: monomial coefficients of Chebyshev-basis
-elements grow exponentially with the index.  Int terms c t^e S_m S_n S_k
-with any integer indices are summed by one merge into a flat table
-(m, n, k, e) -> c, built into an element once; :meth:`HbElement.cheb_sum`
-takes such terms, checked, and :mod:`skeincalc.families` builds its own.
+Elements add, subtract and scale by an int or LaurentPoly, and convert
+between the bases with :meth:`HbElement.to_basis`; there is no product of two
+elements.  Int terms c t^e S_m S_n S_k with any integer indices are summed by
+one merge into a flat table (m, n, k, e) -> c, built into an element once;
+:meth:`HbElement.cheb_sum` takes such terms, checked, and
+:mod:`skeincalc.families` builds its own.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .chebyshev import monomial_to_S, s_product, s_to_monomial
+from .chebyshev import monomial_to_S, s_to_monomial
 from .coeffs import LaurentPoly, Sparse, add_into, check_key
 
 MONOMIAL = "monomial"
@@ -33,10 +31,6 @@ Table = dict[tuple[int, int, int, int], int]  # (m, n, k, e) -> c, zeros not yet
 
 # Per-axis change of basis, one index at a time: xi^m in S_j, or S_n in xi^j.
 _AXIS_TABLE = {CHEBYSHEV: monomial_to_S, MONOMIAL: s_to_monomial}
-
-# Per-axis product of two basis indices: the indices of the product's terms,
-# each with coefficient 1.
-_AXIS_PRODUCT = {MONOMIAL: lambda a, b: (a + b,), CHEBYSHEV: s_product}
 
 
 def _merge(terms: Iterable[Term]) -> Table:
@@ -93,10 +87,6 @@ class HbElement(Sparse):
         return key
 
     @staticmethod
-    def mono(terms: Mapping[Key, LaurentPoly | int]) -> HbElement:
-        return HbElement(MONOMIAL, terms)
-
-    @staticmethod
     def cheb_sum(terms: Iterable[Term]) -> HbElement:
         """The sum of the int terms (c, e, m, n, k), any integer indices, checked.
 
@@ -107,19 +97,6 @@ class HbElement(Sparse):
         '(2)*S_1(x)*S_2(y)'
         """
         return _element(_merge([check_key(term, 5) for term in terms]))
-
-    def _product(self, other: HbElement) -> HbElement:
-        axis = _AXIS_PRODUCT[self.basis]
-        out: dict[Key, LaurentPoly] = {}
-        for (m1, n1, k1), c1 in self.terms.items():
-            for (m2, n2, k2), c2 in other.terms.items():
-                c = c1 * c2
-                ys, zs = axis(n1, n2), axis(k1, k2)
-                for jm in axis(m1, m2):
-                    for jn in ys:
-                        for jk in zs:
-                            add_into(out, (jm, jn, jk), c)
-        return self._like(out)
 
     def to_basis(self, basis: str) -> HbElement:
         """Convert to the requested basis (identity when already there)."""
@@ -143,7 +120,3 @@ class HbElement(Sparse):
             factors = [f"S_{d}({v})" for v, d in zip("xyz", key) if d]
         return "".join("*" + f for f in factors)
 
-
-X = HbElement.mono({(1, 0, 0): 1})
-Y = HbElement.mono({(0, 1, 0): 1})
-Z = HbElement.mono({(0, 0, 1): 1})

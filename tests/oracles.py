@@ -4,6 +4,12 @@ None of these is reached by a command of the package: each restates a map or
 a sum the library computes another way, so a test can check one route
 against the other.
 
+* :func:`t`, the shorthand c t^e, and the generators X, Y and Z of the
+  handlebody in the monomial basis;
+* :func:`hb_mul`, the product of two handlebody elements in their basis, and
+  :func:`x1y1_monomial`, the pair X1*y^n, Y1*y^n by its coupled recursion in
+  the monomial basis, built on it: the library sums the pair's T_n oracle
+  instead and has no handlebody product;
 * the mirror involution t -> t^-1, on LaurentPoly (:func:`bar`) and
   HbElement (:func:`mirror`);
 * :func:`times_t_y`, the product with T_n(y) by S_j T_n = S_{j+n} + S_{j-n};
@@ -17,13 +23,64 @@ against the other.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 
 from skeincalc.chebyshev import s_product
-from skeincalc.coeffs import AuxLaurent, LaurentPoly, Sparse, check_int
-from skeincalc.handlebody import CHEBYSHEV, HbElement, _element, _merge
+from skeincalc.coeffs import AuxLaurent, LaurentPoly, Sparse, add_into, check_int
+from skeincalc.families import FamilyPair
+from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement, _element, _merge
 from skeincalc.qtorus import QtElement
 from skeincalc.torusknot import Convention, JonesSequence, ReductionRule, TkElement
+
+
+def t(exp: int, coeff: int = 1) -> LaurentPoly:
+    """Shorthand for the monomial coeff * t^exp."""
+    return LaurentPoly({exp: coeff})
+
+
+X = HbElement(MONOMIAL, {(1, 0, 0): 1})
+Y = HbElement(MONOMIAL, {(0, 1, 0): 1})
+Z = HbElement(MONOMIAL, {(0, 0, 1): 1})
+
+
+def hb_mul(a: HbElement, b: HbElement) -> HbElement:
+    """The product of two elements of one basis: exponents add on each axis in
+    the monomial basis, S_a S_b = sum_j S_{a+b-2j} in the Chebyshev basis."""
+    if a.basis != b.basis:
+        raise ValueError(f"cannot multiply a {a.basis} by a {b.basis} element")
+    axis = s_product if a.basis == CHEBYSHEV else lambda i, j: (i + j,)
+    out: dict = {}
+    for (m1, n1, k1), c1 in a.terms.items():
+        for (m2, n2, k2), c2 in b.terms.items():
+            c = c1 * c2
+            for jm in axis(m1, m2):
+                for jn in axis(n1, n2):
+                    for jk in axis(k1, k2):
+                        add_into(out, (jm, jn, jk), c)
+    return HbElement(a.basis, out)
+
+
+@functools.lru_cache(maxsize=None)
+def x1y1_monomial(n: int) -> FamilyPair:
+    """(X1*y^n, Y1*y^n) in the monomial basis by the coupled recursion
+
+        X1*y^(n+1) = t^4 y (X1*y^n) + (t^-2 - t^6)(Y1*y^n) + (1 - t^4)(x^2 + z^2) y^n
+        Y1*y^(n+1) = t^-4 y (Y1*y^n) + (t^2 - t^-6)(X1*y^n) + 2 (1 - t^-4) x z y^n
+
+    from X1*y^0 = -t^4 y - t^2 x z and Y1*y^0 = -t^2 - t^-2."""
+    if check_int(n) < 0:
+        raise ValueError("power must be nonnegative")
+    if n == 0:
+        return FamilyPair(0, HbElement(MONOMIAL, {(0, 1, 0): t(4, -1), (1, 0, 1): t(2, -1)}),
+                          HbElement(MONOMIAL, {(0, 0, 0): t(2, -1) + t(-2, -1)}))
+    prev = x1y1_monomial(n - 1)
+    ypow = HbElement(MONOMIAL, {(0, n - 1, 0): 1})
+    xpart = (hb_mul(prev.xpart, Y) * t(4) + prev.ypart * (t(-2) - t(6))
+             + hb_mul(hb_mul(X, X) + hb_mul(Z, Z), ypow) * (1 - t(4)))
+    ypart = (hb_mul(prev.ypart, Y) * t(-4) + prev.xpart * (t(2) - t(-6))
+             + hb_mul(hb_mul(X, Z), ypow) * ((1 - t(-4)) * 2))
+    return FamilyPair(n, xpart, ypart)
 
 
 def bar(a: LaurentPoly) -> LaurentPoly:

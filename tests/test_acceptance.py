@@ -10,10 +10,9 @@ import random
 import time
 
 from skeincalc.chebyshev import cheb_S, cheb_T, monomial_to_S
-from skeincalc.coeffs import AuxLaurent, LaurentPoly, t
+from skeincalc.coeffs import AuxLaurent, LaurentPoly
 from skeincalc.families import (big_x, big_x_closed, sigma, sigma_defining,
-                                x1_T_closed, x1y1_recursive, x1y1_T_recursive,
-                                y1_T_closed)
+                                x1_T_closed, x1y1_T_recursive, y1_T_closed)
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement
 from skeincalc.qtorus import (Operator, inhomog_recurrence,
                               product_identity_residual, qt_apply, qt_mul,
@@ -23,7 +22,7 @@ from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule,
                                  handle_slide_residual, induction_residual,
                                  telescope_residual)
 
-from oracles import bar, substitute_w
+from oracles import bar, hb_mul, substitute_w, t
 
 
 def _finish(num, start, failures):
@@ -53,7 +52,7 @@ def test_criterion_02_sigma_closed_form():
         if sigma(n) != sigma_defining(n):
             failures.append(("defining", n))
         t_n = HbElement.cheb_sum([(1, 0, 0, n, 0), (-1, 0, 0, n - 2, 0)])
-        via_recursion = x1y1_T_recursive(n).xpart * t(1) + xz * t_n
+        via_recursion = x1y1_T_recursive(n).xpart * t(1) + hb_mul(xz, t_n)
         if sigma(n) != via_recursion:
             failures.append(("recursion", n))
     _finish(2, start, failures)
@@ -181,18 +180,18 @@ def test_criterion_09_structural_properties():
                             for _ in range(rng.randint(0, 4))})
 
     def rand_hb():
-        return HbElement.mono({(rng.randint(0, 3), rng.randint(0, 3),
-                                rng.randint(0, 3)): rand_laurent()
-                               for _ in range(rng.randint(0, 3))})
+        return HbElement(MONOMIAL, {(rng.randint(0, 3), rng.randint(0, 3),
+                                    rng.randint(0, 3)): rand_laurent()
+                                   for _ in range(rng.randint(0, 3))})
 
     for trial in range(60):
         a, b = rand_laurent(), rand_laurent()
         if bar(a * b) != bar(a) * bar(b) or bar(bar(a)) != a:
             failures.append(("bar", trial))
         h1, h2, h3 = rand_hb(), rand_hb(), rand_hb()
-        if h1 * h2 != h2 * h1:
+        if hb_mul(h1, h2) != hb_mul(h2, h1):
             failures.append(("hb_comm", trial))
-        if (h1 * h2) * h3 != h1 * (h2 * h3):
+        if hb_mul(hb_mul(h1, h2), h3) != hb_mul(h1, hb_mul(h2, h3)):
             failures.append(("hb_assoc", trial))
         if h1.to_basis(CHEBYSHEV).to_basis(MONOMIAL) != h1:
             failures.append(("hb_round_trip", trial))

@@ -4,9 +4,9 @@ import pytest
 
 from skeincalc.chebyshev import (cheb_S, cheb_T, monomial_to_S, normalize_s_index,
                                  s_product)
-from skeincalc.coeffs import AuxLaurent, t
+from skeincalc.coeffs import AuxLaurent
 
-from oracles import substitute_w
+from oracles import substitute_w, t
 
 
 def _pmul(a, b):

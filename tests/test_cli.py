@@ -14,7 +14,10 @@ from skeincalc import cli
 from skeincalc.cli import SUITES, main
 from skeincalc.families import big_x
 from skeincalc.coeffs import AuxLaurent
+from skeincalc.handlebody import CHEBYSHEV
 from skeincalc.qtorus import QtElement
+
+from oracles import x1y1_monomial
 
 
 # a child interpreter that imports this checkout's package
@@ -227,6 +230,17 @@ class TestExpand:
                                     "--basis", "monomial", "--pretty"])
         assert code == 0
         assert out.strip() == "(-t^4)*y + (-t^2)*x*z"
+
+    @pytest.mark.parametrize("family, part", [("x1y", "xpart"), ("y1y", "ypart")])
+    def test_powers_of_y_print_the_monomial_recursion(self, capsys, family, part):
+        # expand reads the T_n oracle; the recursion in powers of y gives the
+        # same bytes, in the monomial basis and converted to the default one
+        for n in range(26):
+            want = getattr(x1y1_monomial(n), part)
+            for basis, elem in ((["--basis", "monomial"], want), ([], want.to_basis(CHEBYSHEV))):
+                code, out, _ = run(capsys, ["expand", family, "-i", str(n), *basis])
+                assert code == 0
+                assert out == json.dumps(elem.to_json(), indent=2) + "\n", (n, basis)
 
     def test_reduce_pretty(self, capsys):
         code, out, _ = run(capsys, ["expand", "reduce", "-i", "2", "--p", "1",

@@ -13,27 +13,26 @@ import pytest
 import skeincalc
 from skeincalc import families
 from skeincalc.chebyshev import cheb_T
-from skeincalc.coeffs import LaurentPoly, t
 from skeincalc.families import (big_x, big_x_closed, big_x_residual, sigma, sigma_defining,
                                 sigma_residual, x1_T_closed, x1_T_residual, x1y1_recursive,
                                 x1y1_T_recursive, y1_T_closed, y1_T_residual)
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement, _element
 
-from oracles import hb_table, mirror
+from oracles import Y, hb_mul, hb_table, mirror, t, x1y1_monomial
 
 
 class TestRecursionSeeds:
     def test_xpart_seed(self):
-        assert x1y1_recursive(0).xpart == HbElement.mono(
+        assert x1y1_recursive(0).xpart.to_basis(MONOMIAL) == HbElement(MONOMIAL,
             {(0, 1, 0): t(4, -1), (1, 0, 1): t(2, -1)})
 
     def test_ypart_seed(self):
-        assert x1y1_recursive(0).ypart == HbElement.mono(
+        assert x1y1_recursive(0).ypart.to_basis(MONOMIAL) == HbElement(MONOMIAL,
             {(0, 0, 0): t(2, -1) + t(-2, -1)})
 
     def test_one_step(self):
-        got = x1y1_recursive(1).xpart
-        expected = HbElement.mono({
+        got = x1y1_recursive(1).xpart.to_basis(MONOMIAL)
+        expected = HbElement(MONOMIAL, {
             (0, 2, 0): t(8, -1),
             (1, 1, 1): t(6, -1),
             (2, 0, 0): t(0) - t(4),
@@ -43,8 +42,8 @@ class TestRecursionSeeds:
         assert got == expected
 
     def test_one_step_ypart(self):
-        got = x1y1_recursive(1).ypart
-        expected = HbElement.mono({
+        got = x1y1_recursive(1).ypart.to_basis(MONOMIAL)
+        expected = HbElement(MONOMIAL, {
             (0, 1, 0): -(t(6) + t(-6)),
             (1, 0, 1): t(4, -1) + 2 - t(-4),
         })
@@ -55,15 +54,32 @@ class TestRecursionSeeds:
             x1y1_recursive(-1)
 
 
+class TestPowersOfY:
+    def test_matches_monomial_recursion(self):
+        # the binomial sum of the T_n oracle's tables against the recursion
+        # in powers of y, kept among the oracles
+        for n in range(26):
+            got, want = x1y1_recursive(n), x1y1_monomial(n)
+            assert got.n == n and got.xpart.basis == got.ypart.basis == CHEBYSHEV
+            assert got.xpart.to_basis(MONOMIAL) == want.xpart, n
+            assert got.ypart.to_basis(MONOMIAL) == want.ypart, n
+
+    def test_rejects_non_int_power_after_caching(self):
+        x1y1_recursive(2)
+        with pytest.raises(TypeError):
+            x1y1_recursive(2.0)
+
+
 class TestChebyshevOracle:
     def test_matches_sum_over_powers(self):
         # X1*T_n(y) = sum_j c_j X1*y^j over the monomial coefficients c_j of
-        # T_n, with X1*y^j from the monomial-basis recursion; likewise Y1
+        # T_n, with X1*y^j from the monomial-basis recursion of the oracles
+        # (x1y1_recursive reads the oracle under test); likewise Y1
         for n in range(0, 13):
-            xsum = ysum = HbElement.mono({})
+            xsum = ysum = HbElement(MONOMIAL, {})
             for j, c in enumerate(cheb_T(n)):
-                xsum = xsum + x1y1_recursive(j).xpart * c
-                ysum = ysum + x1y1_recursive(j).ypart * c
+                xsum = xsum + x1y1_monomial(j).xpart * c
+                ysum = ysum + x1y1_monomial(j).ypart * c
             pair = x1y1_T_recursive(n)
             assert pair.n == n
             assert pair.xpart.to_basis(MONOMIAL) == xsum, n
@@ -85,17 +101,17 @@ class TestClosedForms:
 
     def test_n1_equals_first_family_member(self):
         # T_1 = xi, so the closed form at n = 1 is the n = 1 recursion value
-        assert x1_T_closed(1).to_basis(MONOMIAL) == x1y1_recursive(1).xpart
-        assert y1_T_closed(1).to_basis(MONOMIAL) == x1y1_recursive(1).ypart
+        assert x1_T_closed(1).to_basis(MONOMIAL) == x1y1_monomial(1).xpart
+        assert y1_T_closed(1).to_basis(MONOMIAL) == x1y1_monomial(1).ypart
 
     def test_n2_linearity(self):
         # T_2 = xi^2 - 2
-        expected = x1y1_recursive(2).xpart + x1y1_recursive(0).xpart * (-2)
+        expected = x1y1_monomial(2).xpart + x1y1_monomial(0).xpart * (-2)
         assert x1_T_closed(2).to_basis(MONOMIAL) == expected
 
     def test_zero_index_fallback(self):
-        assert x1_T_closed(0).to_basis(MONOMIAL) == x1y1_recursive(0).xpart * 2
-        assert y1_T_closed(0).to_basis(MONOMIAL) == x1y1_recursive(0).ypart * 2
+        assert x1_T_closed(0).to_basis(MONOMIAL) == x1y1_monomial(0).xpart * 2
+        assert y1_T_closed(0).to_basis(MONOMIAL) == x1y1_monomial(0).ypart * 2
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -106,13 +122,13 @@ class TestClosedForms:
 
 class TestBigX:
     def test_initial_values(self):
-        assert big_x(0).to_basis(MONOMIAL) == HbElement.mono(
+        assert big_x(0).to_basis(MONOMIAL) == HbElement(MONOMIAL,
             {(0, 0, 0): t(2, -1) + t(-2, -1)})
-        assert big_x(1).to_basis(MONOMIAL) == HbElement.mono(
+        assert big_x(1).to_basis(MONOMIAL) == HbElement(MONOMIAL,
             {(0, 1, 0): t(4, -1), (1, 0, 1): t(2, -1)})
 
     def test_one_recursion_step(self):
-        expected = HbElement.mono({
+        expected = HbElement(MONOMIAL, {
             (0, 2, 0): t(6, -1),
             (1, 1, 1): t(4, -1),
             (0, 0, 0): t(6) + t(2),
@@ -144,12 +160,11 @@ class TestBigX:
 
     def test_homogeneous_solutions(self):
         # t^{2i} S_i(y) and t^{2i-2} S_{i-1}(y) solve X_{i+2} = t^2 y X_{i+1} - t^4 X_i
-        y_gen = HbElement.mono({(0, 1, 0): 1})
         for shift in (0, -1):
             seq = [HbElement.cheb_sum([(1, 2 * i + 2 * shift, 0, i + shift, 0)]).to_basis(MONOMIAL)
                    for i in range(13)]
             for i in range(11):
-                assert seq[i + 2] == seq[i + 1] * y_gen * t(2) - seq[i] * t(4), (shift, i)
+                assert seq[i + 2] == hb_mul(seq[i + 1], Y) * t(2) - seq[i] * t(4), (shift, i)
 
 
 class TestSigma:
@@ -161,7 +176,7 @@ class TestSigma:
         xz = HbElement(CHEBYSHEV, {(1, 0, 1): t(-1)})
         for n in range(1, 41):
             t_n = HbElement.cheb_sum([(1, 0, 0, n, 0), (-1, 0, 0, n - 2, 0)])
-            via_recursion = x1y1_T_recursive(n).xpart * t(1) + xz * t_n
+            via_recursion = x1y1_T_recursive(n).xpart * t(1) + hb_mul(xz, t_n)
             assert sigma(n) == via_recursion, n
 
     def test_s1_sn_s1_coefficient(self):
@@ -209,7 +224,7 @@ class TestTables:
     @pytest.mark.parametrize("fn, arg", [
         (x1_T_closed, 2.0), (y1_T_closed, 2.5), (sigma, 2.0), (big_x_closed, 2.0),
         (x1_T_residual, 2.0), (y1_T_residual, 2.5), (sigma_residual, 2.0),
-        (big_x_residual, 2.0)])
+        (big_x_residual, 2.0), (x1y1_recursive, 2.0)])
     def test_non_int_index_names_the_argument(self, fn, arg):
         with pytest.raises(TypeError, match=re.escape(f"got {arg!r}") + "$"):
             fn(arg)
@@ -241,12 +256,13 @@ def test_cold_memos_need_no_deep_stack():
     code = textwrap.dedent("""
         import sys
         from skeincalc.chebyshev import cheb_S, monomial_to_S
-        from skeincalc.families import big_x_residual
+        from skeincalc.families import big_x_residual, x1y1_recursive
         from skeincalc.torusknot import Convention, JonesSequence, induction_residual
         sys.setrecursionlimit(200)
         assert len(cheb_S(400)) == 401
         assert monomial_to_S(400)[400] == 1
         assert big_x_residual(300).is_zero()
+        assert x1y1_recursive(120).xpart.terms[0, 121, 0].terms == {484: -1}
         assert max(m for m, _ in JonesSequence(1, Convention.KBSM)(1000).terms) == 1998
         assert max(m for m, _ in JonesSequence(3, Convention.RT)(2000).terms) == 3994
         assert induction_residual(3, 1500).is_zero()

@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeincalc import qtorus
-from skeincalc.coeffs import AuxLaurent, t
-from skeincalc.handlebody import Z
+from skeincalc.coeffs import AuxLaurent
 from skeincalc.qtorus import (Operator, QtElement, _at_t1, _residual, base_relation_op,
                               homogenization_residual, inhomog_recurrence,
                               product_identity_residual, product_multiplier, qt_apply,
                               qt_mul, recurrence_poly, t1_factor_residual)
 from skeincalc.torusknot import Convention, JonesSequence, ReductionRule, TkElement
 
-from oracles import from_json
+from oracles import Z, from_json, t
 
 KBSM = Convention.KBSM
 RT = Convention.RT
