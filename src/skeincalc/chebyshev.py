@@ -9,10 +9,11 @@ normalizes internally.
 
 Polynomials are returned as dense integer coefficient tuples, constant term
 first.
-S-basis combinations are dicts mapping a nonnegative S-index to its integer
-coefficient; :func:`monomial_to_S` and :func:`s_to_monomial` convert single
-basis elements both ways, and :func:`s_product` (a range of S-indices, each
-with coefficient 1) multiplies without leaving the S basis.
+S-basis combinations are mappings from a nonnegative S-index to its integer
+coefficient; :func:`monomial_to_S` (a read-only view of its memo) and
+:func:`s_to_monomial` (a fresh dict) convert single basis elements both
+ways, and :func:`s_product` (a range of S-indices, each with coefficient 1)
+multiplies without leaving the S basis.
 
 The memoised tables are filled in ascending order (:func:`ascending_memo`),
 so no index, however large, deepens the stack.
@@ -21,6 +22,8 @@ so no index, however large, deepens the stack.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .coeffs import add_into, check_int
 
@@ -122,25 +125,26 @@ def cheb_T(n: int) -> tuple[int, ...]:
 
 
 @ascending_memo
-def monomial_to_S(m: int) -> dict[int, int]:
-    """Expand xi^m in the S basis: xi^m = sum_j c_j S_j.
+def monomial_to_S(m: int) -> Mapping[int, int]:
+    """Expand xi^m in the S basis: xi^m = sum_j c_j S_j, as a read-only view
+    of the memo's dict, so no caller can change a later conversion.
 
     Uses xi*S_j = S_{j+1} + S_{j-1} with S_{-1} = 0, so every index stays
     nonnegative.
 
-    >>> monomial_to_S(3)
+    >>> dict(monomial_to_S(3))
     {3: 1, 1: 2}
     """
     if m < 0:
         raise ValueError("monomial degree must be nonnegative")
     if m == 0:
-        return {0: 1}
+        return MappingProxyType({0: 1})
     out: dict[int, int] = {}
     for j, c in monomial_to_S(m - 1).items():
         add_into(out, j + 1, c)
         if j >= 1:
             add_into(out, j - 1, c)
-    return out
+    return MappingProxyType(out)
 
 
 def s_to_monomial(n: int) -> dict[int, int]:

@@ -30,12 +30,12 @@ Bases.  Everything adds ints on flat Chebyshev-basis tables
 multiplies two elements: each closed form is a list of int terms, and the
 oracles (the pair's, behind :func:`x1y1_T_recursive`, and :func:`big_x`) step
 tables.  :func:`x1y1_recursive`, the pair at the powers y^n, is a binomial sum
-of the pair oracle's tables.  :func:`big_x` keeps the elements it was asked
-for, but its recursion, every residual and the handle slide of
-:mod:`skeincalc.torusknot` read the private table memo behind it.  Only
-tables leave this module for another layer.  Other public functions build
-fresh elements; a ``*_residual`` is its table difference as an element,
-converted to the monomial basis.
+of the pair oracle's tables.  The memos hold tables only, so every public
+function builds a fresh element on each call.  The recursion of
+:func:`big_x`, every residual and the handle slide of
+:mod:`skeincalc.torusknot` read those tables, and only tables leave this
+module for another layer.  A ``*_residual`` is its table difference as an
+element, converted to the monomial basis.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def x1y1_T_recursive(n: int) -> FamilyPair:
     return FamilyPair(n, *map(_element, _oracle(n)))
 
 
-# An lru_cache, not a plain function: perfbench's memo census reads it by name.
-@functools.lru_cache(maxsize=None)
+# Keeps nothing; an lru_cache only because perfbench's memo census reads it by name.
+@functools.lru_cache(maxsize=0)
 def x1y1_recursive(n: int) -> FamilyPair:
     """(X1*y^n, Y1*y^n) in the Chebyshev basis, summed from the pair oracle's
     tables: y^n = sum_{2k<n} C(n, k) T_{n-2k}(y) + [n even] C(n, n/2), and
@@ -172,10 +172,11 @@ def _big_x_table(i: int) -> Table:
     return {k: c for k, c in acc.items() if c}
 
 
-@functools.lru_cache(maxsize=None)
+# Keeps nothing; an lru_cache only because perfbench's memo census reads it by name.
+@functools.lru_cache(maxsize=0)
 def big_x(i: int) -> HbElement:
-    """X_i by the three-term recursion, Chebyshev basis: one element per index
-    asked for, the table memo filling the indices below."""
+    """X_i by the three-term recursion, Chebyshev basis: a fresh element built
+    from the table memo, which fills the indices below."""
     return _element(_big_x_table(i))
 
 

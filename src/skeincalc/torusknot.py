@@ -19,13 +19,12 @@ coefficient it produces is a monomial.  JonesSequence.sum takes int terms
 (c, e, i, N) for c t^e S_i(x) f(N), merges them by folded (i, N, e) and
 adds the rows of each surviving f(N), read from the memo once per N, times
 S_i(x) into a flat int table (m, n, e) -> c: the layer's one accumulation
-loop.  times_sx is such a sum, of reduced powers times S(x).
+loop.  S_k(x) f(n) is the single term (1, 0, k, n).
 Tables are added to tables by _add and _add_x2, and _element alone turns a
 table into an element, applying iota under rt.  So each residual is one
 table of both sides' terms, terms that cancel are never reduced, and no
-coefficient object is built before the result.  The module has no product
-of its own: the x-subalgebra acts on it through times_sx, and * takes
-scalars.
+coefficient object is built before the result.  TkElement has no
+operation of its own: it adds and scales as every Sparse element does.
 
 The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity) each return a residual element; a check passes exactly
@@ -56,7 +55,7 @@ import enum
 import functools
 from collections.abc import Iterable, Mapping
 
-from .chebyshev import normalize_s_index, s_product
+from .chebyshev import s_product
 from .coeffs import LaurentPoly, Sparse, check_int, check_key
 from .families import _big_x_table, _x1_closed
 
@@ -179,16 +178,6 @@ class TkElement(Sparse):
         if m < 0 or not 0 <= n <= self.p:
             raise ValueError(f"key ({m}, {n}) outside the basis for p={self.p}")
         return (m, n)
-
-    def times_sx(self, j: int) -> TkElement:
-        """Multiply by S_j(x); j may be any integer, folded by S_{-j} = -S_{j-2}."""
-        norm = normalize_s_index(j)
-        if norm is None:
-            return self._like({})
-        sign, jj = norm
-        return JonesSequence(self.p, self.convention)._sum(
-            (sign * v, e, i, n) for (m, n), cf in self.terms.items()
-            for e, v in cf.terms.items() for i in s_product(jj, m))
 
     @staticmethod
     def _monomial(key: TkKey) -> str:

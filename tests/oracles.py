@@ -16,7 +16,9 @@ against the other.
 * :func:`hb_table`, the flat table of a Chebyshev-basis element;
 * :func:`substitute_w`, Horner evaluation at an AuxLaurent argument, for the
   w-identities that certify the Chebyshev tables;
-* :func:`embed`, the image of a handlebody element in the torus-knot module;
+* :func:`embed`, the image of a handlebody element in the torus-knot module,
+  and :func:`times_sx`, the action of S_j(x) on that module: the library
+  passes S_k(x) f(n) to JonesSequence's sum as an int term instead;
 * :func:`a_element`, the telescoping sum A_n from its defining terms;
 * :func:`from_json`, the strict inverse of every ``to_json``, for round trips.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable
 
-from skeincalc.chebyshev import s_product
+from skeincalc.chebyshev import normalize_s_index, s_product
 from skeincalc.coeffs import AuxLaurent, LaurentPoly, Sparse, add_into, check_int
 from skeincalc.families import FamilyPair
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement, _element, _merge
@@ -123,12 +125,23 @@ def embed(h: HbElement, p: int, c: Convention,
     """Image of a handlebody element: z maps to x, then y-indices are reduced.
 
     Reduction commutes with multiplication by x (embed(S_j(x) h) is
-    embed(h).times_sx(j)) but not with multiplication by y, so a product with
+    times_sx(embed(h), j)) but not with multiplication by y, so a product with
     y-content is formed in the handlebody before it is embedded.
     """
     return JonesSequence(p, c, rule)._sum(
         (v, e, i, n) for (m, n, k), cf in h.to_basis(CHEBYSHEV).terms.items()
         for e, v in cf.terms.items() for i in s_product(m, k))
+
+
+def times_sx(h: TkElement, j: int) -> TkElement:
+    """Multiply by S_j(x); j may be any integer, folded by S_{-j} = -S_{j-2}."""
+    norm = normalize_s_index(j)
+    if norm is None:
+        return h._like({})
+    sign, jj = norm
+    return JonesSequence(h.p, h.convention)._sum(
+        (sign * v, e, i, n) for (m, n), cf in h.terms.items()
+        for e, v in cf.terms.items() for i in s_product(jj, m))
 
 
 def a_terms(p: int, n: int, e: int = 0, s: int = 1) -> list[tuple[int, int, int, int]]:

@@ -5,6 +5,7 @@ import pytest
 from skeincalc.chebyshev import (cheb_S, cheb_T, monomial_to_S, normalize_s_index,
                                  s_product)
 from skeincalc.coeffs import AuxLaurent
+from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement
 
 from oracles import substitute_w, t
 
@@ -104,6 +105,15 @@ class TestBasisConversion:
         assert monomial_to_S(0) == {0: 1}
         assert monomial_to_S(2) == {2: 1, 0: 1}
         assert monomial_to_S(3) == {3: 1, 1: 2}
+
+    def test_memo_is_read_only(self):
+        # monomial_to_S hands out a view of its memo: writing to it raises,
+        # and neither a conversion nor the next power changes
+        x3 = HbElement(MONOMIAL, {(3, 0, 0): 1})
+        with pytest.raises(TypeError):
+            monomial_to_S(3)[3] = 5
+        assert x3.to_basis(CHEBYSHEV) == HbElement(CHEBYSHEV, {(3, 0, 0): 1, (1, 0, 0): 2})
+        assert monomial_to_S(4) == {4: 1, 2: 3, 0: 2}
 
     def test_round_trip(self):
         # S_j -> dense monomials -> S basis gives back S_j alone

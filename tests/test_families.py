@@ -1,12 +1,15 @@
 """Family recursions versus their closed forms."""
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -146,11 +149,11 @@ class TestBigX:
             big_x(2.0)
 
     def test_cold_index_builds_one_element(self):
-        # the table memo fills the indices below; big_x keeps only what it was asked for
+        # the table memo fills the indices below; big_x keeps no element
         big_x.cache_clear()
         try:
             big_x(40)
-            assert big_x.cache_info().currsize == 1
+            assert big_x.cache_info().currsize == 0
         finally:
             big_x.cache_clear()
 
@@ -201,11 +204,19 @@ class TestTables:
         assert x1_T_residual(3).is_zero()
         assert y1_T_residual(3).is_zero()
         assert x1y1_T_recursive(3).xpart == x1_T_closed(3)
+        # likewise big_x and x1y1_recursive, which keep no element
+        want_x, want_pair = big_x_closed(3), x1y1_recursive(3).xpart.to_basis(MONOMIAL)
+        big_x(3).terms.clear()
+        x1y1_recursive(3).xpart.terms.clear()
+        assert big_x(3) == want_x
+        assert x1y1_recursive(3).xpart.to_basis(MONOMIAL) == want_pair == x1y1_monomial(3).xpart
+        assert big_x_residual(3).is_zero()
+        assert x1_T_residual(3).is_zero()
 
     def test_residuals_do_not_read_big_x_elements(self):
-        # big_x hands every caller its cached element, but its recursion,
-        # big_x_residual and the handle slide read a private table memo, so
-        # emptying cached elements changes no residual
+        # big_x hands every caller a fresh element, and its recursion,
+        # big_x_residual and the handle slide read the table memo, so
+        # emptying returned elements changes no residual
         from skeincalc import torusknot
         big_x.cache_clear()
         try:
@@ -246,6 +257,20 @@ class TestTables:
         got = families._residual(dict(table), hb_table(oracle(n)))
         assert not got.is_zero()
         assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
+
+
+def test_public_memos_keep_nothing_or_immutable_data():
+    # a caller who changes what a public memo returned cannot change a later
+    # call: the memo keeps nothing, or what it keeps cannot be changed
+    immutable = (int, str, tuple, frozenset, range, MappingProxyType)
+    memos = {(name, attr): obj
+             for name in ["skeincalc"] + [m.name for m in pkgutil.iter_modules(
+                 skeincalc.__path__, "skeincalc.")]
+             for attr, obj in vars(importlib.import_module(name)).items()
+             if not attr.startswith("_") and hasattr(obj, "cache_info")}
+    assert {attr for _, attr in memos} >= {"big_x", "x1y1_recursive", "monomial_to_S"}
+    for key, memo in memos.items():
+        assert memo.cache_info().maxsize == 0 or isinstance(memo(3), immutable), key
 
 
 def test_cold_memos_need_no_deep_stack():

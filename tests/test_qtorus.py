@@ -16,7 +16,7 @@ from skeincalc.qtorus import (Operator, QtElement, _at_t1, _residual, base_relat
                               qt_mul, recurrence_poly, t1_factor_residual)
 from skeincalc.torusknot import Convention, JonesSequence, ReductionRule, TkElement
 
-from oracles import Z, from_json, t
+from oracles import Z, from_json, t, times_sx
 
 KBSM = Convention.KBSM
 RT = Convention.RT
@@ -163,7 +163,7 @@ def apply_term_by_term(P, g, n, f):
     c t^e S_j(x) M^a L^b adds c t^{e+2an} S_j(x) g(n+b)."""
     out = TkElement(f.p, f.convention)
     for c, e, j, a, b in P:
-        out = out + g(n + b).times_sx(j) * t(e + 2 * a * n, c)
+        out = out + times_sx(g(n + b), j) * t(e + 2 * a * n, c)
     return out
 
 
@@ -210,7 +210,7 @@ class TestApply:
     def test_x_coefficient_expands(self):
         f = JonesSequence(2, KBSM)
         for n in (0, 1, 4):
-            assert qt_apply(x2m2(), f, n) == f(n).times_sx(2) - f(n)
+            assert qt_apply(x2m2(), f, n) == times_sx(f(n), 2) - f(n)
 
     def test_linear_in_operator(self):
         f = JonesSequence(1, RT)
