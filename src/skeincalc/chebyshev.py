@@ -2,10 +2,17 @@
 
 S and T are the degree-n polynomials fixed by S_n(2cos a) = sin((n+1)a)/sin(a)
 and T_n(2cos a) = 2cos(na).  Both satisfy the three-term recursion
-P_{n+1} = xi*P_n - P_{n-1} with seeds S_0 = 1, S_1 = xi and T_0 = 2, T_1 = xi.
-Indices extend to all of Z through S_{-1} = 0, S_{-n} = -S_{n-2} and
-T_{-n} = T_n; every function here accepts arbitrary integer indices and
-normalizes internally.
+P_{n+1} = xi*P_n - P_{n-1} with seeds S_0 = 1, S_1 = xi and T_0 = 2, T_1 = xi,
+and the tables are its closed forms, with C(a, -1) = 0:
+
+    S_n = sum_{k <= n/2} (-1)^k C(n-k, k) xi^(n-2k),
+    T_n = S_n - S_{n-2} = sum_{k <= n/2} (-1)^k (C(n-k, k) + C(n-k-1, k-1)) xi^(n-2k),
+    xi^m = sum_{k <= m/2} (C(m, k) - C(m, k-1)) S_{m-2k}, the ballot numbers,
+
+S_n for n >= 0, T_n for n >= 1 (T_0 = 2) and xi^m for m >= 0.  Indices
+extend to all of Z through S_{-1} = 0, S_{-n} = -S_{n-2} and T_{-n} = T_n;
+every function here accepts arbitrary integer indices and normalizes
+internally.
 
 Polynomials are returned as dense integer coefficient tuples, constant term
 first.
@@ -15,17 +22,17 @@ coefficient; :func:`monomial_to_S` (a read-only view of its memo) and
 ways, and :func:`s_product` (a range of S-indices, each with coefficient 1)
 multiplies without leaving the S basis.
 
-The memoised tables are filled in ascending order (:func:`ascending_memo`),
-so no index, however large, deepens the stack.
+No table recurses, so no index, however large, deepens the stack.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .coeffs import add_into, check_int
+from .coeffs import check_int
 
 
 def normalize_s_index(n: int) -> tuple[int, int] | None:
@@ -49,54 +56,25 @@ def normalize_s_index(n: int) -> tuple[int, int] | None:
     return (-1, -n - 2)
 
 
-def ascending_memo(fn):
-    """An unbounded lru_cache for a recursion on n >= 0 that only looks below n.
-
-    On a miss at n, every index from the lowest one not yet filled up to n - 1
-    is evaluated first, in ascending order.  Each evaluation then finds its
-    predecessors cached, so the stack depth does not grow with n.  lru_cache
-    keys 2.0 by its argument tuple, not as 2, so 2.0 reaches the TypeError.
-    """
-    filled = 0  # the memo holds every index below this one
-
-    @functools.wraps(fn)
-    def ascending(n):
-        nonlocal filled
-        check_int(n)
-        filled = min(filled, memo.cache_info().currsize)  # 0 after a cache_clear()
-        while filled < n:
-            memo(filled)
-            filled += 1
-        return fn(n)
-
-    memo = functools.lru_cache(maxsize=None)(ascending)
-    return memo
-
-
-def _psub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """a - b as dense coefficient tuples, trailing zeros dropped."""
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
+@functools.lru_cache(maxsize=None)
+def _cheb_s_nonneg(n: int) -> tuple[int, ...]:
+    """S_n, n >= 0: the coefficient of xi^(n-2k) is (-1)^k C(n-k, k)."""
+    out = [0] * (check_int(n) + 1)
+    for k in range(n // 2 + 1):
+        out[n - 2 * k] = (-1) ** k * math.comb(n - k, k)
     return tuple(out)
 
 
-def _three_term(seed: tuple[int, ...]):
-    """The memo of P_n, n >= 0, for P_0 = seed, P_1 = xi and P_{n+1} = xi*P_n - P_{n-1}."""
-    @ascending_memo
-    def table(n: int) -> tuple[int, ...]:
-        if n < 2:
-            return (seed, (0, 1))[n]
-        return _psub((0,) + table(n - 1), table(n - 2))
-    return table
-
-
-_cheb_s_nonneg = _three_term((1,))
-_cheb_t_nonneg = _three_term((2,))
+@functools.lru_cache(maxsize=None)
+def _cheb_t_nonneg(n: int) -> tuple[int, ...]:
+    """T_n, n >= 0: T_0 = 2, and for n >= 1 the binomials of S_n - S_{n-2}."""
+    if check_int(n) == 0:
+        return (2,)
+    out = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        c = math.comb(n - k, k) + (math.comb(n - k - 1, k - 1) if k else 0)
+        out[n - 2 * k] = (-1) ** k * c
+    return tuple(out)
 
 
 def cheb_S(n: int) -> tuple[int, ...]:
@@ -124,27 +102,21 @@ def cheb_T(n: int) -> tuple[int, ...]:
     return _cheb_t_nonneg(abs(n))
 
 
-@ascending_memo
+@functools.lru_cache(maxsize=None)
 def monomial_to_S(m: int) -> Mapping[int, int]:
     """Expand xi^m in the S basis: xi^m = sum_j c_j S_j, as a read-only view
     of the memo's dict, so no caller can change a later conversion.
 
-    Uses xi*S_j = S_{j+1} + S_{j-1} with S_{-1} = 0, so every index stays
-    nonnegative.
+    The coefficient of S_{m-2k}, k <= m/2, is the ballot number
+    C(m, k) - C(m, k-1); every index is nonnegative and no coefficient is 0.
 
     >>> dict(monomial_to_S(3))
     {3: 1, 1: 2}
     """
-    if m < 0:
+    if check_int(m) < 0:
         raise ValueError("monomial degree must be nonnegative")
-    if m == 0:
-        return MappingProxyType({0: 1})
-    out: dict[int, int] = {}
-    for j, c in monomial_to_S(m - 1).items():
-        add_into(out, j + 1, c)
-        if j >= 1:
-            add_into(out, j - 1, c)
-    return MappingProxyType(out)
+    return MappingProxyType({m - 2 * k: math.comb(m, k) - (math.comb(m, k - 1) if k else 0)
+                             for k in range(m // 2 + 1)})
 
 
 def s_to_monomial(n: int) -> dict[int, int]:

@@ -31,9 +31,10 @@ multiplies two elements: each closed form is a list of int terms, and the
 oracles (the pair's, behind :func:`x1y1_T_recursive`, and :func:`big_x`) step
 tables.  :func:`x1y1_recursive`, the pair at the powers y^n, is a binomial sum
 of the pair oracle's tables.  The memos hold tables only, so every public
-function builds a fresh element on each call.  The recursion of
-:func:`big_x`, every residual and the handle slide of
-:mod:`skeincalc.torusknot` read those tables, and only tables leave this
+function builds a fresh element on each call.  The two recursions' memos
+fill in ascending order (:func:`_ascending_memo`), so no index deepens the
+stack.  The recursion of :func:`big_x`, every residual and the handle slide
+of :mod:`skeincalc.torusknot` read those tables, and only tables leave this
 module for another layer.  A ``*_residual`` is its table difference as an
 element, converted to the monomial basis.
 """
@@ -44,9 +45,32 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .chebyshev import ascending_memo
 from .coeffs import check_int
 from .handlebody import MONOMIAL, HbElement, Table, Term, _element, _merge
+
+
+def _ascending_memo(fn):
+    """An unbounded lru_cache for a recursion on n >= 0 that only looks below n.
+
+    On a miss at n, every index from the lowest one not yet filled up to n - 1
+    is evaluated first, in ascending order.  Each evaluation then finds its
+    predecessors cached, so the stack depth does not grow with n.  lru_cache
+    keys 2.0 by its argument tuple, not as 2, so 2.0 reaches the TypeError.
+    """
+    filled = 0  # the memo holds every index below this one
+
+    @functools.wraps(fn)
+    def ascending(n):
+        nonlocal filled
+        check_int(n)
+        filled = min(filled, memo.cache_info().currsize)  # 0 after a cache_clear()
+        while filled < n:
+            memo(filled)
+            filled += 1
+        return fn(n)
+
+    memo = functools.lru_cache(maxsize=None)(ascending)
+    return memo
 
 
 @dataclass(frozen=True)
@@ -76,7 +100,7 @@ def _add(acc: Table, table: Table, scalar: dict[int, int], dy: tuple[int, ...] =
     return acc
 
 
-@ascending_memo
+@_ascending_memo
 def _oracle(n: int) -> tuple[Table, Table]:
     """The tables of (X1*T_n(y), Y1*T_n(y)), zeros dropped: the pair oracle's memo.
 
@@ -159,7 +183,7 @@ def y1_T_closed(n: int) -> HbElement:
     return _element(_y1_closed(n))
 
 
-@ascending_memo
+@_ascending_memo
 def _big_x_table(i: int) -> Table:
     """X_i's table by the three-term recursion, zeros dropped: the memo that the
     recursion and the residuals read, out of reach of big_x's callers."""

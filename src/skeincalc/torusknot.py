@@ -355,14 +355,16 @@ def _window(f: JonesSequence, slot: str, lo: int, hi: int) -> Table:
     kept, so the next call of its slot changes it.
     """
     key = (f.p, f.rule, f.convention, slot)
-    # no entry yet reads as the empty window [lo, lo-1], which never steps
-    (lo0, hi0), table = _windows.get(key, ((lo, lo - 1), {}))
+    # no entry yet reads as the empty window [lo, lo-1], which never steps;
+    # the slot is out while it steps, so a step that raises leaves it empty
+    (lo0, hi0), table = _windows.pop(key, ((lo, lo - 1), {}))
     if abs(hi - hi0) + abs(lo - lo0) < abs(hi - lo + 1):
         terms = _step_terms(lo0, hi0, lo, hi, 0)
     else:
         table, terms = {}, _u_terms(lo, hi, 0, 1)
+    _add(table, _add_x2({}, f._table(terms)), {0: 1})
     _windows[key] = ((lo, hi), table)
-    return _add(table, _add_x2({}, f._table(terms)), {0: 1})
+    return table
 
 
 def _x2(terms: Iterable[Term]) -> list[Term]:

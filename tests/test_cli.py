@@ -248,6 +248,15 @@ class TestExpand:
         assert code == 0
         assert out.strip() == "(-t^4)*S2(x) + (-t^2)*S2(x)*S1(y)"
 
+    def test_reduce_pretty_defaults(self, capsys):
+        # no --p and no --convention: the defaults p = 1 and kbsm, which at
+        # i = 3 differ from p = 2 and from rt
+        for i, want in (("2", "(-t^4)*S2(x) + (-t^2)*S2(x)*S1(y)"),
+                        ("3", "(t^10)*1 + (t^6)*S4(x) + (t^4)*S4(x)*S1(y)")):
+            code, out, _ = run(capsys, ["expand", "reduce", "-i", i, "--pretty"])
+            assert code == 0
+            assert out == want + "\n", i
+
     def test_reduce_deep_index_json(self, capsys):
         code, out, _ = run(capsys, ["expand", "reduce", "-i", "1000", "--p", "1"])
         assert code == 0

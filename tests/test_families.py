@@ -274,10 +274,11 @@ def test_public_memos_keep_nothing_or_immutable_data():
 
 
 def test_cold_memos_need_no_deep_stack():
-    # the memos fill in ascending order (the reduction along its
-    # N -> N-(2p+1) chain), and the induction residual builds a cold n from
-    # A_n's defining terms, so a large index from a cold cache runs under a
-    # small recursion limit
+    # the Chebyshev tables are closed forms, the families' recursion memos
+    # fill in ascending order, the reduction loops along its N -> N-(2p+1)
+    # chain, and the induction residual builds a cold n from A_n's defining
+    # terms, so a large index from a cold cache runs under a small
+    # recursion limit
     code = textwrap.dedent("""
         import sys
         from skeincalc.chebyshev import cheb_S, monomial_to_S

@@ -51,6 +51,10 @@ class TestBasics:
         unit = HbElement(MONOMIAL, {(0, 0, 0): 1})
         assert HbElement(CHEBYSHEV, {(0, 0, 0): 1}).to_basis(MONOMIAL) == unit
 
+    def test_str_writes_powers_above_one(self):
+        elem = HbElement(MONOMIAL, {(2, 1, 0): 1, (0, 0, 3): -2})
+        assert str(elem) == "(-2)*z^3 + (1)*x^2*y"
+
     def test_rejects_negative_keys(self):
         with pytest.raises(ValueError):
             HbElement(MONOMIAL, {(0, -1, 0): t(0)})

@@ -101,6 +101,9 @@ class TestNormalOrdering:
         got = _residual(P, ((c, e + 1, *rest), *P[1:]))
         assert str(got) == "((t^6 - t^7) + (-t^6 + t^7)*x^2) L^4"
 
+    def test_str_writes_powers_above_one(self):
+        assert str(QtElement({(1, 2): 1, (2, 1): 3})) == "((1)) M L^2 + ((3)) M^2 L"
+
 
 int_terms = st.tuples(st.integers(min_value=-3, max_value=3).filter(bool),
                       st.integers(min_value=-3, max_value=3),

@@ -771,6 +771,24 @@ class TestWindows:
             kept = table
         assert seen == {"stepped", "built", "empty", "reversed", "forward"}
 
+    def test_a_step_that_raises_leaves_no_stale_window(self, monkeypatch):
+        # at p = 2 only the window step of n = 5 reduces S_7(y); when that
+        # reduction raises, the slot must not keep n = 5's bounds over n = 4's
+        # table, or every later step of the sweep reads wrong data
+        torusknot._windows.clear()
+        assert all(induction_residual(2, n).is_zero() for n in range(5))
+
+        def raising(N, p, rule):
+            if N == 7:
+                raise MemoryError("reduction interrupted")
+            return _reduce_items(N, p, rule)
+
+        monkeypatch.setattr(torusknot, "_reduce_items", raising)
+        with pytest.raises(MemoryError):
+            induction_residual(2, 5)
+        monkeypatch.undo()
+        assert all(induction_residual(2, n).is_zero() for n in range(5, 9))
+
     def test_ascending_sweeps_reduce_two_powers_per_window_and_n(self, monkeypatch):
         # after its first n, an ascending sweep passes four terms per n to the
         # reduction for the handle slide and two for the induction; the
