@@ -5,7 +5,7 @@ equality of elements is structural equality of canonical sparse forms, so every
 verification in this package is exact.
 """
 
-from .coeffs import AuxLaurent, LaurentPoly, Sparse
+from .coeffs import LaurentPoly, Sparse
 from .chebyshev import (cheb_S, cheb_T, monomial_to_S, normalize_s_index,
                         s_product, s_to_monomial)
 from .handlebody import CHEBYSHEV, MONOMIAL, HbElement

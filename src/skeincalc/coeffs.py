@@ -5,17 +5,14 @@ reductions, quantum-torus operators) is linear over Laurent polynomials in a
 single variable t with arbitrary-precision integer coefficients.
 
 Every element type of the package is a :class:`Sparse` combination: a dict
-from key to nonzero coefficient.  The kernel implements, once, accumulation
-with pruning (:func:`add_into`), addition, negation, subtraction, equality,
-the JSON form (context fields, then term rows) and the one ``*``: a peer by
-the type's product rule, an int or LaurentPoly scaling every coefficient.
-Each type adds only its key validation, the context two operands must
-share, and its product rule, if it has one, as ``_product``.  Two types:
-
-* :class:`LaurentPoly` -- Z[t, t^-1], the ground ring (int coefficients).
-* :class:`AuxLaurent`  -- Laurent polynomials in one auxiliary variable over
-                          the ground ring: the x-coefficients of quantum-torus
-                          operators.
+from an int key or int tuple to a nonzero coefficient.  The kernel
+implements, once, accumulation with pruning (:func:`add_into`), addition,
+negation, subtraction, equality, the JSON form (context fields, then term
+rows) and ``*``, which scales every coefficient by an int or a LaurentPoly.
+Each type adds only its key validation and the context two operands must
+share.  :class:`LaurentPoly`, Z[t, t^-1] with int coefficients, is the ground
+ring of every other type, and the one type whose ``*`` also multiplies two
+of its elements.
 
 All types are canonical (zero coefficients are pruned eagerly), immutable by
 convention, and compare by structural equality; comparing, like combining,
@@ -28,7 +25,6 @@ JSON forms use decimal strings for integer coefficients and sorted term lists,
 so they are deterministic and lose no digit in any JSON parser:
 
     LaurentPoly  {"t": [[exp, "coeff"], ...]}   ascending exp
-    AuxLaurent   [[exp, {laurent}], ...]        ascending exp
 """
 
 from __future__ import annotations
@@ -64,30 +60,19 @@ def check_key(key, width: int) -> tuple[int, ...]:
     return tuple(check_int(i) for i in key)
 
 
-def _laurent_product(a: Sparse, b: Sparse) -> Sparse:
-    """The product rule of LaurentPoly and AuxLaurent: exponents add."""
-    out: dict = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            add_into(out, e1 + e2, c1 * c2)
-    return a._like(out)
-
-
 class Sparse:
     """A finite combination of keys with nonzero coefficients.
 
     Subclasses validate keys in ``_key``, check or coerce coefficients in
-    ``_coeff`` (by default through :func:`as_laurent`), print a key's
-    monomial in ``_monomial``, and may name their product rule ``_product``.
-    A type whose operands must agree on more than the key space (a basis, a
-    knot) names those fields in ``_CONTEXT``, takes them first in its
-    constructor, and stores their values as the tuple ``_ctx`` in a slot of
-    its own.
+    ``_coeff`` (by default through :func:`as_laurent`) and print a key's
+    monomial in ``_monomial``.  A type whose operands must agree on more than
+    the key space (a basis, a knot) names those fields in ``_CONTEXT``, takes
+    them first in its constructor, and stores their values as the tuple
+    ``_ctx`` in a slot of its own.
     """
 
     __slots__ = ("terms",)
     _CONTEXT: tuple[str, ...] = ()
-    _product = None
 
     def __init__(self, terms: Mapping | None = None):
         clean = {}
@@ -158,9 +143,7 @@ class Sparse:
         return other - self
 
     def __mul__(self, other):
-        """self times a peer by the type's _product; an int or LaurentPoly scales."""
-        if other.__class__ is self.__class__ and self._product is not None:
-            return self._product(self._peer(other))
+        """self with every coefficient times an int or LaurentPoly."""
         if other.__class__ is not LaurentPoly and not isinstance(other, int):
             return NotImplemented
         # All coefficient rings here are integral domains, so a product of
@@ -218,7 +201,17 @@ class LaurentPoly(Sparse):
             return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
-    _product = _laurent_product
+    def __mul__(self, other):
+        """The ring product with a LaurentPoly: exponents add; an int scales."""
+        if other.__class__ is not LaurentPoly:
+            return Sparse.__mul__(self, other)
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                add_into(out, e1 + e2, c1 * c2)
+        return self._like(out)
+
+    __rmul__ = __mul__
 
     def to_json(self) -> dict:
         return {"t": self._json_rows()}
@@ -243,23 +236,3 @@ class LaurentPoly(Sparse):
 def as_laurent(c: LaurentPoly | int) -> LaurentPoly:
     """c as a ground-ring coefficient: an int becomes a constant, others raise TypeError."""
     return c if c.__class__ is LaurentPoly else LaurentPoly({0: c})
-
-
-class AuxLaurent(Sparse):
-    """A Laurent polynomial in one auxiliary variable over Z[t, t^-1].
-
-    Keys are integer exponents; values are nonzero LaurentPoly coefficients.
-    """
-
-    __slots__ = ()
-
-    _key = staticmethod(check_int)
-    _product = _laurent_product
-
-    def to_json(self) -> list:
-        return self._json_rows()
-
-    @staticmethod
-    def _monomial(e: int) -> str:
-        return f"*x^{e}" if e else ""
-

@@ -2,12 +2,12 @@
 
 An operator is a finite sum of terms c t^e S_j(x) M^a L^b in normal form (M
 written left of L), held as an Operator, an immutable tuple of int terms
-(c, e, j, a, b): checked, merged, zero-free and sorted, so equal operators
-are equal tuples.  The coefficients commute, and x^2 - 2 = S_2(x) - S_0(x).
-The one product rule is L M = t^2 M L, the quantum-torus algebra of Frohman
-and Gelca ("Skein modules and the noncommutative torus"), so collecting a
-product into normal form costs L^b M^c = t^{2bc} M^c L^b, and
-S_j(x) S_k(x) is summed by s_product.
+(c, e, j, a, b): checked, S-indices folded, merged, zero-free and sorted, so
+equal operators are equal tuples.  The coefficients commute, and
+x^2 - 2 = S_2(x) - S_0(x).  The one product rule is L M = t^2 M L, the
+quantum-torus algebra of Frohman and Gelca ("Skein modules and the
+noncommutative torus"), so collecting a product into normal form costs
+L^b M^c = t^{2bc} M^c L^b, and S_j(x) S_k(x) is summed by s_product.
 The action on a sequence f is
 
     (M^a L^b f)(n) = t^{2an} f(n + b)
@@ -26,7 +26,8 @@ genuinely literal product in the interface is the multiplier
 t^{2p+5} L^{p+2} M, which normal-orders to t^{4p+9} M L^{p+2}.
 
 The operator identities return their residual as a QtElement, a printable
-and JSON view with S_j(x) written back in powers of x.
+and JSON view with S_j(x) written back in powers of x: a flat element whose
+key (a, b, d) stands for x^d M^a L^b, with a LaurentPoly coefficient.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ import functools
 from collections.abc import Iterable
 
 from .chebyshev import s_product, s_to_monomial
-from .coeffs import AuxLaurent, LaurentPoly, Sparse, check_int, check_key
+from .coeffs import LaurentPoly, Sparse, check_int, check_key
 from .torusknot import Convention, JonesSequence, ReductionRule, TkElement, _context
 
-QtKey = tuple[int, int]
+QtKey = tuple[int, int, int]
 Term = tuple[int, int, int, int, int]
 
 
@@ -47,41 +48,58 @@ class QtElement(Sparse):
     residual that prints and goes into the JSON report.  It has no product:
     * takes scalars only, an int or a LaurentPoly.
 
-    Coefficients are polynomials in x over the ground ring: AuxLaurent
-    elements with nonnegative x-degrees.
+    A key (a, b, d) stands for x^d M^a L^b, d >= 0.  The view groups its
+    terms by M^a L^b to print, each with its polynomial in x, d ascending.
     """
 
     __slots__ = ()
 
     @staticmethod
     def _key(key) -> QtKey:
-        return check_key(key, 2)
-
-    @staticmethod
-    def _coeff(c: AuxLaurent | LaurentPoly | int) -> AuxLaurent:
-        if c.__class__ is not AuxLaurent:
-            c = AuxLaurent({0: c})
-        if any(xd < 0 for xd in c.terms):
+        key = check_key(key, 3)
+        if key[2] < 0:
             raise ValueError("quantum-torus coefficients must have nonnegative x-degrees")
-        return c
+        return key
 
-    @staticmethod
-    def _monomial(key: QtKey) -> str:
-        factors = [f"{v}^{d}" if d != 1 else v for v, d in zip("ML", key) if d]
-        return " " + (" ".join(factors) or "1")
+    def _grouped(self) -> dict[tuple[int, int], list]:
+        """(a, b) -> [(d, coeff), ...], in key order."""
+        rows: dict[tuple[int, int], list] = {}
+        for (a, b, d), c in sorted(self.terms.items()):
+            rows.setdefault((a, b), []).append((d, c))
+        return rows
+
+    def _json_rows(self) -> list:
+        return [[a, b, [[d, c.to_json()] for d, c in xs]]
+                for (a, b), xs in self._grouped().items()]
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for ab, xs in self._grouped().items():
+            poly = " + ".join(f"({c})*x^{d}" if d else f"({c})" for d, c in xs)
+            factors = [f"{v}^{k}" if k != 1 else v for v, k in zip("ML", ab) if k]
+            parts.append(f"({poly}) {' '.join(factors) or '1'}")
+        return " + ".join(parts)
 
 
 class Operator(tuple):
     """The operator summing int terms, the one builder: each term checked as
-    five ints, equal (e, j, a, b) merged, zeros dropped, sorted."""
+    five ints, j folded by S_{-1} = 0 and S_{-j} = -S_{j-2}, equal
+    (e, j, a, b) merged, zeros dropped, sorted."""
 
     __slots__ = ()
 
     def __new__(cls, terms: Iterable[Term]) -> Operator:
         merged: dict[tuple[int, ...], int] = {}
         for term in terms:
-            term = check_key(term, 5)
-            merged[term[1:]] = merged.get(term[1:], 0) + term[0]
+            c, e, j, a, b = check_key(term, 5)
+            if j < 0:
+                if j == -1:
+                    continue
+                c, j = -c, -j - 2
+            key = (e, j, a, b)
+            merged[key] = merged.get(key, 0) + c
         return super().__new__(cls, sorted((c, *key) for key, c in merged.items() if c))
 
 
@@ -105,14 +123,13 @@ def _at_t1(P: Operator) -> Operator:
 
 def _residual(A: Operator, B: Operator) -> QtElement:
     """A - B as a QtElement, S_j(x) written back in powers of x."""
-    nested: dict[QtKey, dict[int, dict[int, int]]] = {}
+    flat: dict[QtKey, dict[int, int]] = {}
     for sign, P in ((1, A), (-1, B)):
         for c, e, j, a, b in P:
-            for xd, k in s_to_monomial(j).items():
-                lp = nested.setdefault((a, b), {}).setdefault(xd, {})
+            for d, k in s_to_monomial(j).items():
+                lp = flat.setdefault((a, b, d), {})
                 lp[e] = lp.get(e, 0) + sign * c * k
-    return QtElement({ab: AuxLaurent({xd: LaurentPoly(lp) for xd, lp in xs.items()})
-                      for ab, xs in nested.items()})
+    return QtElement({key: LaurentPoly(lp) for key, lp in flat.items()})
 
 
 def qt_apply(P: Iterable[Term], f: JonesSequence, n: int) -> TkElement:
@@ -123,6 +140,8 @@ def qt_apply(P: Iterable[Term], f: JonesSequence, n: int) -> TkElement:
     once.  An Operator's terms were checked when it was built, so they are
     not checked again; any other iterable of terms is built into one first.
     """
+    if not isinstance(f, JonesSequence):
+        raise TypeError(f"expected a JonesSequence, got {f!r}")
     P, n = P if P.__class__ is Operator else Operator(P), check_int(n)
     return f._sum([(c, e + 2 * a * n, j, b + n) for c, e, j, a, b in P])
 

@@ -14,13 +14,16 @@ against the other.
   HbElement (:func:`mirror`);
 * :func:`times_t_y`, the product with T_n(y) by S_j T_n = S_{j+n} + S_{j-n};
 * :func:`hb_table`, the flat table of a Chebyshev-basis element;
-* :func:`substitute_w`, Horner evaluation at an AuxLaurent argument, for the
-  w-identities that certify the Chebyshev tables;
+* :class:`AuxLaurent`, Laurent polynomials in one auxiliary variable over
+  Z[t, t^-1] with their product, and :func:`substitute_w`, Horner evaluation
+  at an AuxLaurent argument, for the w-identities that certify the Chebyshev
+  tables;
 * :func:`embed`, the image of a handlebody element in the torus-knot module,
   and :func:`times_sx`, the action of S_j(x) on that module: the library
   passes S_k(x) f(n) to JonesSequence's sum as an int term instead;
 * :func:`a_element`, the telescoping sum A_n from its defining terms;
-* :func:`from_json`, the strict inverse of every ``to_json``, for round trips.
+* :func:`from_json`, the strict inverse of every ``to_json``, for round trips;
+  a QtElement's rows, grouped by M^a L^b, are read back into flat keys.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import functools
 from collections.abc import Iterable
 
 from skeincalc.chebyshev import normalize_s_index, s_product
-from skeincalc.coeffs import AuxLaurent, LaurentPoly, Sparse, add_into, check_int
+from skeincalc.coeffs import LaurentPoly, Sparse, add_into, check_int
 from skeincalc.families import FamilyPair
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement, _element, _merge
 from skeincalc.qtorus import QtElement
@@ -111,6 +114,35 @@ def hb_table(h: HbElement) -> dict:
     return {(m, n, k, e): c for (m, n, k), cf in h.terms.items() for e, c in cf.terms.items()}
 
 
+class AuxLaurent(Sparse):
+    """A Laurent polynomial in one auxiliary variable over Z[t, t^-1]: keys
+    are int exponents, values nonzero LaurentPoly coefficients, and * is the
+    ring product with a peer, exponents adding; an int or LaurentPoly scales.
+    Its JSON form is [[exp, {laurent}], ...] in ascending exp."""
+
+    __slots__ = ()
+
+    _key = staticmethod(check_int)
+
+    def __mul__(self, other):
+        if other.__class__ is not AuxLaurent:
+            return Sparse.__mul__(self, other)
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                add_into(out, e1 + e2, c1 * c2)
+        return self._like(out)
+
+    __rmul__ = __mul__
+
+    def to_json(self) -> list:
+        return self._json_rows()
+
+    @staticmethod
+    def _monomial(e: int) -> str:
+        return f"*x^{e}" if e else ""
+
+
 def substitute_w(coeffs: Iterable[int | LaurentPoly], value: AuxLaurent) -> AuxLaurent:
     """The polynomial with the given coefficients, constant term first, at
     value, by Horner's scheme in the exact ring."""
@@ -181,6 +213,11 @@ def _aux(data) -> AuxLaurent:
     return AuxLaurent(_rows(data, _laurent))
 
 
+def _qt_terms(rows) -> dict:
+    """{(a, b, d): laurent} from the rows [a, b, [[d, {laurent}], ...]]."""
+    return {(*ab, d): c for *ab, xs in rows for d, c in _aux(xs).terms.items()}
+
+
 def from_json(cls: type, data) -> Sparse:
     """The element of type cls whose to_json is data: the context fields,
     then the "terms" rows.  Any malformed input raises ValueError."""
@@ -189,7 +226,8 @@ def from_json(cls: type, data) -> Sparse:
             return _laurent(data)
         if cls is AuxLaurent:
             return _aux(data)
-        terms = _rows(data["terms"], _aux if cls is QtElement else _laurent)
+        rows = data["terms"]
+        terms = _qt_terms(rows) if cls is QtElement else _rows(rows, _laurent)
         return cls(*(data[name] for name in cls._CONTEXT), terms)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {cls.__name__} JSON: {exc}") from exc

@@ -10,7 +10,7 @@ import random
 import time
 
 from skeincalc.chebyshev import cheb_S, cheb_T, monomial_to_S
-from skeincalc.coeffs import AuxLaurent, LaurentPoly
+from skeincalc.coeffs import LaurentPoly
 from skeincalc.families import (big_x, big_x_closed, sigma, sigma_defining,
                                 x1_T_closed, x1y1_T_recursive, y1_T_closed)
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement
@@ -22,7 +22,7 @@ from skeincalc.torusknot import (Convention, JonesSequence, ReductionRule,
                                  handle_slide_residual, induction_residual,
                                  telescope_residual)
 
-from oracles import bar, hb_mul, substitute_w, t
+from oracles import AuxLaurent, bar, hb_mul, substitute_w, t
 
 
 def _finish(num, start, failures):

@@ -4,10 +4,9 @@ import pytest
 
 from skeincalc.chebyshev import (cheb_S, cheb_T, monomial_to_S, normalize_s_index,
                                  s_product)
-from skeincalc.coeffs import AuxLaurent
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement
 
-from oracles import substitute_w, t
+from oracles import AuxLaurent, substitute_w, t
 
 
 def _pmul(a, b):

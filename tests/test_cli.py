@@ -13,7 +13,6 @@ import pytest
 from skeincalc import cli
 from skeincalc.cli import SUITES, main
 from skeincalc.families import big_x
-from skeincalc.coeffs import AuxLaurent
 from skeincalc.handlebody import CHEBYSHEV
 from skeincalc.qtorus import QtElement
 
@@ -31,7 +30,7 @@ def run(capsys, argv):
 
 
 # the residual of a failing t1_factorization row: L, at t^0
-L_AT_T1 = QtElement({(0, 1): AuxLaurent({0: 1})})
+L_AT_T1 = QtElement({(0, 1, 0): 1})
 L_AT_T1_JSON = {"terms": [[0, 1, [[0, {"t": [[0, "1"]]}]]]]}
 
 

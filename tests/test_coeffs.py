@@ -1,17 +1,18 @@
-"""Ground-ring arithmetic: Laurent polynomials, the auxiliary-variable ring,
-w-substitution, and the sparse kernel's input contract."""
+"""Ground-ring arithmetic: Laurent polynomials, the test-side auxiliary-variable
+ring with w-substitution, and the sparse kernel's input contract."""
 
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
-from skeincalc.coeffs import AuxLaurent, LaurentPoly
+import skeincalc
+from skeincalc.coeffs import LaurentPoly, Sparse
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement
 from skeincalc.qtorus import QtElement
 from skeincalc.torusknot import Convention, TkElement
 
-from oracles import bar, from_json, substitute_w, t
+from oracles import AuxLaurent, bar, from_json, substitute_w, t
 
 
 laurents = st.builds(
@@ -32,7 +33,7 @@ _ELEMENTS = (
     HbElement(MONOMIAL, {(1, 0, 2): t(-1), (0, 1, 0): 3}),
     HbElement(CHEBYSHEV, {(1, 1, 0): t(2)}),
     TkElement(2, Convention.KBSM, {(1, 2): t(1), (0, 0): 4}),
-    QtElement({(1, -1): AuxLaurent({0: t(1), 2: 2})}),
+    QtElement({(1, -1, 0): t(1), (1, -1, 2): 2}),
 )
 _SCALED = [(_ELEMENTS[0], 3), *((x, s) for x in _ELEMENTS[1:] for s in (3, t(2)))]
 
@@ -163,8 +164,8 @@ class TestKernelContract:
         lambda: HbElement.cheb_sum([(1, 0, 0, 1.0, 0)]),
         lambda: TkElement(1, Convention.KBSM, {(0, 0): 1.5}),
         lambda: TkElement(1.0, Convention.KBSM),
-        lambda: QtElement({(0, 0): 0.5}),
-        lambda: QtElement({(0.0, 0): 1}),
+        lambda: QtElement({(0, 0, 0): 0.5}),
+        lambda: QtElement({(0.0, 0, 0): 1}),
         lambda: AuxLaurent({1: 2.5}),
     ])
     def test_rejects_non_int_input(self, build):
@@ -199,9 +200,9 @@ class TestKernelContract:
         (_ELEMENTS[2], _ELEMENTS[3], TypeError),
     ])
     def test_one_mul_rule(self, a, b, want):
-        # a peer multiplies by its type's product, an int or LaurentPoly scales,
-        # and types without a product (HbElement, TkElement, QtElement) take
-        # scalars only
+        # an int or LaurentPoly scales every type; LaurentPoly, and the
+        # tests' AuxLaurent, also multiply a peer, and every element type of
+        # the package (HbElement, TkElement, QtElement) takes scalars only
         if isinstance(want, type):
             with pytest.raises(want):
                 a * b
@@ -221,6 +222,14 @@ class TestKernelContract:
     def test_context_json_is_pinned(self, elem, text):
         # byte for byte, key order included: the context fields come first
         assert json.dumps(elem.to_json()) == text
+
+    def test_only_the_ring_multiplies(self):
+        # the package's element types are LaurentPoly, HbElement, TkElement and
+        # QtElement, and the kernel has no product hook
+        assert not hasattr(skeincalc, "AuxLaurent")
+        assert not hasattr(Sparse, "_product")
+        with pytest.raises(ImportError):
+            from skeincalc import AuxLaurent  # noqa: F401
 
     def test_bool_counts_as_int(self):
         assert LaurentPoly({0: True}) == 1

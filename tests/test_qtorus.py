@@ -4,12 +4,15 @@ Operators are tuples of int terms (c, e, j, a, b) for c t^e S_j(x) M^a L^b;
 Operator checks a list of terms and merges it into that canonical form.
 """
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeincalc import qtorus
-from skeincalc.coeffs import AuxLaurent
+from skeincalc.chebyshev import normalize_s_index
 from skeincalc.qtorus import (Operator, QtElement, _at_t1, _residual, base_relation_op,
                               homogenization_residual, inhomog_recurrence,
                               product_identity_residual, product_multiplier, qt_apply,
@@ -78,19 +81,28 @@ class TestNormalOrdering:
 
     def test_coefficients_need_nonnegative_x_degrees(self):
         with pytest.raises(ValueError):
-            QtElement({(0, 0): AuxLaurent({-1: t(0)})})
+            QtElement({(0, 0, -1): t(0)})
         with pytest.raises(ValueError):
-            QtElement({(1, 0): AuxLaurent({2: 1, -1: 3})})
+            QtElement({(1, 0, 2): 1, (1, 0, -1): 3})
+
+    def test_key_is_a_b_and_x_degree(self):
+        # a key is (a, b, d) for x^d M^a L^b: three ints, d >= 0
+        with pytest.raises(TypeError):
+            QtElement({(0, 1): 1})
+        with pytest.raises(TypeError):
+            QtElement({(0, 1, 0, 0): 1})
+        with pytest.raises(ValueError):
+            QtElement({(0, 1, -2): 1})
+        assert QtElement({(0, 1, 2): 1}).terms == {(0, 1, 2): 1}
 
     def test_json_round_trip(self):
-        e = QtElement({(1, -2): AuxLaurent({2: t(3, -1), 0: t(3, 2)}),
-                       (-1, 0): AuxLaurent({0: t(-5)})})
+        e = QtElement({(1, -2, 2): t(3, -1), (1, -2, 0): t(3, 2), (-1, 0, 0): t(-5)})
         assert from_json(QtElement, e.to_json()) == e
 
     def test_view_writes_powers_of_x(self):
         # 3 t^2 S_2(x) M L^-1 = 3 t^2 (x^2 - 1) M L^-1; the view merges equal keys
         got = _residual(Operator([(3, 2, 2, 1, -1), (1, 0, 0, 0, 0)]), ONE)
-        assert got == QtElement({(1, -1): AuxLaurent({2: t(2, 3), 0: t(2, -3)})})
+        assert got == QtElement({(1, -1, 2): t(2, 3), (1, -1, 0): t(2, -3)})
         assert _residual(recurrence_poly(2), recurrence_poly(2)).is_zero()
 
     def test_str_prints_x_powers_per_monomial(self):
@@ -102,7 +114,42 @@ class TestNormalOrdering:
         assert str(got) == "((t^6 - t^7) + (-t^6 + t^7)*x^2) L^4"
 
     def test_str_writes_powers_above_one(self):
-        assert str(QtElement({(1, 2): 1, (2, 1): 3})) == "((1)) M L^2 + ((3)) M^2 L"
+        assert str(QtElement({(1, 2, 0): 1, (2, 1, 0): 3})) == "((1)) M L^2 + ((3)) M^2 L"
+
+    def test_view_of_recurrence_poly_is_pinned(self):
+        # one printed row per M^a L^b, its polynomial in x with d ascending
+        got = _residual(recurrence_poly(1), ())
+        assert str(got) == (
+            "((t^8)) L^3 + ((2*t^6) + (-t^6)*x^2) L^4 + ((t^4)) L^5 + ((t^18)) M^2"
+            " + ((2*t^20) + (-t^20)*x^2) M^2 L + ((t^22)) M^2 L^2")
+        assert json.dumps(got.to_json()).startswith(
+            '{"terms": [[0, 3, [[0, {"t": [[8, "1"]]}]]], '
+            '[0, 4, [[0, {"t": [[6, "2"]]}], [2, {"t": [[6, "-1"]]}]]], ')
+
+    def test_view_bytes_are_pinned(self):
+        # str and JSON of the views of four operators per p <= 20, in one sha256
+        h = hashlib.sha256()
+        for p in range(1, 21):
+            H = inhomog_recurrence(p)
+            for op in (recurrence_poly(p), H, qt_mul(H, H),
+                       _at_t1(qt_mul(recurrence_poly(p), base_relation_op(p)))):
+                view = _residual(op, ())
+                h.update(f"{view}\n{json.dumps(view.to_json())}\n".encode())
+        assert h.hexdigest() == (
+            "2d2c7e119aa7856984574d6d32ffbc5d98a5cde9435949526a42330546d24c49")
+
+    def test_negative_s_indices_fold(self):
+        # S_{-1} = 0 and S_{-j} = -S_{j-2}: equal operators are equal tuples
+        assert Operator([(1, 0, -3, 0, 1)]) == Operator([(-1, 0, 1, 0, 1)])
+        assert Operator([(5, 0, -1, 0, 0)]) == ()
+        assert qt_mul(Operator([(1, 0, -3, 0, 1)]), M) == ((-1, 2, 1, 1, 1),)
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-6, 6),
+                              st.integers(-2, 2), st.integers(-2, 2)), max_size=4))
+    def test_operator_equals_its_folded_terms(self, terms):
+        folded = [(s * c, e, jj, a, b) for c, e, j, a, b in terms
+                  for s, jj in filter(None, [normalize_s_index(j)])]
+        assert Operator(terms) == Operator(folded)
 
 
 int_terms = st.tuples(st.integers(min_value=-3, max_value=3).filter(bool),
@@ -116,12 +163,12 @@ qt_ops = st.lists(int_terms, max_size=3).map(Operator)
 
 
 def view_product(A, B):
-    """The product of the x-power views of A and B, by AuxLaurent arithmetic:
-    an independent route to the normal-ordering rule."""
+    """The product of the x-power views of A and B, term by term, x-degrees
+    adding: an independent route to the normal-ordering rule."""
     out = QtElement()
-    for (a1, b1), c1 in _residual(A, ()).terms.items():
-        for (a2, b2), c2 in _residual(B, ()).terms.items():
-            out = out + QtElement({(a1 + a2, b1 + b2): c1 * c2 * t(2 * b1 * a2)})
+    for (a1, b1, d1), c1 in _residual(A, ()).terms.items():
+        for (a2, b2, d2), c2 in _residual(B, ()).terms.items():
+            out = out + QtElement({(a1 + a2, b1 + b2, d1 + d2): c1 * c2 * t(2 * b1 * a2)})
     return out
 
 
@@ -182,6 +229,10 @@ class TestApply:
     def test_float_point_raises(self):
         with pytest.raises(TypeError):
             qt_apply(inhomog_recurrence(2), JonesSequence(2, RT), 1.5)
+
+    def test_sequence_must_be_a_jones_sequence(self):
+        with pytest.raises(TypeError, match="JonesSequence"):
+            qt_apply(inhomog_recurrence(2), "f", 3)
 
     def test_hand_built_fields_must_be_ints(self):
         # a plain tuple of terms goes through Operator, so a float field
@@ -315,7 +366,7 @@ class TestRecurrenceOperators:
         monkeypatch.setattr(qtorus, "recurrence_poly", perturbed)
         diff = t(2 * p + 5) - t(2 * p + 4)
         assert product_identity_residual(p) == QtElement(
-            {(0, 2 * p + 2): AuxLaurent({2: diff, 0: diff * -2})})
+            {(0, 2 * p + 2, 2): diff, (0, 2 * p + 2, 0): diff * -2})
 
     def test_annihilation_samples(self):
         for p in (1, 2):
@@ -355,13 +406,13 @@ class TestSpecialization:
 
     def test_commutative_image_drops_t(self):
         # at t = 1 every t-power goes to t^0, so t^5 M L and t^3 M L agree
-        assert _residual(_at_t1(mono(1, 1, e=5)), ()) == QtElement({(1, 1): 1})
+        assert _residual(_at_t1(mono(1, 1, e=5)), ()) == QtElement({(1, 1, 0): 1})
         assert _residual(_at_t1(mono(1, 1, e=5)), _at_t1(mono(1, 1, e=3))).is_zero()
 
     def test_failing_row_has_t0_coefficients(self, monkeypatch):
         monkeypatch.setattr(qtorus, "recurrence_poly", lambda p: plus(mono(0, 2 * p + 1, e=7),
                                                                      recurrence_poly(p)))
-        assert t1_factor_residual(3) == QtElement({(0, 7): 1})
+        assert t1_factor_residual(3) == QtElement({(0, 7, 0): 1})
 
 
 # the exact factorization before t = 1; each exponent below can be bumped by one
