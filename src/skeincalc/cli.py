@@ -120,7 +120,6 @@ def _write_report(out, reports: list[dict]) -> None:
 def cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     reports = []
-    failed = 0
     log = sys.stderr if args.json == "-" else None  # stdout is the report's alone
     for suite in suites:
         report = run_suite(suite, args.p_max, args.n_max)
@@ -132,7 +131,6 @@ def cmd_verify(args) -> int:
               f"({report['elapsed_ms']:.0f} ms)", file=log)
         for check in report["checks"]:
             if not check["pass"]:
-                failed += 1
                 loc = " ".join(f"{k}={check[k]}" for k in ("p", "n")
                                if check[k] is not None)
                 print(f"     FAIL {check['check']} {loc}", file=log)
@@ -149,7 +147,7 @@ def cmd_verify(args) -> int:
         except OSError as exc:
             print(f"error: cannot write --json {args.json}: {exc.strerror}", file=sys.stderr)
             return 2
-    return 0 if failed == 0 else 1
+    return 0 if all(c["pass"] for report in reports for c in report["checks"]) else 1
 
 
 # Family token -> the element it names at index n; reduce also reads --p and
@@ -228,13 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "p_max", 1) < 1 or getattr(args, "n_max", 1) < 1:
-        parser.error("--p-max and --n-max must be positive")
-    if getattr(args, "json", None) not in (None, "-"):
-        try:  # before any check runs, so a bad path costs no run
-            open(args.json, "w").close()
-        except OSError as exc:
-            parser.error(f"cannot write --json {args.json}: {exc.strerror}")
+    if args.command == "verify":
+        if args.p_max < 1 or args.n_max < 1:
+            parser.error("--p-max and --n-max must be positive")
+        if args.json not in (None, "-"):
+            try:  # before any check runs, so a bad path costs no run
+                open(args.json, "w").close()
+            except OSError as exc:
+                parser.error(f"cannot write --json {args.json}: {exc.strerror}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit

@@ -31,12 +31,12 @@ multiplies two elements: each closed form is a list of int terms, and the
 oracles (the pair's, behind :func:`x1y1_T_recursive`, and :func:`big_x`) step
 tables.  :func:`x1y1_recursive`, the pair at the powers y^n, is a binomial sum
 of the pair oracle's tables.  The memos hold tables only, so every public
-function builds a fresh element on each call.  The two recursions' memos
-fill in ascending order (:func:`_ascending_memo`), so no index deepens the
-stack.  The recursion of :func:`big_x`, every residual and the handle slide
-of :mod:`skeincalc.torusknot` read those tables, and only tables leave this
-module for another layer.  A ``*_residual`` is its table difference as an
-element, converted to the monomial basis.
+function builds a fresh element on each call.  Each recursion's memo is a
+list that starts with its seeds and appends steps in ascending order, so no
+index deepens the stack.  The recursion of :func:`big_x`, every residual and
+the handle slide of :mod:`skeincalc.torusknot` read those tables, and only
+tables leave this module for another layer.  A ``*_residual`` is its table
+difference as an element, converted to the monomial basis.
 """
 
 from __future__ import annotations
@@ -47,30 +47,6 @@ from dataclasses import dataclass
 
 from .coeffs import check_int
 from .handlebody import MONOMIAL, HbElement, Table, Term, _element, _merge
-
-
-def _ascending_memo(fn):
-    """An unbounded lru_cache for a recursion on n >= 0 that only looks below n.
-
-    On a miss at n, every index from the lowest one not yet filled up to n - 1
-    is evaluated first, in ascending order.  Each evaluation then finds its
-    predecessors cached, so the stack depth does not grow with n.  lru_cache
-    keys 2.0 by its argument tuple, not as 2, so 2.0 reaches the TypeError.
-    """
-    filled = 0  # the memo holds every index below this one
-
-    @functools.wraps(fn)
-    def ascending(n):
-        nonlocal filled
-        check_int(n)
-        filled = min(filled, memo.cache_info().currsize)  # 0 after a cache_clear()
-        while filled < n:
-            memo(filled)
-            filled += 1
-        return fn(n)
-
-    memo = functools.lru_cache(maxsize=None)(ascending)
-    return memo
 
 
 @dataclass(frozen=True)
@@ -100,26 +76,38 @@ def _add(acc: Table, table: Table, scalar: dict[int, int], dy: tuple[int, ...] =
     return acc
 
 
-@_ascending_memo
-def _oracle(n: int) -> tuple[Table, Table]:
-    """The tables of (X1*T_n(y), Y1*T_n(y)), zeros dropped: the pair oracle's memo.
+def _pair_step(xq: Table, yq: Table, x2: Table, y2: Table,
+               q: list[tuple[int, int]]) -> tuple[Table, Table]:
+    """One step of the pair system from the pair (xq, yq) at the y-polynomial q,
+    given as (sign, j) for sign * S_j(y), minus (x2, y2), zeros dropped.
 
-    The system is linear in the y-polynomial q it decorates, so T_0 = 2
-    doubles the seeds, T_1 = y is one step from them (q = 1), and
-    T_{n+1} = y T_n - T_{n-1} carries over to the pair; each step adds the
-    inhomogeneous terms (1 - t^4)(x^2 + z^2) q and 2 (1 - t^-4) xz q."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n == 0:
-        return _add({}, _X0, {0: 2}), _add({}, _Y0, {0: 2})
-    (xq, yq), (x2, y2) = ((_X0, _Y0), ({}, {})) if n == 1 else (_oracle(n - 1), _oracle(n - 2))
-    q = [(1, 0)] if n == 1 else [(1, n - 1), (-1, n - 3)]  # 1 or T_{n-1}(y) as (sign, j) of S_j(y)
+    The system is linear in q, so T_{n+1} = y T_n - T_{n-1} carries over to
+    the pair; each step adds the inhomogeneous terms (1 - t^4)(x^2 + z^2) q
+    and 2 (1 - t^-4) xz q."""
     x = _merge([(s * h * c, e, m, j, k) for s, j in q for h, e in ((1, 0), (-1, 4))
                 for c, m, k in ((1, 2, 0), (1, 0, 2), (2, 0, 0))])
     y = _merge([(2 * s * h, e, 1, j, 1) for s, j in q for h, e in ((1, 0), (-1, -4))])
     _add(_add(_add(x, xq, {4: 1}, (1, -1)), yq, {-2: 1, 6: -1}), x2, {0: -1})
     _add(_add(_add(y, yq, {-4: 1}, (1, -1)), xq, {2: 1, -6: -1}), y2, {0: -1})
     return {k: c for k, c in x.items() if c}, {k: c for k, c in y.items() if c}
+
+
+# The pair oracle's memo, (X1*T_n(y), Y1*T_n(y)) at index n: T_0 = 2 doubles
+# the seeds, and T_1 = y is one step from them (q = 1).
+_PAIRS: list[tuple[Table, Table]] = [
+    (_add({}, _X0, {0: 2}), _add({}, _Y0, {0: 2})), _pair_step(_X0, _Y0, {}, {}, [(1, 0)])]
+
+
+def _oracle(n: int) -> tuple[Table, Table]:
+    """The tables of (X1*T_n(y), Y1*T_n(y)), zeros dropped, from the pair
+    oracle's memo; a miss appends each step in ascending order up to n, so
+    no index deepens the stack."""
+    if check_int(n) < 0:
+        raise ValueError("index must be nonnegative")
+    while len(_PAIRS) <= n:
+        m = len(_PAIRS)  # T_{m-1}(y) as (sign, j) of S_j(y)
+        _PAIRS.append(_pair_step(*_PAIRS[-1], *_PAIRS[-2], [(1, m - 1), (-1, m - 3)]))
+    return _PAIRS[n]
 
 
 def x1y1_T_recursive(n: int) -> FamilyPair:
@@ -183,17 +171,21 @@ def y1_T_closed(n: int) -> HbElement:
     return _element(_y1_closed(n))
 
 
-@_ascending_memo
+# X_i's memo, by the three-term recursion from X_0 and X_1.
+_BIG_X: list[Table] = [_Y0, _X0]
+
+
 def _big_x_table(i: int) -> Table:
-    """X_i's table by the three-term recursion, zeros dropped: the memo that the
-    recursion and the residuals read, out of reach of big_x's callers."""
-    if i < 0:
+    """X_i's table, zeros dropped, from the memo that the recursion and the
+    residuals read, out of reach of big_x's callers; a miss appends each step
+    in ascending order up to i."""
+    if check_int(i) < 0:
         raise ValueError("index must be nonnegative")
-    if i < 2:
-        return (_Y0, _X0)[i]
-    acc = _add({(1, 0, 1, 2): -2}, _big_x_table(i - 1), {2: 1}, (1, -1))
-    _add(acc, _big_x_table(i - 2), {4: -1})
-    return {k: c for k, c in acc.items() if c}
+    while len(_BIG_X) <= i:
+        acc = _add({(1, 0, 1, 2): -2}, _BIG_X[-1], {2: 1}, (1, -1))
+        _add(acc, _BIG_X[-2], {4: -1})
+        _BIG_X.append({k: c for k, c in acc.items() if c})
+    return _BIG_X[i]
 
 
 # Keeps nothing; an lru_cache only because perfbench's memo census reads it by name.

@@ -1,6 +1,7 @@
 """Command-line entry points, exercised through main()."""
 
 import errno
+import hashlib
 import json
 import os
 import shutil
@@ -293,6 +294,23 @@ class TestExpand:
         code, _, err = run(capsys, ["expand", "wibble", "-i", "1"])
         assert code == 2
         assert "unknown family" in err
+
+    def test_sweep_prints_the_pinned_bytes(self, capsys):
+        # 840 invocations: every family at n = -1..12 under each --basis, and
+        # reduce at n = -5..15 under four option sets, each as JSON and
+        # --pretty; one sha256 over argv, exit code, stdout and stderr
+        options = [[], ["--basis", "monomial"], ["--basis", "chebyshev"]]
+        argvs = [["expand", family, "--index", str(n), *opts]
+                 for family in ("x1y", "y1y", "X", "Y", "x1t", "y1t", "sigma", "bigx")
+                 for n in range(-1, 13) for opts in options]
+        options = [[], ["--p", "3"], ["--convention", "rt"], ["--p", "2", "--convention", "rt"]]
+        argvs += [["expand", "reduce", "--index", str(n), *opts]
+                  for n in range(-5, 16) for opts in options]
+        digest = hashlib.sha256()
+        for argv in (argv + pretty for argv in argvs for pretty in ([], ["--pretty"])):
+            digest.update(json.dumps([argv, *run(capsys, argv)]).encode())
+        assert digest.hexdigest() == (
+            "d239c732baa605a03e0b2700bea4c8cc01dd511a30e24871edfe9b47f38b962f")
 
 
 def test_python_dash_m_runs_the_cli():

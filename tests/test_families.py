@@ -299,3 +299,39 @@ def test_cold_memos_need_no_deep_stack():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_a_step_that_raises_leaves_both_memos_whole():
+    # an interrupted fill appends no partial entry, so every later residual
+    # reads whole tables; the 11th _add call raises partway into a step
+    code = textwrap.dedent("""
+        from skeincalc import families
+        add, calls = families._add, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 11:
+                raise MemoryError("step interrupted")
+            return add(*args)
+
+        for fill in (families._oracle, families._big_x_table):
+            calls.clear()
+            families._add = failing
+            try:
+                fill(9)
+            except MemoryError:
+                pass
+            else:
+                raise SystemExit(f"no step of {fill.__name__} raised")
+            finally:
+                families._add = add
+        for residual in (families.x1_T_residual, families.y1_T_residual, families.sigma_residual):
+            assert all(residual(n).is_zero() for n in range(1, 13)), residual.__name__
+        assert all(families.big_x_residual(i).is_zero() for i in range(13))
+        print("ok")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(skeincalc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
