@@ -236,8 +236,8 @@ def main(argv=None) -> int:
                 parser.error(f"cannot write --json {args.json}: {exc.strerror}")
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-    except BrokenPipeError as exc:
+        sys.stdout.flush()  # a closed or full stdout fails here, not at interpreter exit
+    except OSError as exc:  # a --json file's own failure is caught where it is written
         # the interpreter flushes stdout once more at exit; let that go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)

@@ -27,7 +27,9 @@ t^{2p+5} L^{p+2} M, which normal-orders to t^{4p+9} M L^{p+2}.
 
 The operator identities return their residual as a QtElement, a printable
 and JSON view with S_j(x) written back in powers of x: a flat element whose
-key (a, b, d) stands for x^d M^a L^b, with a LaurentPoly coefficient.
+key (a, b, d) stands for x^d M^a L^b, with a LaurentPoly coefficient.  It
+prints (coeff)*x^d*M^a*L^b terms and serializes [a, b, d, {laurent}] rows
+in key order, as every element does.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class QtElement(Sparse):
     residual that prints and goes into the JSON report.  It has no product:
     * takes scalars only, an int or a LaurentPoly.
 
-    A key (a, b, d) stands for x^d M^a L^b, d >= 0.  The view groups its
-    terms by M^a L^b to print, each with its polynomial in x, d ascending.
+    A key (a, b, d) stands for x^d M^a L^b, d >= 0, and prints as
+    *x^d*M^a*L^b.
     """
 
     __slots__ = ()
@@ -61,26 +63,11 @@ class QtElement(Sparse):
             raise ValueError("quantum-torus coefficients must have nonnegative x-degrees")
         return key
 
-    def _grouped(self) -> dict[tuple[int, int], list]:
-        """(a, b) -> [(d, coeff), ...], in key order."""
-        rows: dict[tuple[int, int], list] = {}
-        for (a, b, d), c in sorted(self.terms.items()):
-            rows.setdefault((a, b), []).append((d, c))
-        return rows
-
-    def _json_rows(self) -> list:
-        return [[a, b, [[d, c.to_json()] for d, c in xs]]
-                for (a, b), xs in self._grouped().items()]
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for ab, xs in self._grouped().items():
-            poly = " + ".join(f"({c})*x^{d}" if d else f"({c})" for d, c in xs)
-            factors = [f"{v}^{k}" if k != 1 else v for v, k in zip("ML", ab) if k]
-            parts.append(f"({poly}) {' '.join(factors) or '1'}")
-        return " + ".join(parts)
+    @staticmethod
+    def _monomial(key: QtKey) -> str:
+        a, b, d = key
+        factors = zip("xML", (d, a, b))
+        return "".join(f"*{v}" if k == 1 else f"*{v}^{k}" for v, k in factors if k)
 
 
 class Operator(tuple):

@@ -22,8 +22,7 @@ against the other.
   and :func:`times_sx`, the action of S_j(x) on that module: the library
   passes S_k(x) f(n) to JonesSequence's sum as an int term instead;
 * :func:`a_element`, the telescoping sum A_n from its defining terms;
-* :func:`from_json`, the strict inverse of every ``to_json``, for round trips;
-  a QtElement's rows, grouped by M^a L^b, are read back into flat keys.
+* :func:`from_json`, the strict inverse of every ``to_json``, for round trips.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from skeincalc.chebyshev import normalize_s_index, s_product
 from skeincalc.coeffs import LaurentPoly, Sparse, add_into, check_int
 from skeincalc.families import FamilyPair
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement, _element, _merge
-from skeincalc.qtorus import QtElement
 from skeincalc.torusknot import Convention, JonesSequence, ReductionRule, TkElement
 
 
@@ -213,11 +211,6 @@ def _aux(data) -> AuxLaurent:
     return AuxLaurent(_rows(data, _laurent))
 
 
-def _qt_terms(rows) -> dict:
-    """{(a, b, d): laurent} from the rows [a, b, [[d, {laurent}], ...]]."""
-    return {(*ab, d): c for *ab, xs in rows for d, c in _aux(xs).terms.items()}
-
-
 def from_json(cls: type, data) -> Sparse:
     """The element of type cls whose to_json is data: the context fields,
     then the "terms" rows.  Any malformed input raises ValueError."""
@@ -226,8 +219,6 @@ def from_json(cls: type, data) -> Sparse:
             return _laurent(data)
         if cls is AuxLaurent:
             return _aux(data)
-        rows = data["terms"]
-        terms = _qt_terms(rows) if cls is QtElement else _rows(rows, _laurent)
-        return cls(*(data[name] for name in cls._CONTEXT), terms)
+        return cls(*(data[name] for name in cls._CONTEXT), _rows(data["terms"], _laurent))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed {cls.__name__} JSON: {exc}") from exc

@@ -32,7 +32,7 @@ def run(capsys, argv):
 
 # the residual of a failing t1_factorization row: L, at t^0
 L_AT_T1 = QtElement({(0, 1, 0): 1})
-L_AT_T1_JSON = {"terms": [[0, 1, [[0, {"t": [[0, "1"]]}]]]]}
+L_AT_T1_JSON = {"terms": [[0, 1, 0, {"t": [[0, "1"]]}]]}
 
 
 class TestVerify:
@@ -156,6 +156,28 @@ class TestVerify:
         summary, *rest = proc.stderr.splitlines()
         assert summary.startswith("ok   t1-factor")
         assert rest == ["error: cannot write standard output: " + os.strerror(errno.EPIPE)]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "t1-factor", "--p-max", "1", "--json", "-"],
+        ["verify", "--suite", "t1-factor", "--p-max", "1"],
+        ["expand", "x1t", "-i", "2"],
+    ])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_stdout_exits_2_without_traceback(self, argv, unbuffered):
+        # buffered, the write fails at main's flush; unbuffered, at the first
+        # print; either way the interpreter's last flush stays quiet
+        env = {k: v for k, v in _ENV.items() if k != "PYTHONUNBUFFERED"}
+        flags = ["-u"] if unbuffered else []
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, *flags, "-m", "skeincalc.cli", *argv],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.endswith("error: cannot write standard output: "
+                                    + os.strerror(errno.ENOSPC) + "\n")
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
     def test_rejects_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,9 @@
 """Ground-ring arithmetic: Laurent polynomials, the test-side auxiliary-variable
 ring with w-substitution, and the sparse kernel's input contract."""
 
+import importlib
 import json
+import pkgutil
 
 import pytest
 from hypothesis import given, strategies as st
@@ -217,7 +219,7 @@ class TestKernelContract:
                        '[1, 2, {"t": [[1, "1"]]}]]}'),
         (TkElement(1, Convention.RT, {(0, 1): t(-3, 2)}),
          '{"p": 1, "convention": "rt", "terms": [[0, 1, {"t": [[-3, "2"]]}]]}'),
-        (_ELEMENTS[5], '{"terms": [[1, -1, [[0, {"t": [[1, "1"]]}], [2, {"t": [[0, "2"]]}]]]]}'),
+        (_ELEMENTS[5], '{"terms": [[1, -1, 0, {"t": [[1, "1"]]}], [1, -1, 2, {"t": [[0, "2"]]}]]}'),
     ])
     def test_context_json_is_pinned(self, elem, text):
         # byte for byte, key order included: the context fields come first
@@ -230,6 +232,17 @@ class TestKernelContract:
         assert not hasattr(Sparse, "_product")
         with pytest.raises(ImportError):
             from skeincalc import AuxLaurent  # noqa: F401
+
+    def test_only_laurent_prints_or_serializes_itself(self):
+        # every other element type of the package prints and serializes
+        # through the kernel, from its _monomial and its context
+        mods = [importlib.import_module(f"skeincalc.{m.name}")
+                for m in pkgutil.iter_modules(skeincalc.__path__)]
+        types = {c for mod in mods for c in vars(mod).values()
+                 if isinstance(c, type) and issubclass(c, Sparse) and c.__module__ == mod.__name__}
+        assert types >= {LaurentPoly, HbElement, TkElement, QtElement}
+        for cls in types - {Sparse, LaurentPoly}:
+            assert not {"__str__", "to_json", "_json_rows"} & set(vars(cls)), cls
 
     def test_bool_counts_as_int(self):
         assert LaurentPoly({0: True}) == 1

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from skeincalc import qtorus
 from skeincalc.chebyshev import normalize_s_index
+from skeincalc.coeffs import LaurentPoly
 from skeincalc.qtorus import (Operator, QtElement, _at_t1, _residual, base_relation_op,
                               homogenization_residual, inhomog_recurrence,
                               product_identity_residual, product_multiplier, qt_apply,
@@ -99,6 +100,15 @@ class TestNormalOrdering:
         e = QtElement({(1, -2, 2): t(3, -1), (1, -2, 0): t(3, 2), (-1, 0, 0): t(-5)})
         assert from_json(QtElement, e.to_json()) == e
 
+    @given(st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 4)),
+        st.dictionaries(st.integers(-3, 3), st.integers(-5, 5), max_size=3).map(LaurentPoly),
+        max_size=5))
+    def test_json_text_round_trip(self, terms):
+        # the kernel's flat rows [a, b, d, {laurent}], read like every element's
+        e = QtElement(terms)
+        assert from_json(QtElement, json.loads(json.dumps(e.to_json()))) == e
+
     def test_view_writes_powers_of_x(self):
         # 3 t^2 S_2(x) M L^-1 = 3 t^2 (x^2 - 1) M L^-1; the view merges equal keys
         got = _residual(Operator([(3, 2, 2, 1, -1), (1, 0, 0, 0, 0)]), ONE)
@@ -111,20 +121,28 @@ class TestNormalOrdering:
         P = recurrence_poly(1)
         c, e, *rest = P[0]
         got = _residual(P, ((c, e + 1, *rest), *P[1:]))
-        assert str(got) == "((t^6 - t^7) + (-t^6 + t^7)*x^2) L^4"
+        assert str(got) == "(t^6 - t^7)*L^4 + (-t^6 + t^7)*x^2*L^4"
 
     def test_str_writes_powers_above_one(self):
-        assert str(QtElement({(1, 2, 0): 1, (2, 1, 0): 3})) == "((1)) M L^2 + ((3)) M^2 L"
+        assert str(QtElement({(1, 2, 0): 1, (2, 1, 0): 3})) == "(1)*M*L^2 + (3)*M^2*L"
+
+    def test_monomial_lists_x_then_m_then_l(self):
+        # a power of 1 prints bare, any other as v^k, negatives included;
+        # the key (0, 0, 0) prints nothing
+        assert QtElement._monomial((-1, -3, 3)) == "*x^3*M^-1*L^-3"
+        assert QtElement._monomial((1, 1, 1)) == "*x*M*L"
+        assert QtElement._monomial((0, 0, 0)) == ""
+        assert str(QtElement({(0, 0, 0): t(1, 2), (0, 1, 2): -1})) == "(2*t) + (-1)*x^2*L"
 
     def test_view_of_recurrence_poly_is_pinned(self):
-        # one printed row per M^a L^b, its polynomial in x with d ascending
+        # one printed term and one JSON row per key (a, b, d), in key order
         got = _residual(recurrence_poly(1), ())
         assert str(got) == (
-            "((t^8)) L^3 + ((2*t^6) + (-t^6)*x^2) L^4 + ((t^4)) L^5 + ((t^18)) M^2"
-            " + ((2*t^20) + (-t^20)*x^2) M^2 L + ((t^22)) M^2 L^2")
+            "(t^8)*L^3 + (2*t^6)*L^4 + (-t^6)*x^2*L^4 + (t^4)*L^5 + (t^18)*M^2"
+            " + (2*t^20)*M^2*L + (-t^20)*x^2*M^2*L + (t^22)*M^2*L^2")
         assert json.dumps(got.to_json()).startswith(
-            '{"terms": [[0, 3, [[0, {"t": [[8, "1"]]}]]], '
-            '[0, 4, [[0, {"t": [[6, "2"]]}], [2, {"t": [[6, "-1"]]}]]], ')
+            '{"terms": [[0, 3, 0, {"t": [[8, "1"]]}], '
+            '[0, 4, 0, {"t": [[6, "2"]]}], [0, 4, 2, {"t": [[6, "-1"]]}], ')
 
     def test_view_bytes_are_pinned(self):
         # str and JSON of the views of four operators per p <= 20, in one sha256
@@ -136,7 +154,7 @@ class TestNormalOrdering:
                 view = _residual(op, ())
                 h.update(f"{view}\n{json.dumps(view.to_json())}\n".encode())
         assert h.hexdigest() == (
-            "2d2c7e119aa7856984574d6d32ffbc5d98a5cde9435949526a42330546d24c49")
+            "a76fed851fb6c966a9f671bcb0789a98078ef6eb8b9a375baa04aafdb68841e6")
 
     def test_negative_s_indices_fold(self):
         # S_{-1} = 0 and S_{-j} = -S_{j-2}: equal operators are equal tuples
