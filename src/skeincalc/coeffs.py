@@ -10,9 +10,10 @@ implements, once, accumulation with pruning (:func:`add_into`), addition,
 negation, subtraction, equality, the JSON form (context fields, then term
 rows) and ``*``, which scales every coefficient by an int or a LaurentPoly.
 Each type adds only its key validation and the context two operands must
-share.  :class:`LaurentPoly`, Z[t, t^-1] with int coefficients, is the ground
-ring of every other type, and the one type whose ``*`` also multiplies two
-of its elements.
+share.  :func:`_grouped` is the one step from the library's flat int tables
+to element terms.  :class:`LaurentPoly`, Z[t, t^-1] with int coefficients,
+is the ground ring of every other type, and the one type whose ``*`` also
+multiplies two of its elements.
 
 All types are canonical (zero coefficients are pruned eagerly), immutable by
 convention, and compare by structural equality; comparing, like combining,
@@ -77,8 +78,7 @@ class Sparse:
     def __init__(self, terms: Mapping | None = None):
         clean = {}
         for key, c in (terms or {}).items():
-            key = self._key(key)
-            c = self._coeff(c)
+            key, c = self._key(key), self._coeff(c)
             if c:
                 clean[key] = c
         self.terms = clean
@@ -226,11 +226,22 @@ class LaurentPoly(Sparse):
             else:
                 mag = "" if abs(c) == 1 else f"{abs(c)}*"
                 body = f"{mag}t^{e}" if e != 1 else f"{mag}t"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            sign = ("+ " if c > 0 else "- ") if parts else ("" if c > 0 else "-")
+            parts.append(sign + body)
         return " ".join(parts)
+
+
+_poly = LaurentPoly()._like  # a LaurentPoly of canonical int terms, unchecked
+
+
+def _grouped(table: Mapping[tuple[int, ...], int]) -> dict:
+    """The terms {key: LaurentPoly} of a flat int table (*key, e) -> c for c t^e
+    at key: zero entries dropped, keys in the order of their first nonzero one."""
+    grouped: dict = {}
+    for key, c in table.items():
+        if c:
+            grouped.setdefault(key[:-1], {})[key[-1]] = c
+    return {key: _poly(cs) for key, cs in grouped.items()}
 
 
 def as_laurent(c: LaurentPoly | int) -> LaurentPoly:

@@ -7,12 +7,12 @@ space of triples (m, n, k):
 * ``monomial``:   x^m y^n z^k
 * ``chebyshev``:  S_m(x) S_n(y) S_k(z)
 
-Elements add, subtract and scale by an int or LaurentPoly, and convert
-between the bases with :meth:`HbElement.to_basis`; there is no product of two
-elements.  Int terms c t^e S_m S_n S_k with any integer indices are summed by
-one merge into a flat table (m, n, k, e) -> c, built into an element once;
-:meth:`HbElement.cheb_sum` takes such terms, checked, and
-:mod:`skeincalc.families` builds its own.
+Elements add, subtract and scale by an int or LaurentPoly; there is no
+product of two elements.  Int terms c t^e S_m S_n S_k with any integer
+indices are summed by one merge into a flat table (m, n, k, e) -> c, which
+the kernel's one step makes an element: :meth:`HbElement.cheb_sum` takes
+such terms, checked, :mod:`skeincalc.families` builds its own, and
+:meth:`HbElement.to_basis` converts an element one axis at a time into one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .chebyshev import monomial_to_S, s_to_monomial
-from .coeffs import LaurentPoly, Sparse, add_into, check_key
+from .coeffs import LaurentPoly, Sparse, _grouped, check_key
 
 MONOMIAL = "monomial"
 CHEBYSHEV = "chebyshev"
@@ -53,14 +53,8 @@ def _merge(terms: Iterable[Term]) -> Table:
 
 
 def _element(acc: Table) -> HbElement:
-    """The Chebyshev-basis element of a flat table: the one place its entries
-    are grouped by (m, n, k), zeros dropped and each coefficient built."""
-    grouped: dict[Key, dict[int, int]] = {}
-    for (m, n, k, e), c in acc.items():
-        if c:
-            grouped.setdefault((m, n, k), {})[e] = c
-    like = LaurentPoly()._like
-    return HbElement(CHEBYSHEV)._like({key: like(cs) for key, cs in grouped.items()})
+    """The Chebyshev-basis element of a flat table, by the kernel's one step."""
+    return HbElement(CHEBYSHEV)._like(_grouped(acc))
 
 
 class HbElement(Sparse):
@@ -102,16 +96,15 @@ class HbElement(Sparse):
         """Convert to the requested basis (identity when already there)."""
         if basis == self.basis:
             return self
-        res, table = HbElement(basis), _AXIS_TABLE[basis]
-        out: dict[Key, LaurentPoly] = {}
+        table, acc = _AXIS_TABLE[basis], {}
         for (m, n, k), c in self.terms.items():
-            ys, zs = table(n), table(k)
             for jm, cm in table(m).items():
-                for jn, cn in ys.items():
-                    w = cm * cn
-                    for jk, ck in zs.items():
-                        add_into(out, (jm, jn, jk), c * (w * ck))
-        return res._like(out)
+                for jn, cn in table(n).items():
+                    for jk, ck in table(k).items():
+                        for e, v in c.terms.items():
+                            key = (jm, jn, jk, e)
+                            acc[key] = acc.get(key, 0) + cm * cn * ck * v
+        return HbElement(basis)._like(_grouped(acc))
 
     def _monomial(self, key: Key) -> str:
         if self.basis == MONOMIAL:

@@ -25,11 +25,9 @@ break the annihilation property; the tests pin the distinction down.  The one
 genuinely literal product in the interface is the multiplier
 t^{2p+5} L^{p+2} M, which normal-orders to t^{4p+9} M L^{p+2}.
 
-The operator identities return their residual as a QtElement, a printable
-and JSON view with S_j(x) written back in powers of x: a flat element whose
-key (a, b, d) stands for x^d M^a L^b, with a LaurentPoly coefficient.  It
-prints (coeff)*x^d*M^a*L^b terms and serializes [a, b, d, {laurent}] rows
-in key order, as every element does.
+The operator identities return their residual as a QtElement, a flat table
+(a, b, d, e) -> c for c t^e x^d M^a L^b made an element by the kernel's one
+step; it prints and serializes as every element does.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import functools
 from collections.abc import Iterable
 
 from .chebyshev import s_product, s_to_monomial
-from .coeffs import LaurentPoly, Sparse, check_int, check_key
+from .coeffs import Sparse, _grouped, check_int, check_key
 from .torusknot import Convention, JonesSequence, ReductionRule, TkElement, _context
 
 QtKey = tuple[int, int, int]
@@ -46,13 +44,9 @@ Term = tuple[int, int, int, int, int]
 
 
 class QtElement(Sparse):
-    """Normal-form element of the quantum torus: the view of an operator
-    residual that prints and goes into the JSON report.  It has no product:
-    * takes scalars only, an int or a LaurentPoly.
-
-    A key (a, b, d) stands for x^d M^a L^b, d >= 0, and prints as
-    *x^d*M^a*L^b.
-    """
+    """Normal-form element of the quantum torus, the view of an operator
+    residual: a key (a, b, d), d >= 0, stands for x^d M^a L^b and prints as
+    *x^d*M^a*L^b.  It has no product: * takes an int or a LaurentPoly."""
 
     __slots__ = ()
 
@@ -110,13 +104,13 @@ def _at_t1(P: Operator) -> Operator:
 
 def _residual(A: Operator, B: Operator) -> QtElement:
     """A - B as a QtElement, S_j(x) written back in powers of x."""
-    flat: dict[QtKey, dict[int, int]] = {}
+    acc: dict[tuple[int, int, int, int], int] = {}
     for sign, P in ((1, A), (-1, B)):
         for c, e, j, a, b in P:
             for d, k in s_to_monomial(j).items():
-                lp = flat.setdefault((a, b, d), {})
-                lp[e] = lp.get(e, 0) + sign * c * k
-    return QtElement({key: LaurentPoly(lp) for key, lp in flat.items()})
+                key = (a, b, d, e)
+                acc[key] = acc.get(key, 0) + sign * c * k
+    return QtElement()._like(_grouped(acc))
 
 
 def qt_apply(P: Iterable[Term], f: JonesSequence, n: int) -> TkElement:

@@ -19,12 +19,11 @@ coefficient it produces is a monomial.  JonesSequence.sum takes int terms
 (c, e, i, N) for c t^e S_i(x) f(N), merges them by folded (i, N, e) and
 adds the rows of each surviving f(N), read from the memo once per N, times
 S_i(x) into a flat int table (m, n, e) -> c: the layer's one accumulation
-loop.  S_k(x) f(n) is the single term (1, 0, k, n).
-Tables are added to tables by _add and _add_x2, and _element alone turns a
-table into an element, applying iota under rt.  So each residual is one
+loop.  S_k(x) f(n) is the single term (1, 0, k, n).  Tables are added to
+tables by _add and _add_x2, and _element makes a table an element by the
+kernel's one step, then applies iota under rt.  So each residual is one
 table of both sides' terms, terms that cancel are never reduced, and no
-coefficient object is built before the result.  TkElement has no
-operation of its own: it adds and scales as every Sparse element does.
+coefficient is built before the result; TkElement only adds and scales.
 
 The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity) each return a residual element; a check passes exactly
@@ -56,14 +55,13 @@ import functools
 from collections.abc import Iterable, Mapping
 
 from .chebyshev import s_product
-from .coeffs import LaurentPoly, Sparse, check_int, check_key
+from .coeffs import LaurentPoly, Sparse, _grouped, check_int, check_key
 from .families import _big_x_table, _x1_closed
 
 TkKey = tuple[int, int]
 Row = tuple[int, int, int, int]         # (m, n, e, c): c t^e S_m(x) S_n(y)
 Term = tuple[int, int, int, int]        # (c, e, i, N): c t^e S_i(x) f(N)
 Table = dict[tuple[int, int, int], int]  # (m, n, e) -> c, zeros not yet dropped
-_poly = LaurentPoly()._like  # a LaurentPoly of canonical int terms, unchecked
 
 
 class Convention(enum.Enum):
@@ -186,17 +184,12 @@ class TkElement(Sparse):
 
 
 def _element(p: int, c: Convention, acc: Table) -> TkElement:
-    """The element of a flat table: the one place its entries are grouped by
-    (m, n), zeros dropped and each coefficient built, without re-validation
-    of the checked context (p, c).  Under rt, iota negates the surviving
-    entries of odd n."""
-    iota = c is Convention.RT
-    grouped: dict[TkKey, dict[int, int]] = {}
-    for (m, n, e), v in acc.items():
-        if v:
-            grouped.setdefault((m, n), {})[e] = -v if iota and n & 1 else v
+    """The element of a flat table by the kernel's one step, its checked context
+    (p, c) not re-validated; under rt, iota then negates the terms of odd n."""
     res = object.__new__(TkElement)
-    res._ctx, res.terms = (p, c), {k: _poly(cs) for k, cs in grouped.items()}
+    res._ctx, res.terms = (p, c), _grouped(acc)
+    if c is Convention.RT:
+        res.terms = {key: -cf if key[1] & 1 else cf for key, cf in res.terms.items()}
     return res
 
 

@@ -146,6 +146,8 @@ class TestProducts:
     def test_s_product_rejects_negative(self):
         with pytest.raises(ValueError):
             s_product(-1, 3)
+        with pytest.raises(ValueError, match="monomial degree must be nonnegative"):
+            monomial_to_S(-1)
 
 
 class TestWIdentities:

@@ -179,6 +179,49 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "t1-factor", "--p-max", "1", "--json", "-"],
+        ["expand", "x1t", "-i", "2", "--p", "5"],
+    ])
+    @pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-"])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_or_closed_stderr_exits_2(self, argv, redirect, unbuffered):
+        # the summary or usage line fails on stderr, and so does main's own
+        # message; exit 1 would read as a failed check.  A stream closed at
+        # start fails as a full one: its lines must not go to stdout instead
+        env = {k: v for k, v in _ENV.items() if k != "PYTHONUNBUFFERED"}
+        flags = ["-u"] if unbuffered else []
+        proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable,
+                               *flags, "-m", "skeincalc.cli", *argv],
+                              stdout=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "t1-factor", "--p-max", "1", "--json", "-"],
+        ["expand", "x1t", "-i", "2"],
+    ])
+    def test_stdout_closed_at_start_exits_2_without_traceback(self, argv):
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable,
+                               "-m", "skeincalc.cli", *argv],
+                              stderr=subprocess.PIPE, text=True, env=_ENV, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.endswith("error: cannot write standard output: "
+                                    + os.strerror(errno.EBADF) + "\n")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stderr_leaves_a_stdout_summary_alone(self):
+        # plain verify writes nothing to stderr, so a full stderr changes nothing
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "skeincalc.cli", "verify",
+                                   "--suite", "t1-factor", "--p-max", "1"],
+                                  stdout=subprocess.PIPE, stderr=full, text=True,
+                                  env=_ENV, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("ok   t1-factor")
+
     def test_rejects_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
@@ -190,6 +233,13 @@ class TestVerify:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+    def test_a_suite_without_point_checks_has_no_window(self):
+        # t1-factor runs once per p, whatever --n-max is
+        assert cli._GRID["t1-factor"][0] is None
+        for n_max in (1, 10):
+            assert cli._tasks("t1-factor", 3, n_max) == [("t1_factorization", p, None)
+                                                         for p in (1, 2, 3)]
 
 
 def _t1_fails_and_raises(p, n):

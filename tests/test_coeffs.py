@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import skeincalc
-from skeincalc.coeffs import LaurentPoly, Sparse
+from skeincalc.coeffs import LaurentPoly, Sparse, _grouped, check_key
 from skeincalc.handlebody import CHEBYSHEV, MONOMIAL, HbElement
 from skeincalc.qtorus import QtElement
 from skeincalc.torusknot import Convention, TkElement
@@ -38,6 +38,25 @@ _ELEMENTS = (
     QtElement({(1, -1, 0): t(1), (1, -1, 2): 2}),
 )
 _SCALED = [(_ELEMENTS[0], 3), *((x, s) for x in _ELEMENTS[1:] for s in (3, t(2)))]
+
+
+class _Single(Sparse):
+    """A Sparse type keyed by 1-tuples, the terms of a flat table of width 2."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(key):
+        return check_key(key, 1)
+
+
+# table width -> the checked constructor of an element whose keys are a
+# table's rows less their last field
+_CHECKED = {
+    2: [_Single],
+    3: [lambda terms: TkElement(3, Convention.KBSM, terms)],
+    4: [lambda terms: HbElement(CHEBYSHEV, terms), QtElement],
+}
 
 
 def _scaled(x, s):
@@ -243,6 +262,57 @@ class TestKernelContract:
         assert types >= {LaurentPoly, HbElement, TkElement, QtElement}
         for cls in types - {Sparse, LaurentPoly}:
             assert not {"__str__", "to_json", "_json_rows"} & set(vars(cls)), cls
+
+    @pytest.mark.parametrize("elem", _ELEMENTS[2:])
+    def test_foreign_operands_are_not_combined(self, elem):
+        # + and - with an int or another element type, either way round, raise
+        # TypeError; == and != answer, without raising
+        others = [1, LaurentPoly({0: 1}),
+                  *(x for x in _ELEMENTS[2:] if x.__class__ is not elem.__class__)]
+        for other in others:
+            for op in (lambda a, b: a + b, lambda a, b: b + a,
+                       lambda a, b: a - b, lambda a, b: b - a):
+                with pytest.raises(TypeError):
+                    op(elem, other)
+            assert (elem == other) is False
+            assert (elem != other) is True
+            assert (other == elem) is False
+
+    def test_repr_names_the_type(self):
+        assert repr(LaurentPoly({4: -1, -2: 3})) == "LaurentPoly('3*t^-2 - t^4')"
+        assert repr(_ELEMENTS[4]) == "TkElement('(4)*1 + (t)*S1(x)*S2(y)')"
+
+    def test_nonconstant_hash_is_by_terms(self):
+        a, b = LaurentPoly({1: 2, -3: 1}), LaurentPoly({-3: 1, 1: 2})
+        assert hash(a) == hash(b)
+        assert len({a, b, LaurentPoly({1: 2}), t(1)}) == 3
+
+    def test_grouped_keys_by_every_field_but_the_last(self):
+        # zero entries are dropped, and a key whose entries all cancel is absent
+        got = _grouped({(1, 2, 5): 3, (0, 0, 1): 0, (1, 2, 6): 0, (2, 0, 0): 0,
+                        (1, 2, -1): -1, (0, 4, 2): 7})
+        assert got == {(1, 2): LaurentPoly({5: 3, -1: -1}), (0, 4): LaurentPoly({2: 7})}
+        assert [c.__class__ for c in got.values()] == [LaurentPoly, LaurentPoly]
+        assert list(got[(1, 2)].terms) == [5, -1]
+        assert _grouped({}) == {}
+        assert _grouped({(0, 0): 0}) == {}
+
+    @pytest.mark.parametrize("width", sorted(_CHECKED))
+    @given(data=st.data())
+    def test_grouped_is_the_checked_constructor(self, width, data):
+        # on random tables, zero entries and all-zero keys among them: the
+        # kernel's step gives the terms the checked constructor builds, each
+        # key in the order of its first nonzero entry
+        table = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * width),
+                                          st.integers(-2, 2), max_size=12))
+        rows: dict = {}
+        for key, c in table.items():
+            rows.setdefault(key[:-1], {})[key[-1]] = c
+        for build in _CHECKED[width]:
+            want = build({key: LaurentPoly(cs) for key, cs in rows.items()})
+            got = want._like(_grouped(table))
+            assert got == want
+            assert list(got.terms) == list(dict.fromkeys(k[:-1] for k, c in table.items() if c))
 
     def test_bool_counts_as_int(self):
         assert LaurentPoly({0: True}) == 1

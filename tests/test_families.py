@@ -121,6 +121,8 @@ class TestClosedForms:
             x1_T_closed(-1)
         with pytest.raises(ValueError):
             y1_T_closed(-2)
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            big_x_closed(-1)
 
 
 class TestBigX:
