@@ -96,6 +96,8 @@ class HbElement(Sparse):
         """Convert to the requested basis (identity when already there)."""
         if basis == self.basis:
             return self
+        if basis not in (MONOMIAL, CHEBYSHEV):
+            raise ValueError(f"unknown basis {basis!r}")
         table, acc = _AXIS_TABLE[basis], {}
         for (m, n, k), c in self.terms.items():
             for jm, cm in table(m).items():

@@ -19,9 +19,10 @@ coefficient it produces is a monomial.  JonesSequence.sum takes int terms
 (c, e, i, N) for c t^e S_i(x) f(N), merges them by folded (i, N, e) and
 adds the rows of each surviving f(N), read from the memo once per N, times
 S_i(x) into a flat int table (m, n, e) -> c: the layer's one accumulation
-loop.  S_k(x) f(n) is the single term (1, 0, k, n).  Tables are added to
-tables by _add and _add_x2, and _element makes a table an element by the
-kernel's one step, then applies iota under rt.  So each residual is one
+loop.  S_k(x) f(n) is the single term (1, 0, k, n).  Only kept tables drop
+zeros, a window as _add_x2 steps it and _embedded_rest's cached rests; _add
+adds a window to a residual's transient table, whose zeros _element drops
+by the kernel's one step before iota under rt.  So each residual is one
 table of both sides' terms, terms that cancel are never reduced, and no
 coefficient is built before the result; TkElement only adds and scales.
 
@@ -35,9 +36,10 @@ Every running sum of the layer is a window of one weighted sequence,
 U(lo, hi) = sum_{N=lo}^{hi} t^{-2N} f(N), oriented so that
 U(a, b) + U(b+1, c) = U(a, c) for all a, b, c.  So one window reaches
 another by the powers that enter and leave at its two ends, _step_terms.
-_window keeps x^2 U of the latest [lo, hi] per (p, rule, convention, slot),
-and steps it when that reduces fewer powers than a fresh build.  Additivity
-holds for every sequence f, so under every rule.  The induction identity's
+_window keeps x^2 U of the latest [lo, hi] per (p, rule, convention, slot)
+and steps it, or steps the empty window [lo, lo-1] when that reduces fewer
+powers: a fresh window is the step from the empty one.  Additivity holds
+for every sequence f, so under every rule.  The induction identity's
 x^2 A_n is one window, and the telescope's A_{n+1} - t^2 A_n is one step of
 the window of A_n.  The handle slide compares images im(h) of handlebody
 elements, z sent to x and every S_N(y) reduced, and builds no handlebody
@@ -230,8 +232,7 @@ class JonesSequence:
         >>> str(f.sum([(1, 0, 0, -4), (1, 0, 0, 2)]))
         '0'
         """
-        return self._sum([(check_int(c), check_int(e), check_int(i), check_int(N))
-                          for c, e, i, N in terms])
+        return self._sum([check_key(term, 4) for term in terms])
 
     def _sum(self, terms: Iterable[Term]) -> TkElement:
         """sum without checking the terms, for callers that built them from checked ints."""
@@ -340,22 +341,19 @@ def _window(f: JonesSequence, slot: str, lo: int, hi: int) -> Table:
 
     Only the latest [lo, hi] is kept per (p, rule, convention, slot), the
     convention too as one rule serves both: under a rule for which an
-    identity fails, a window can have O(n^2) entries.  The window [lo', hi']
-    kept is brought to [lo, hi] in place by its _step_terms when those
-    reduce fewer powers than U(lo, hi); else U(lo, hi) is built afresh.
-    Additivity holds for every sequence f, so under every rule, and x^2
-    touches only the powers that enter.  The table returned is the one
+    identity fails, a window can have O(n^2) entries.  The window kept is
+    brought to [lo, hi] in place by its _step_terms, or reset to the empty
+    window [lo, lo-1], whose step is U(lo, hi), when that reduces fewer
+    powers.  Additivity holds for every sequence f, so under every rule, and
+    x^2 touches only the powers that enter.  The table returned is the one
     kept, so the next call of its slot changes it.
     """
     key = (f.p, f.rule, f.convention, slot)
-    # no entry yet reads as the empty window [lo, lo-1], which never steps;
     # the slot is out while it steps, so a step that raises leaves it empty
     (lo0, hi0), table = _windows.pop(key, ((lo, lo - 1), {}))
-    if abs(hi - hi0) + abs(lo - lo0) < abs(hi - lo + 1):
-        terms = _step_terms(lo0, hi0, lo, hi, 0)
-    else:
-        table, terms = {}, _u_terms(lo, hi, 0, 1)
-    _add(table, _add_x2({}, f._table(terms)), {0: 1})
+    if abs(hi - hi0) + abs(lo - lo0) >= abs(hi - lo + 1):
+        (lo0, hi0), table = (lo, lo - 1), {}
+    _add_x2(table, f._table(_step_terms(lo0, hi0, lo, hi, 0)))
     _windows[key] = ((lo, hi), table)
     return table
 
@@ -389,34 +387,28 @@ def _big_x_rest(p: int) -> tuple[Term, ...]:
     return _embedded_rest(_big_x_table(2 * p), _x2(_u_terms(0, 2 * p - 2, -2, -2)))
 
 
-def _add(acc: Table, table: Table, scalar: Mapping[int, int]) -> Table:
-    """acc += scalar * table in place, the scalar given by its terms {e: c},
-    dropping the entries that cancel; returns acc."""
-    get = acc.get
-    for se, sc in scalar.items():
-        for (m, n, e), c in table.items():
-            key = (m, n, e + se)
-            c = get(key, 0) + sc * c
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
-    return acc
-
-
-def _add_x2(acc: Table, table: Table) -> Table:
-    """acc += x^2 * table, by x^2 S_m(x) = S_{m+2}(x) + 2 S_m(x) + S_{m-2}(x),
-    which is S_3 + 2 S_1 at m = 1 and S_2 + S_0 at m = 0; returns acc."""
+def _add(acc: Table, table: Table, se: int, sc: int) -> None:
+    """acc += sc t^se table in place, zeros kept: acc is a residual's
+    transient table, whose zeros _element drops."""
     get = acc.get
     for (m, n, e), c in table.items():
-        key = (m + 2, n, e)
-        acc[key] = get(key, 0) + c
-        key = (m, n, e)
-        acc[key] = get(key, 0) + (c if m == 0 else 2 * c)
-        if m >= 2:
-            key = (m - 2, n, e)
-            acc[key] = get(key, 0) + c
-    return acc
+        key = (m, n, e + se)
+        acc[key] = get(key, 0) + sc * c
+
+
+def _add_x2(acc: Table, table: Table) -> None:
+    """acc += x^2 * table in place, by x^2 S_m(x) = S_{m+2}(x) + 2 S_m(x) + S_{m-2}(x),
+    which is S_3 + 2 S_1 at m = 1 and S_2 + S_0 at m = 0, dropping the
+    entries that cancel: acc is a kept window."""
+    get = acc.get
+    for (m, n, e), c in table.items():
+        for mf, cf in (m + 2, c), (m, c if m == 0 else 2 * c), (m - 2, c if m >= 2 else 0):
+            key = (mf, n, e)
+            cf += get(key, 0)
+            if cf:
+                acc[key] = cf
+            else:
+                acc.pop(key, None)
 
 
 def handle_slide_residual(p: int, n: int,
@@ -453,8 +445,8 @@ def handle_slide_residual(p: int, n: int,
     J = 2 * p - 2
     acc = f._table(list(_x1_rest(n))
                    + [(-c, e, i, N + s) for c, e, i, N in _big_x_rest(p) for s in (n, -n)])
-    _add(acc, _window(f, "slide+", -n, n + J), {2 * n - 2: 2})
-    _add(acc, _window(f, "slide-", n, J - n), {-2 * n - 2: 2})
+    _add(acc, _window(f, "slide+", -n, n + J), 2 * n - 2, 2)
+    _add(acc, _window(f, "slide-", n, J - n), -2 * n - 2, 2)
     return _element(p, f.convention, acc)
 
 
@@ -497,6 +489,6 @@ def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
     f = JonesSequence(p, c, rule)
     p, n = f.p, check_int(n)
     acc = f._table(_y_terms(f, 2 * p + 2 * n - 2, 0, 1) + _y_terms(f, 2 * p + 2 * n - 4, 0, 1))
-    _add(acc, _window(f, "induction", 1 - abs(n), n + 2 * p - 2),
-         {2 * p - 1: 1 if (p + n) % 2 else -1})
+    _add(acc, _window(f, "induction", 1 - abs(n), n + 2 * p - 2), 2 * p - 1,
+         1 if (p + n) % 2 else -1)
     return _element(p, f.convention, acc)

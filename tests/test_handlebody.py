@@ -59,6 +59,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             HbElement(MONOMIAL, {(0, -1, 0): t(0)})
 
+    @pytest.mark.parametrize("bad", ["bogus", None, "", ["monomial"]])
+    def test_unknown_basis_raises_value_error(self, bad):
+        # the constructor and the conversion, from each basis, reject it alike
+        with pytest.raises(ValueError, match="unknown basis"):
+            HbElement(bad)
+        for basis in (MONOMIAL, CHEBYSHEV):
+            with pytest.raises(ValueError, match="unknown basis"):
+                HbElement(basis, {(2, 1, 0): 1}).to_basis(bad)
+
     def test_mixed_basis_addition_rejected(self):
         with pytest.raises(ValueError):
             HbElement(MONOMIAL, {(0, 0, 0): 1}) + HbElement(CHEBYSHEV, {(0, 0, 0): 1})

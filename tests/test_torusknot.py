@@ -432,6 +432,12 @@ class TestTermContract:
         with pytest.raises(TypeError):
             f(3.0)
 
+    @pytest.mark.parametrize("term", [(1, 0, 0), (1, 0, 0, 2, 0), 3, [1, 0, 0, 2]])
+    def test_malformed_term_raises(self, term):
+        # a term is a tuple of four ints, as cheb_sum's and Operator's are of five
+        with pytest.raises(TypeError, match="key of 4 ints"):
+            JonesSequence(2, KBSM).sum([term])
+
     def test_float_parameters_raise(self):
         with pytest.raises(TypeError):
             relation_residual(2, 1.0, KBSM)
