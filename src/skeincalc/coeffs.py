@@ -211,8 +211,6 @@ class LaurentPoly(Sparse):
                 add_into(out, e1 + e2, c1 * c2)
         return self._like(out)
 
-    __rmul__ = __mul__
-
     def to_json(self) -> dict:
         return {"t": self._json_rows()}
 

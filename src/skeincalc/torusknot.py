@@ -20,11 +20,11 @@ coefficient it produces is a monomial.  JonesSequence.sum takes int terms
 adds the rows of each surviving f(N), read from the memo once per N, times
 S_i(x) into a flat int table (m, n, e) -> c: the layer's one accumulation
 loop.  S_k(x) f(n) is the single term (1, 0, k, n).  Only kept tables drop
-zeros, a window as _add_x2 steps it and _embedded_rest's cached rests; _add
-adds a window to a residual's transient table, whose zeros _element drops
-by the kernel's one step before iota under rt.  So each residual is one
-table of both sides' terms, terms that cancel are never reduced, and no
-coefficient is built before the result; TkElement only adds and scales.
+zeros, a window as _add_x2 steps it and _embedded_rest's cached rests; a
+residual's transient table leaves them to _element, the kernel's one step
+before iota under rt.  So each residual is one table of both sides' terms,
+terms that cancel are never reduced, and no coefficient is built before
+the result; TkElement only adds and scales.
 
 The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity) each return a residual element; a check passes exactly
@@ -36,9 +36,9 @@ Every running sum of the layer is a window of one weighted sequence,
 U(lo, hi) = sum_{N=lo}^{hi} t^{-2N} f(N), oriented so that
 U(a, b) + U(b+1, c) = U(a, c) for all a, b, c.  So one window reaches
 another by the powers that enter and leave at its two ends, _step_terms.
-_window keeps x^2 U of the latest [lo, hi] per (p, rule, convention, slot)
-and steps it, or steps the empty window [lo, lo-1] when that reduces fewer
-powers: a fresh window is the step from the empty one.  Additivity holds
+_window steps x^2 U of the latest [lo, hi] per (p, rule, convention, slot),
+or of the empty window [lo, lo-1] when that reduces fewer powers, and adds
+it to a residual's table: no caller holds the kept one.  Additivity holds
 for every sequence f, so under every rule.  The induction identity's
 x^2 A_n is one window, and the telescope's A_{n+1} - t^2 A_n is one step of
 the window of A_n.  The handle slide compares images im(h) of handlebody
@@ -336,8 +336,8 @@ def _step_terms(lo0: int, hi0: int, lo: int, hi: int, e: int) -> list[Term]:
     return _u_terms(hi0 + 1, hi, e, 1) + _u_terms(lo0, lo - 1, e, -1)
 
 
-def _window(f: JonesSequence, slot: str, lo: int, hi: int) -> Table:
-    """x^2 U(lo, hi) as a table, zeros dropped, with x^2 = S_2(x) + S_0(x).
+def _window(acc: Table, f: JonesSequence, slot: str, lo: int, hi: int, se: int, sc: int) -> None:
+    """acc += sc t^se x^2 U(lo, hi) in place, zeros kept, with x^2 = S_2(x) + S_0(x).
 
     Only the latest [lo, hi] is kept per (p, rule, convention, slot), the
     convention too as one rule serves both: under a rule for which an
@@ -345,8 +345,7 @@ def _window(f: JonesSequence, slot: str, lo: int, hi: int) -> Table:
     brought to [lo, hi] in place by its _step_terms, or reset to the empty
     window [lo, lo-1], whose step is U(lo, hi), when that reduces fewer
     powers.  Additivity holds for every sequence f, so under every rule, and
-    x^2 touches only the powers that enter.  The table returned is the one
-    kept, so the next call of its slot changes it.
+    x^2 touches only the powers that enter; the kept table never leaves here.
     """
     key = (f.p, f.rule, f.convention, slot)
     # the slot is out while it steps, so a step that raises leaves it empty
@@ -355,7 +354,10 @@ def _window(f: JonesSequence, slot: str, lo: int, hi: int) -> Table:
         (lo0, hi0), table = (lo, lo - 1), {}
     _add_x2(table, f._table(_step_terms(lo0, hi0, lo, hi, 0)))
     _windows[key] = ((lo, hi), table)
-    return table
+    get = acc.get
+    for (m, n, e), c in table.items():
+        k = (m, n, e + se)
+        acc[k] = get(k, 0) + sc * c
 
 
 def _x2(terms: Iterable[Term]) -> list[Term]:
@@ -385,15 +387,6 @@ def _big_x_rest(p: int) -> tuple[Term, ...]:
     """im(bar X_{2p}), less -2 t^{-2} x^2 U(0, 2p-2); X_{2p} is read
     off the recursion's table memo, which no caller of big_x can change."""
     return _embedded_rest(_big_x_table(2 * p), _x2(_u_terms(0, 2 * p - 2, -2, -2)))
-
-
-def _add(acc: Table, table: Table, se: int, sc: int) -> None:
-    """acc += sc t^se table in place, zeros kept: acc is a residual's
-    transient table, whose zeros _element drops."""
-    get = acc.get
-    for (m, n, e), c in table.items():
-        key = (m, n, e + se)
-        acc[key] = get(key, 0) + sc * c
 
 
 def _add_x2(acc: Table, table: Table) -> None:
@@ -445,8 +438,8 @@ def handle_slide_residual(p: int, n: int,
     J = 2 * p - 2
     acc = f._table(list(_x1_rest(n))
                    + [(-c, e, i, N + s) for c, e, i, N in _big_x_rest(p) for s in (n, -n)])
-    _add(acc, _window(f, "slide+", -n, n + J), 2 * n - 2, 2)
-    _add(acc, _window(f, "slide-", n, J - n), -2 * n - 2, 2)
+    _window(acc, f, "slide+", -n, n + J, 2 * n - 2, 2)
+    _window(acc, f, "slide-", n, J - n, -2 * n - 2, 2)
     return _element(p, f.convention, acc)
 
 
@@ -458,7 +451,8 @@ def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
     is t^{2n+2} times one step of that window: two _step_terms,
     t^{4-4p} f(n+2p-1) + t^{4n+2} f(-n) for n >= 0.  One JonesSequence sum
     adds those to minus the right side's two basis terms: no A_n is built,
-    and no defining term of one is.
+    and no defining term of one is.  The identity holds for n >= 0; at n < 0
+    the residual is the same difference of the defining sums, and not zero.
     The t-exponent on the right is 2n-2p+3, one higher than a naive
     bookkeeping of the defining sums suggests; the zero residual over the
     acceptance grid is what certifies the exponent.
@@ -484,11 +478,11 @@ def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
     one _window, kept per (p, rule, convention): a sweep over n ascending
     reduces two powers per n, not 2n+2p-2, under every rule, mutants included.
     The identity being checked, which does depend on the rule, is still
-    checked in full at every n.
+    checked in full at every n.  It holds for n >= 0; at n < 0 the residual
+    is the difference of the defining sums, and not zero.
     """
     f = JonesSequence(p, c, rule)
     p, n = f.p, check_int(n)
     acc = f._table(_y_terms(f, 2 * p + 2 * n - 2, 0, 1) + _y_terms(f, 2 * p + 2 * n - 4, 0, 1))
-    _add(acc, _window(f, "induction", 1 - abs(n), n + 2 * p - 2), 2 * p - 1,
-         1 if (p + n) % 2 else -1)
+    _window(acc, f, "induction", 1 - abs(n), n + 2 * p - 2, 2 * p - 1, 1 if (p + n) % 2 else -1)
     return _element(p, f.convention, acc)

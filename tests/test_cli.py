@@ -90,12 +90,17 @@ class TestVerify:
 
     def test_failing_check_reports_its_residual(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._CHECKS, "t1_factorization", lambda p, n: L_AT_T1)
-        code, out, _ = run(capsys, ["verify", "--suite", "t1-factor",
-                                    "--p-max", "1", "--json", "-"])
+        code, out, err = run(capsys, ["verify", "--suite", "t1-factor",
+                                      "--p-max", "1", "--json", "-"])
         assert code == 1
         row = json.loads(out[out.index("{\n"):])["checks"][0]
         assert row["pass"] is False
         assert row["residual"] == L_AT_T1_JSON
+        # the summary on stderr names the suite, the check and its residual
+        lines = err.splitlines()
+        assert lines[0].startswith("FAIL t1-factor    0/1 checks passed ("), err
+        assert lines[1:] == ["     FAIL t1_factorization p=1",
+                             f"          residual: {json.dumps(L_AT_T1_JSON)}"]
 
     def test_raising_check_is_recorded(self, capsys, monkeypatch):
         def boom(p, n):
@@ -112,8 +117,14 @@ class TestVerify:
         assert rows[1] == {"check": "t1_factorization", "p": 2, "n": None,
                            "pass": False, "error": "ZeroDivisionError: no inverse",
                            "residual": None}
-        # the summary lines go to stderr, as the report takes stdout
-        assert "error: ZeroDivisionError: no inverse" in err
+        # the summary lines go to stderr, as the report takes stdout, and so
+        # does the traceback of the check that raised
+        assert "Traceback (most recent call last)" in err
+        lines = err.splitlines()
+        status = next(line for line in lines if line.startswith("FAIL "))
+        assert status.startswith("FAIL t1-factor    2/3 checks passed ("), err
+        assert lines[lines.index(status) + 1:] == [
+            "     FAIL t1_factorization p=2", "          error: ZeroDivisionError: no inverse"]
 
     def test_import_leaves_the_process_pool_unloaded(self):
         # verify runs in one process, so nothing loads concurrent.futures

@@ -96,6 +96,10 @@ class TestLaurentPoly:
         assert a * (b + c) == a * b + a * c
         assert a * t(0) == a
         assert (a + LaurentPoly()) == a
+        # an int on the left, as sum() starts from 0
+        assert 3 + a == a + 3
+        assert 3 * a == a * 3
+        assert sum([a, b, c]) == a + b + c
 
     @given(laurents, laurents)
     def test_bar_is_ring_involution(self, a, b):

@@ -161,6 +161,13 @@ class TestNormalOrdering:
         assert Operator([(1, 0, -3, 0, 1)]) == Operator([(-1, 0, 1, 0, 1)])
         assert Operator([(5, 0, -1, 0, 0)]) == ()
         assert qt_mul(Operator([(1, 0, -3, 0, 1)]), M) == ((-1, 2, 1, 1, 1),)
+        # raw terms are folded too, and a generator operand is read once
+        assert qt_mul([(1, 0, -3, 0, 1)], M) == ((-1, 2, 1, 1, 1),)
+        A = Operator([(1, 0, 1, 0, 1), (2, 1, 0, 1, 0)])
+        B = Operator([(1, 0, 0, 1, 0), (-1, 2, 2, 0, 1)])
+        assert qt_mul((term for term in A), (term for term in B)) == qt_mul(A, B)
+        assert qt_mul(A, B) == ((-2, 3, 2, 1, 1), (-1, 2, 1, 0, 2), (-1, 2, 3, 0, 2),
+                                (1, 2, 1, 1, 1), (2, 1, 0, 2, 0))
 
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-6, 6),
                               st.integers(-2, 2), st.integers(-2, 2)), max_size=4))

@@ -505,7 +505,7 @@ class TestHandleSlide:
         torusknot._windows.clear()
         with pytest.raises(TypeError, match=r"2\.0"):
             handle_slide_residual(1, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="handle slide index"):
             handle_slide_residual(1, -1)
         with pytest.raises(TypeError):
             handle_slide_residual(1.0, 2)
@@ -758,7 +758,8 @@ class TestWindows:
         # a seeded walk of small moves and jumps, empty and reversed windows
         # among them, each window reached from the last where that is
         # cheaper than a fresh build: every table is x^2 U
-        # as element arithmetic, with no zero entry
+        # as element arithmetic, with no zero entry, and is added to the
+        # residual's table, never handed out
         f = JonesSequence(2, KBSM, rule)
         rng = random.Random(12)
         torusknot._windows.clear()
@@ -768,10 +769,13 @@ class TestWindows:
                 lo, hi = rng.randint(-8, 8), rng.randint(-8, 8)
             else:
                 lo, hi = lo + rng.randint(-2, 2), hi + rng.randint(-2, 2)
-            table = _window(f, "walk", lo, hi)
+            acc = {}
+            _window(acc, f, "walk", lo, hi, 0, 1)
+            table = kept_window()
             u = f.sum(_u_terms(lo, hi, 0, 1))
             assert torusknot._element(2, KBSM, table) == times_sx(u, 2) + u, (lo, hi)
             assert all(table.values()), (lo, hi)
+            assert acc == table and acc is not table, (lo, hi)
             seen.add("stepped" if table is kept else "built")
             seen.add("empty" if hi == lo - 1 else "reversed" if hi < lo - 1 else "forward")
             kept = table
