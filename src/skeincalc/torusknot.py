@@ -12,7 +12,9 @@ reduction rule; two rule conventions are supported and never mixed:
 for n >= 1, with negative indices folded by S_{-n} = -S_{n-2} first.  The
 rt rule is the kbsm rule under y -> -y: with iota the sign map
 S_m(x) S_n(y) -> (-1)^n S_m(x) S_n(y), f_rt(N) = (-1)^N iota(f_kbsm(N)), so
-one ReductionRule, read in the kbsm picture, and one memo serve both.
+one ReductionRule, read in the kbsm picture, and one memo serve both.  rt
+enters only as the (-1)^N of an rt sequence's sums and as _element's iota:
+every residual is a kbsm table, mapped to rt by that iota.
 Each application strictly lowers the offending y-index, so reduction is one
 loop down the chain N -> p-n-1, memoised as int rows (m, n, e, sign): every
 coefficient it produces is a monomial.  JonesSequence.sum takes int terms
@@ -21,10 +23,9 @@ adds the rows of each surviving f(N), read from the memo once per N, times
 S_i(x) into a flat int table (m, n, e) -> c: the layer's one accumulation
 loop.  S_k(x) f(n) is the single term (1, 0, k, n).  Only kept tables drop
 zeros, a window as _add_x2 steps it and _embedded_rest's cached rests; a
-residual's transient table leaves them to _element, the kernel's one step
-before iota under rt.  So each residual is one table of both sides' terms,
-terms that cancel are never reduced, and no coefficient is built before
-the result; TkElement only adds and scales.
+residual's transient table leaves them to _element.  So each residual is
+one table of both sides' terms, terms that cancel are never reduced, and no
+coefficient is built before the result; TkElement only adds and scales.
 
 The checks at the bottom of the module (handle slide, telescoping sum,
 induction identity) each return a residual element; a check passes exactly
@@ -36,17 +37,14 @@ Every running sum of the layer is a window of one weighted sequence,
 U(lo, hi) = sum_{N=lo}^{hi} t^{-2N} f(N), oriented so that
 U(a, b) + U(b+1, c) = U(a, c) for all a, b, c.  So one window reaches
 another by the powers that enter and leave at its two ends, _step_terms.
-_window steps x^2 U of the latest [lo, hi] per (p, rule, convention, slot),
-or of the empty window [lo, lo-1] when that reduces fewer powers, and adds
-it to a residual's table: no caller holds the kept one.  Additivity holds
-for every sequence f, so under every rule.  The induction identity's
-x^2 A_n is one window, and the telescope's A_{n+1} - t^2 A_n is one step of
-the window of A_n.  The handle slide compares images im(h) of handlebody
-elements, z sent to x and every S_N(y) reduced, and builds no handlebody
-element: each side's image is a few head terms plus geometric k-sums of f,
-two windows.  The rest of each side is read off the families' own int
-tables (m, n, k, e) -> c, so the residual stays the image of the difference
-of the two sides even if a family changes.
+_window steps x^2 U of the latest [lo, hi] per (p, rule, slot), a kbsm
+table that serves both conventions, or of the empty window [lo, lo-1] when
+that reduces fewer powers, and adds it to a residual's table: no caller
+holds the kept one.  Additivity holds for every sequence f, so under every
+rule.  The induction identity's x^2 A_n is one window, and the telescope's
+A_{n+1} - t^2 A_n is one step of the window of A_n.  The handle slide
+builds no handlebody element: each side's image is a few terms, read off
+the families' own int tables, plus geometric k-sums of f, two windows.
 """
 
 from __future__ import annotations
@@ -83,11 +81,11 @@ class ReductionRule:
                           (s_pm1_sign * t * S_{p-1}(y) + s_p_sign * t^{-1} * S_p(y))
                       + tail_sign * t^{4n+2} S_{p-n-1}(y)
 
-    for n >= 1.  Under rt it rewrites by the slot map: no (-1)^n, and
-    s_pm1_sign and tail_sign negated, which is the kbsm rewriting under
-    y -> -y.  Each sign is an int +1 or -1, else TypeError or ValueError.  A
-    rule is part of every memo key of the module, so its hash is computed
-    once, kept outside the fields.
+    for n >= 1.  Under rt it is that rewriting under y -> -y, the slot map:
+    no (-1)^n, and s_pm1_sign and tail_sign negated; no code applies the
+    map, as rt results are iota of kbsm ones.  Each sign is an int +1 or -1,
+    else TypeError or ValueError.  A rule is part of every memo key of the
+    module, so its hash is computed once, kept outside the fields.
     """
 
     lead_sign: int
@@ -288,36 +286,34 @@ def _merge(terms: Iterable[Term]) -> dict[tuple[int, int, int], int]:
 
 
 def _y_terms(f: JonesSequence, i: int, e: int, s: int) -> list[Term]:
-    """s t^e S_i(x) Y as int terms of f.sum, Y = t S_{p-1}(y) + t^{-1} S_p(y)
-    the bracket of the rule, signs from its slots; the rt slot map negates
-    s_pm1_sign."""
-    s_pm1 = -s if f.convention is Convention.RT else s
-    return [(s_pm1 * f.rule.s_pm1_sign, e + 1, i, f.p - 1), (s * f.rule.s_p_sign, e - 1, i, f.p)]
+    """s t^e S_i(x) Y as int terms of a kbsm f.sum, Y = t S_{p-1}(y) + t^{-1} S_p(y)
+    the bracket of the rule, signs from its slots."""
+    return [(s * f.rule.s_pm1_sign, e + 1, i, f.p - 1), (s * f.rule.s_p_sign, e - 1, i, f.p)]
 
 
 def relation_residual(p: int, n: int, c: Convention,
                       rule: ReductionRule | None = None) -> TkElement:
     """Residual of the defining relation, pushed through the reduction.
 
-    The relation solved by the reduction is
+    The relation solved by the kbsm reduction is
     t^{-2n-1} S_{p+n}(y) - tail_sign t^{2n+1} S_{p-n-1}(y)
-      = lead_sign a(n) S_{2n}(x) (s_pm1_sign t S_{p-1}(y) + s_p_sign t^{-1} S_p(y)),
-    with a(n) = (-1)^n under kbsm, and under rt a(n) = 1 and the slot map
-    of ReductionRule applied.  Near-tautological for n >= 1 by construction;
-    the negative-n window checks the index-folding conventions agree with
-    it.  Both sides are one sum.
+      = lead_sign (-1)^n S_{2n}(x) (s_pm1_sign t S_{p-1}(y) + s_p_sign t^{-1} S_p(y)),
+    and the rt one is it under the slot map of ReductionRule.  Both sides
+    are one kbsm sum, negated under rt when p+n is odd: the rt residual is
+    (-1)^{p+n} iota of the kbsm one.  Near-tautological for n >= 1 by
+    construction; the negative-n window checks the index-folding conventions
+    agree with it.
     """
-    f = JonesSequence(p, c, rule)
+    f, c = JonesSequence(p, Convention.KBSM, rule), _context(p, c)[1]
     p, n, r = f.p, check_int(n), f.rule
-    rt = f.convention is Convention.RT
-    lead = -r.lead_sign if n % 2 and not rt else r.lead_sign
-    minus_tail = r.tail_sign if rt else -r.tail_sign
-    return f._sum([(1, -2 * n - 1, 0, p + n), (minus_tail, 2 * n + 1, 0, p - n - 1)]
-                  + _y_terms(f, 2 * n, 0, -lead))
+    s = -1 if c is Convention.RT and (p + n) % 2 else 1
+    terms = [(s, -2 * n - 1, 0, p + n), (-s * r.tail_sign, 2 * n + 1, 0, p - n - 1)]
+    terms += _y_terms(f, 2 * n, 0, (s if n % 2 else -s) * r.lead_sign)
+    return _element(p, c, f._table(terms))
 
 
-# (p, rule, convention, slot) -> ((lo, hi), x^2 U(lo, hi)): each slot's latest window
-_windows: dict[tuple[int, ReductionRule, Convention, str], tuple[tuple[int, int], Table]] = {}
+# (p, rule, slot) -> ((lo, hi), x^2 U(lo, hi)): each slot's latest kbsm window
+_windows: dict[tuple[int, ReductionRule, str], tuple[tuple[int, int], Table]] = {}
 
 
 def _u_terms(lo: int, hi: int, e: int, s: int) -> list[Term]:
@@ -339,15 +335,15 @@ def _step_terms(lo0: int, hi0: int, lo: int, hi: int, e: int) -> list[Term]:
 def _window(acc: Table, f: JonesSequence, slot: str, lo: int, hi: int, se: int, sc: int) -> None:
     """acc += sc t^se x^2 U(lo, hi) in place, zeros kept, with x^2 = S_2(x) + S_0(x).
 
-    Only the latest [lo, hi] is kept per (p, rule, convention, slot), the
-    convention too as one rule serves both: under a rule for which an
-    identity fails, a window can have O(n^2) entries.  The window kept is
+    Only the latest [lo, hi] is kept per (p, rule, slot), f being kbsm, so
+    one window serves both conventions: under a rule for which an identity
+    fails, a window can have O(n^2) entries.  The window kept is
     brought to [lo, hi] in place by its _step_terms, or reset to the empty
     window [lo, lo-1], whose step is U(lo, hi), when that reduces fewer
     powers.  Additivity holds for every sequence f, so under every rule, and
     x^2 touches only the powers that enter; the kept table never leaves here.
     """
-    key = (f.p, f.rule, f.convention, slot)
+    key = (f.p, f.rule, slot)
     # the slot is out while it steps, so a step that raises leaves it empty
     (lo0, hi0), table = _windows.pop(key, ((lo, lo - 1), {}))
     if abs(hi - hi0) + abs(lo - lo0) >= abs(hi - lo + 1):
@@ -455,13 +451,15 @@ def telescope_residual(p: int, n: int, c: Convention = Convention.KBSM,
     the residual is the same difference of the defining sums, and not zero.
     The t-exponent on the right is 2n-2p+3, one higher than a naive
     bookkeeping of the defining sums suggests; the zero residual over the
-    acceptance grid is what certifies the exponent.
+    acceptance grid is what certifies the exponent.  Under rt the residual
+    is the kbsm one's iota image: the identity with (-1)^p on the right, Y
+    read by the slot map and each f(N) of A_n weighted by (-1)^N.
     """
-    f = JonesSequence(p, c, rule)
+    f, c = JonesSequence(p, Convention.KBSM, rule), _context(p, c)[1]
     p, n = f.p, check_int(n)
     sign = -1 if (p + n - 1) % 2 else 1
     step = _step_terms(1 - abs(n), n + 2 * p - 2, 1 - abs(n + 1), n + 2 * p - 1, 2 * n + 2)
-    return f._sum(step + _y_terms(f, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
+    return _element(p, c, f._table(step + _y_terms(f, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign)))
 
 
 def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
@@ -475,14 +473,16 @@ def induction_residual(p: int, n: int, c: Convention = Convention.KBSM,
 
         A_n = t^{2n} U(1-|n|, n+2p-2),
 
-    one _window, kept per (p, rule, convention): a sweep over n ascending
-    reduces two powers per n, not 2n+2p-2, under every rule, mutants included.
-    The identity being checked, which does depend on the rule, is still
-    checked in full at every n.  It holds for n >= 0; at n < 0 the residual
-    is the difference of the defining sums, and not zero.
+    one kbsm _window, kept per (p, rule): a sweep over n ascending reduces
+    two powers per n, not 2n+2p-2, under every rule, mutants included.  The
+    identity being checked, which does depend on the rule, is still checked
+    in full at every n.  It holds for n >= 0; at n < 0 the residual is the
+    difference of the defining sums, and not zero.  Under rt the residual is
+    the kbsm one's iota image: (-1)^p times that of the identity with (-1)^p
+    on the right, Y read by the slot map and each f(N) of A_n weighted by (-1)^N.
     """
-    f = JonesSequence(p, c, rule)
+    f, c = JonesSequence(p, Convention.KBSM, rule), _context(p, c)[1]
     p, n = f.p, check_int(n)
     acc = f._table(_y_terms(f, 2 * p + 2 * n - 2, 0, 1) + _y_terms(f, 2 * p + 2 * n - 4, 0, 1))
     _window(acc, f, "induction", 1 - abs(n), n + 2 * p - 2, 2 * p - 1, 1 if (p + n) % 2 else -1)
-    return _element(p, f.convention, acc)
+    return _element(p, c, acc)

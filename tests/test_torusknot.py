@@ -1,6 +1,7 @@
 """Reduction rules, module arithmetic, and the verification identities."""
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -32,17 +33,29 @@ ALL_RULES = [(c, r) for c in (KBSM, RT)
 
 
 def y_bracket(p, c, rule=None):
-    """Y, the bracket the reduction multiplies S_{2n}(x) by, as an element."""
-    f = JonesSequence(p, c, rule)
-    return f.sum(_y_terms(f, 0, 0, 1))
+    """Y, the bracket the convention's rule multiplies S_{2n}(x) by, as an
+    element: s_pm1_sign t S_{p-1}(y) + s_p_sign t^{-1} S_p(y) under kbsm, and
+    under rt the same with s_pm1_sign negated, as the slot map reads it."""
+    rule = rule or ReductionRule.for_convention(c)
+    s_pm1 = -rule.s_pm1_sign if Convention(c) is RT else rule.s_pm1_sign
+    return TkElement(p, c, {(0, p - 1): t(1, s_pm1), (0, p): t(-1, rule.s_p_sign)})
+
+
+def weighted_a_terms(p, n, c, e=0, s=1):
+    """s t^e A_n as sum terms of the convention's own sequence: the defining
+    terms, each f(N) weighted by (-1)^N under rt."""
+    return [(-k if c is RT and N % 2 else k, ek, i, N) for k, ek, i, N in a_terms(p, n, e, s)]
 
 
 def induction_formula(p, n, c, rule):
-    """The induction residual as element arithmetic: the left side minus
-    (-1)^{p+n} t^{2p-2n-1} x^2 A_n, with x^2 = S_2(x) + S_0(x)."""
+    """The induction residual as element arithmetic in the convention's own
+    module: the left side minus (-1)^{p+n} t^{2p-2n-1} x^2 A_n, with
+    x^2 = S_2(x) + S_0(x).  The rt identity weights each f(N) of A_n by
+    (-1)^N and multiplies the left side by (-1)^p."""
     ybr = y_bracket(p, c, rule)
-    a = a_element(p, n, c, rule)
-    return (times_sx(ybr, 2 * p + 2 * n - 2) + times_sx(ybr, 2 * p + 2 * n - 4)
+    a = JonesSequence(p, c, rule).sum(weighted_a_terms(p, n, c))
+    left = times_sx(ybr, 2 * p + 2 * n - 2) + times_sx(ybr, 2 * p + 2 * n - 4)
+    return (left * (-1 if c is RT and p % 2 else 1)
             - (times_sx(a, 2) + a) * t(2 * p - 2 * n - 1, -1 if (p + n) % 2 else 1))
 
 
@@ -52,6 +65,9 @@ def basis_vec(p, c, m, n):
 
 KBSM_RULES = [ReductionRule.for_convention(KBSM),
               *ReductionRule.for_convention(KBSM).single_sign_mutations()]
+
+# sha256 of relation_residual's JSON and text over TestRelation's grid
+RELATION_DIGEST = "26a021205d51199bd4d5ef65b9755fce1e11f56a348d48ae3ccb4c502a89d3c4"
 
 
 def kept_window():
@@ -124,7 +140,20 @@ class TestYShorthand:
         assert y_bracket(1, KBSM).terms == {(0, 0): t(1), (0, 1): t(-1)}
 
     def test_rt_flips_lower_term(self):
+        # the rt bracket is the one the rt rule multiplies by: at p = 1,
+        # S_2(y) = t^3 S_2(x) Y under rt and -t^3 S_2(x) Y under kbsm
         assert y_bracket(1, RT).terms == {(0, 0): t(1, -1), (0, 1): t(-1)}
+        for c, sign in ((KBSM, -1), (RT, 1)):
+            for rule in KBSM_RULES:
+                want = times_sx(y_bracket(1, c, rule), 2) * t(3, sign * rule.lead_sign)
+                assert JonesSequence(1, c, rule)(2) == want, (c, rule)
+
+    def test_y_terms_read_no_convention(self):
+        # the residuals sum the bracket's terms in kbsm; rt is iota at the end
+        for p in (1, 4):
+            rt, kbsm = JonesSequence(p, RT), JonesSequence(p, KBSM)
+            assert _y_terms(rt, 3, 2, -1) == _y_terms(kbsm, 3, 2, -1), p
+            assert kbsm.sum(_y_terms(kbsm, 0, 0, 1)) == y_bracket(p, KBSM), p
 
 
 class TestArithmetic:
@@ -394,13 +423,14 @@ class TestMemoIsolation:
 
     def test_mutating_a_residual_leaves_the_next_unchanged(self):
         # the induction memo holds int rows; the residual's coefficients are
-        # built fresh on every call
-        before = str(induction_residual(2, 3, RT))
-        got = induction_residual(2, 3, RT)
+        # built fresh on every call, under the tail_sign mutant nonzero ones
+        tail = KBSM_RULES[4]
+        before = str(induction_residual(2, 3, RT, tail))
+        got = induction_residual(2, 3, RT, tail)
         for coeff in got.terms.values():
             coeff.terms[99] = 7
         got.terms[(0, 0)] = t(0)
-        assert str(induction_residual(2, 3, RT)) == before != "0"
+        assert str(induction_residual(2, 3, RT, tail)) == before != "0"
 
     def test_bool_p_shares_no_corrupt_memo_entry(self):
         # True == 1 as a memo key, so p is stored as a plain int before any
@@ -480,6 +510,35 @@ class TestEmbed:
 
 
 class TestRelation:
+    @pytest.mark.parametrize("rule", KBSM_RULES)
+    def test_is_the_relation_of_each_convention(self, rule):
+        # each convention's relation, written with its own sequence and
+        # bracket: under kbsm (-1)^n on the bracket and tail_sign, under rt
+        # the slot map, no (-1)^n and -tail_sign
+        for c in (KBSM, RT):
+            for p in range(1, 7):
+                f = JonesSequence(p, c, rule)
+                for n in range(-p - 5, 3 * p + 7):
+                    a = -1 if c is KBSM and n % 2 else 1
+                    tail = rule.tail_sign if c is KBSM else -rule.tail_sign
+                    expected = (f(p + n) * t(-2 * n - 1) - f(p - n - 1) * t(2 * n + 1, tail)
+                                - times_sx(y_bracket(p, c, rule), 2 * n) * (a * rule.lead_sign))
+                    got = relation_residual(p, n, c, rule)
+                    assert got == expected and str(got) == str(expected), (c, p, n)
+
+    def test_bytes_are_pinned(self):
+        # the JSON and text of every residual on the grid, under the base
+        # rule and its mutants and a convention given as enum or string:
+        # how a convention's residual is reached may change, its bytes may not
+        digest = hashlib.sha256()
+        for rule in KBSM_RULES:
+            for c in (KBSM, RT, "kbsm", "rt"):
+                for p in range(1, 7):
+                    for n in range(-p - 5, 3 * p + 7):
+                        got = relation_residual(p, n, c, rule)
+                        digest.update(f"{json.dumps(got.to_json())}\n{got}\n".encode())
+        assert digest.hexdigest() == RELATION_DIGEST
+
     def test_both_conventions(self):
         for c in (KBSM, RT):
             for p in range(1, 5):
@@ -662,13 +721,16 @@ class TestTelescope:
     @pytest.mark.parametrize("c, rule", ALL_RULES)
     def test_runs_are_the_defining_sums(self, c, rule):
         # the residual from one window step is the one from A_{n+1}'s and
-        # A_n's defining terms, byte for byte, under every rule and for n < 0
+        # A_n's defining terms, byte for byte, under every rule and for n < 0;
+        # the rt identity weights each f(N) of A_n by (-1)^N and has (-1)^p
+        # on its right side
         for p in range(1, 9):
             f = JonesSequence(p, c, rule)
             for n in range(-6, 2 * p + 8):
-                sign = -1 if (p + n - 1) % 2 else 1
-                expected = f.sum(a_terms(p, n + 1) + a_terms(p, n, 2, -1)
-                                 + _y_terms(f, 2 * n + 2 * p - 2, 2 * n - 2 * p + 3, -sign))
+                sign = -1 if (n - 1 + (0 if c is RT else p)) % 2 else 1
+                left = f.sum(weighted_a_terms(p, n + 1, c) + weighted_a_terms(p, n, c, 2, -1))
+                ybr = times_sx(y_bracket(p, c, rule), 2 * n + 2 * p - 2)
+                expected = left - ybr * t(2 * n - 2 * p + 3, sign)
                 assert telescope_residual(p, n, c, rule).to_json() == expected.to_json(), (p, n)
 
     def test_induction_identity_samples(self):
@@ -676,9 +738,16 @@ class TestTelescope:
         assert induction_residual(2, 1).is_zero()
         assert induction_residual(3, 4).is_zero()
 
-    def test_induction_identity_is_convention_specific(self):
-        grid = [(p, n) for p in (1, 2) for n in range(0, 5)]
-        assert any(not induction_residual(p, n, RT).is_zero() for p, n in grid)
+    def test_both_identities_hold_under_rt(self):
+        # under rt each residual is the iota image of the kbsm one: zero on
+        # the suites' grid, a string convention too, and nonzero somewhere
+        # there under every sign mutant
+        grid = [(p, n) for p in range(1, 7) for n in range(2 * p + 5)]
+        for residual in (telescope_residual, induction_residual):
+            for p, n in grid:
+                assert residual(p, n, RT).is_zero() and residual(p, n, "rt").is_zero(), (p, n)
+            for mutant in KBSM_RULES[1:]:
+                assert any(residual(p, n, RT, mutant) for p, n in grid), (residual, mutant)
 
     @pytest.mark.parametrize("c, rule", ALL_RULES)
     def test_induction_is_the_element_formula(self, c, rule):
@@ -692,7 +761,8 @@ class TestTelescope:
 
     def test_any_order_is_the_element_formula(self):
         # each n steps the kept window of A_n from wherever it last was, or
-        # builds it afresh; n < 0 too, where A_n's first sum is empty
+        # builds it afresh; n < 0 too, where A_n's first sum is empty, and
+        # the two conventions share each kbsm window
         torusknot._windows.clear()
         points = [(c, rule, p, n) for c, rule in ALL_RULES
                   for p in range(1, 7) for n in range(-2, 2 * p + 5)]
@@ -725,8 +795,8 @@ class TestTelescope:
             induction_residual(1, n, KBSM, tail)
             sizes.append(len(kept_window()))
         assert sizes[60] > 50 * sizes[4]
-        assert list(torusknot._windows) == [(1, tail, KBSM, "induction")]
-        assert torusknot._windows[(1, tail, KBSM, "induction")][0] == (-59, 60)
+        assert list(torusknot._windows) == [(1, tail, "induction")]
+        assert torusknot._windows[(1, tail, "induction")][0] == (-59, 60)
 
     def test_base_rule_memo_holds_the_left_side(self):
         # under the base rule x^2 A_n is the left side up to a monomial:
@@ -855,6 +925,10 @@ class TestRuleChecks:
                 handle_slide_residual(1, 2, bad)
             with pytest.raises(TypeError, match="ReductionRule"):
                 induction_residual(1, 2, KBSM, bad)
+        # so is an unknown convention, though the residuals compute in kbsm
+        for residual in (telescope_residual, induction_residual, relation_residual):
+            with pytest.raises(ValueError, match="kbs"):
+                residual(2, 5, "kbs")
         assert _reduce_items.cache_info().currsize == 0
         assert torusknot._windows == {}
 
@@ -896,19 +970,25 @@ class TestOneRule:
         assert both.currsize == kbsm_only.currsize > 0
         assert both.misses == kbsm_only.misses
 
-    def test_interleaved_conventions_keep_their_own_windows(self):
-        # one rule serves both conventions, so a window is kept per
-        # convention: an rt call never steps the kbsm window, nor back
+    def test_interleaved_conventions_share_one_window(self):
+        # windows are kbsm, so one window per (p, rule, slot) serves both
+        # conventions: an rt call at the n a kbsm call just left steps
+        # nothing, and reads the memo only for the left side's two basis terms
+        tail = KBSM_RULES[4]
         cold = {}
         for c in (KBSM, RT):
             for n in range(9):
                 torusknot._windows.clear()
-                cold[c, n] = induction_residual(2, n, c).to_json()
+                cold[c, n] = induction_residual(2, n, c, tail).to_json()
         torusknot._windows.clear()
         for n in range(9):
             for c in (KBSM, RT):
-                assert induction_residual(2, n, c).to_json() == cold[c, n], (c, n)
-        assert not induction_residual(2, 3, RT).is_zero()
+                before = _reduce_items.cache_info()
+                assert induction_residual(2, n, c, tail).to_json() == cold[c, n], (c, n)
+                assert list(torusknot._windows) == [(2, tail, "induction")]
+            after = _reduce_items.cache_info()
+            assert after.hits + after.misses == before.hits + before.misses + 2, n
+        assert not induction_residual(2, 3, RT, tail).is_zero()
 
 
 class TestRtRecursion:
