@@ -154,16 +154,12 @@ class Sparse:
 
     __rmul__ = __mul__
 
-    def _json_rows(self) -> list:
-        """The terms as rows [*key, coeff] in key order, coefficients as JSON."""
-        return [[*(k if isinstance(k, tuple) else (k,)),
-                 str(c) if isinstance(c, int) else c.to_json()]
-                for k, c in sorted(self.terms.items())]
-
     def to_json(self) -> dict:
-        """The context fields by name, an enum by its value, then "terms"."""
+        """The context fields by name, an enum by its value, then "terms":
+        rows [*key, coeff] in key order, each coefficient as its own JSON."""
         ctx = zip(self._CONTEXT, self._ctx) if self._CONTEXT else ()
-        return {**{name: getattr(v, "value", v) for name, v in ctx}, "terms": self._json_rows()}
+        return {**{name: getattr(v, "value", v) for name, v in ctx},
+                "terms": [[*k, c.to_json()] for k, c in sorted(self.terms.items())]}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -212,7 +208,7 @@ class LaurentPoly(Sparse):
         return self._like(out)
 
     def to_json(self) -> dict:
-        return {"t": self._json_rows()}
+        return {"t": [[e, str(c)] for e, c in sorted(self.terms.items())]}
 
     def __str__(self) -> str:
         if not self.terms:

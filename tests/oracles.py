@@ -134,7 +134,7 @@ class AuxLaurent(Sparse):
     __rmul__ = __mul__
 
     def to_json(self) -> list:
-        return self._json_rows()
+        return [[e, c.to_json()] for e, c in sorted(self.terms.items())]
 
     @staticmethod
     def _monomial(e: int) -> str:
